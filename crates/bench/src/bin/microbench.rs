@@ -30,13 +30,6 @@
 //! tripwire for ROM-port arbitration in the capacity planner's fleet
 //! model. Alert-only on machines with fewer than 4 hardware threads.
 //!
-//! `--gate-lanes` fails the run when the batch-of-4 interleaved
-//! variable-base scalar multiplication is below 1.3× per-point over the
-//! one-shot pipeline. Alert-only on machines with a single hardware
-//! thread (oversubscribed cloud vCPUs and SMT siblings, where the
-//! out-of-order core has no spare issue slots for the interleave to
-//! fill); the measurement is recorded in `BENCH_fourq.json` either way.
-//!
 //! `--compare BASELINE.json` re-parses a previous report and fails when
 //! the median slowdown within any of `scalar_ops`, `parallel_ops` or
 //! `asic_pipeline` exceeds 25%. Alert-only when the baseline was
@@ -263,55 +256,6 @@ fn gate_fleet(report: &BenchReport) -> Result<(), String> {
     Ok(())
 }
 
-/// The lane-interleave gate (`--gate-lanes`): the batch-of-4
-/// interleaved variable-base scalar multiplication (`simd_ops`) must
-/// reach at least this per-point speedup over the one-shot pipeline.
-/// The lane layer's whole performance thesis is that four independent
-/// dependency chains fill the multiplier's issue slots; if the ratio
-/// collapses on hardware that has the slots to fill, the interleave
-/// stopped paying for itself. On machines with a single hardware
-/// thread the gate is alert-only — those are typically oversubscribed
-/// cloud vCPUs or SMT siblings whose effective issue width is already
-/// saturated by the one-shot chain, so the speedup is unrepresentative
-/// there (the honest number still lands in `BENCH_fourq.json`).
-const GATE_LANES_MIN: f64 = 1.3;
-
-fn gate_lanes(report: &BenchReport) -> Result<(), String> {
-    let lookup = |name: &str| -> Result<&fourq_bench::harness::BenchRecord, String> {
-        report
-            .results
-            .iter()
-            .find(|r| r.group == "simd_ops" && r.name == name)
-            .ok_or(format!("gate: simd_ops/{name} missing from this run"))
-    };
-    let one = lookup("variable_base_one_shot")?.ns_per_op;
-    let lane_rec = lookup("variable_base_lane4_per_point")?;
-    let lane = lane_rec.ns_per_op;
-    let ratio = one / lane;
-    // As with --gate-parallel, judge reachability by the hw_threads
-    // recorded in the measurement itself.
-    let cores = lane_rec.hw_threads;
-    eprintln!(
-        "gate: interleaved-4 variable-base {lane:.0} ns/point vs one-shot {one:.0} ns \
-         (speedup {ratio:.2}x, floor {GATE_LANES_MIN}x, {cores} hardware threads recorded)"
-    );
-    if ratio < GATE_LANES_MIN {
-        let msg = format!(
-            "gate: interleaved-4 variable-base speedup {ratio:.2}x is below the \
-             {GATE_LANES_MIN}x floor"
-        );
-        if cores < 2 {
-            eprintln!(
-                "{msg} (alert-only: {cores} hardware thread(s) recorded — no spare \
-                 issue slots for the interleave to fill)"
-            );
-            return Ok(());
-        }
-        return Err(msg);
-    }
-    Ok(())
-}
-
 /// The regression tripwire (`--compare BASELINE.json`): for each group in
 /// [`COMPARE_GROUPS`], matching benches (same group/name/threads) are
 /// compared against the baseline file; the run fails when a group's
@@ -405,7 +349,6 @@ fn main() {
     let mut gate_par = false;
     let mut gate_kernel = false;
     let mut gate_fleet_flag = false;
-    let mut gate_lanes_flag = false;
     let mut compare: Option<PathBuf> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -421,7 +364,6 @@ fn main() {
             "--gate-parallel" => gate_par = true,
             "--gate-kernel-cache" => gate_kernel = true,
             "--gate-fleet" => gate_fleet_flag = true,
-            "--gate-lanes" => gate_lanes_flag = true,
             "--compare" => {
                 compare = Some(PathBuf::from(args.next().unwrap_or_else(|| {
                     eprintln!("--compare requires a baseline path");
@@ -431,8 +373,7 @@ fn main() {
             "--help" | "-h" => {
                 eprintln!(
                     "usage: microbench [--out PATH] [--filter GROUPS] [--compare BASELINE] \
-                     [--gate-batch] [--gate-parallel] [--gate-kernel-cache] [--gate-fleet] \
-                     [--gate-lanes]\n\
+                     [--gate-batch] [--gate-parallel] [--gate-kernel-cache] [--gate-fleet]\n\
                      \x20      GROUPS is a comma-separated list of group-name substrings"
                 );
                 return;
@@ -490,12 +431,6 @@ fn main() {
     }
     if gate_fleet_flag {
         if let Err(e) = gate_fleet(&report) {
-            eprintln!("{e}");
-            std::process::exit(1);
-        }
-    }
-    if gate_lanes_flag {
-        if let Err(e) = gate_lanes(&report) {
             eprintln!("{e}");
             std::process::exit(1);
         }

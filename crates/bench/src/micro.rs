@@ -13,7 +13,6 @@
 //! | `batch_sig` | batch-first signature pipeline — RLC batch verify, batch signing |
 //! | `multi_curve` | Table II on one machine — per-curve compiled kernels through the shared cache |
 //! | `fleet_ops` | multi-core fleet model + capacity planner (`--gate-fleet` scaling tripwire) |
-//! | `simd_ops` | lane-oriented field layer — 4-way interleaved Fp²/curve vs one-shot (`--gate-lanes`) |
 
 use crate::harness::{run, BenchOptions, BenchRecord, BenchReport};
 use fourq_baselines::{p256::P256, x25519::X25519};
@@ -490,61 +489,6 @@ pub fn fleet_ops(report: &mut BenchReport, opts: &BenchOptions) {
     }));
 }
 
-/// The lane-oriented field/curve layer (`DESIGN.md` §16): 4-way
-/// interleaved `F_p²` arithmetic and the batch-of-4 interleaved
-/// variable-base scalar multiplication, each next to its scalar
-/// one-shot counterpart. The per-point interleave ratio is directly
-/// computable from `BENCH_fourq.json` and is what `--gate-lanes`
-/// checks.
-pub fn simd_ops(report: &mut BenchReport, opts: &BenchOptions) {
-    use fourq_curve::mul_extended_lanes;
-    use fourq_fp::{Fp2Lanes, LANE_WIDTH};
-
-    let mut rng = TestRng::from_seed(BENCH_SEED ^ 8);
-    let rand_fp2 = |rng: &mut TestRng| {
-        Fp2::new(
-            Fp::from_u128(rng.next_u128()),
-            Fp::from_u128(rng.next_u128()),
-        )
-    };
-    let a_s: [Fp2; LANE_WIDTH] = core::array::from_fn(|_| rand_fp2(&mut rng));
-    let b_s: [Fp2; LANE_WIDTH] = core::array::from_fn(|_| rand_fp2(&mut rng));
-    let a = Fp2Lanes::from_fp2s(a_s);
-    let b = Fp2Lanes::from_fp2s(b_s);
-    report.push(run("simd_ops", "fp2_mul_scalar", opts, || {
-        black_box(a_s[0]) * black_box(b_s[0])
-    }));
-    report.push(per_item(
-        run("simd_ops", "fp2_mul_lane4_per_element", opts, || {
-            black_box(&a).mul(black_box(&b))
-        }),
-        LANE_WIDTH,
-    ));
-    report.push(run("simd_ops", "fp2_sqr_scalar", opts, || {
-        black_box(a_s[0]).square()
-    }));
-    report.push(per_item(
-        run("simd_ops", "fp2_sqr_lane4_per_element", opts, || {
-            black_box(&a).sqr()
-        }),
-        LANE_WIDTH,
-    ));
-
-    let g = AffinePoint::generator();
-    let points: [AffinePoint; LANE_WIDTH] =
-        core::array::from_fn(|i| g.mul(&Scalar::from_u64(2 * i as u64 + 5)));
-    let ks: [Scalar; LANE_WIDTH] = core::array::from_fn(|_| bench_scalar(&mut rng));
-    report.push(run("simd_ops", "variable_base_one_shot", opts, || {
-        points[0].mul_extended(black_box(&ks[0]))
-    }));
-    report.push(per_item(
-        run("simd_ops", "variable_base_lane4_per_point", opts, || {
-            mul_extended_lanes(black_box(&points), black_box(&ks))
-        }),
-        LANE_WIDTH,
-    ));
-}
-
 /// A benchmark group: fills a report under the given options.
 type GroupFn = fn(&mut BenchReport, &BenchOptions);
 
@@ -554,7 +498,7 @@ type GroupFn = fn(&mut BenchReport, &BenchOptions);
 /// `"scalar_ops,parallel_ops,asic_pipeline"` runs exactly the three
 /// groups the CI regression tripwire compares.
 pub fn run_suite(opts: &BenchOptions, filter: &str) -> BenchReport {
-    let groups: [(&str, GroupFn); 13] = [
+    let groups: [(&str, GroupFn); 12] = [
         ("fp2_mul", fp2_mul),
         ("scalar_mul", scalar_mul),
         ("scalar_ops", scalar_ops),
@@ -562,7 +506,6 @@ pub fn run_suite(opts: &BenchOptions, filter: &str) -> BenchReport {
         ("batch_ops", batch_ops),
         ("batch_sig", batch_sig),
         ("parallel_ops", parallel_ops),
-        ("simd_ops", simd_ops),
         ("curve_compare", curve_compare),
         ("scheduling", scheduling),
         ("asic_pipeline", asic_pipeline),

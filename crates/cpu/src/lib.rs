@@ -56,11 +56,6 @@ pub use regalloc::{
 };
 pub use vcd::export_vcd;
 
-/// Trace→problem translation now lives beside the scheduler in
-/// [`fourq_sched`]; re-exported here for one release so downstream code
-/// can migrate its imports.
-pub use fourq_sched::trace_to_problem;
-
 use fourq_curve::AffinePoint;
 use fourq_sched::{MachineConfig, Schedule, UnitKind};
 use fourq_trace::{OpKind, Operand, Trace, Word};
@@ -420,7 +415,7 @@ pub fn simulate_scalar_mul_for(
 mod tests {
     use super::*;
     use fourq_fp::Scalar;
-    use fourq_sched::{lower_bound, schedule};
+    use fourq_sched::{lower_bound, schedule, trace_to_problem};
 
     #[test]
     fn loop_iteration_simulates_and_checks() {

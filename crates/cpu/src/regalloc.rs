@@ -440,10 +440,10 @@ pub fn simulate_allocated(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fourq_sched::schedule;
+    use fourq_sched::{schedule, trace_to_problem};
 
     fn pipeline(trace: &Trace, machine: &MachineConfig) -> (Schedule, Allocation) {
-        let problem = crate::trace_to_problem(trace);
+        let problem = trace_to_problem(trace);
         let s = schedule(&problem, machine, 16);
         s.validate(&problem, machine).expect("valid");
         let a = allocate(trace, &s, machine);
@@ -532,7 +532,7 @@ mod tests {
         // the physical simulation detects it by producing wrong outputs.
         let t = fourq_trace::trace_double_add_iteration();
         let m = MachineConfig::paper();
-        let problem = crate::trace_to_problem(&t);
+        let problem = trace_to_problem(&t);
         let s = schedule(&problem, &m, 4);
         let bogus = Allocation {
             assignment: vec![0; t.first_op_id() + t.nodes.len()],

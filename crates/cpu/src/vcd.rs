@@ -132,12 +132,12 @@ pub fn export_vcd(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fourq_sched::schedule;
+    use fourq_sched::{schedule, trace_to_problem};
 
     #[test]
     fn vcd_export_is_well_formed() {
         let t = fourq_trace::trace_double_add_iteration();
-        let p = crate::trace_to_problem(&t);
+        let p = trace_to_problem(&t);
         let m = MachineConfig::paper();
         let s = schedule(&p, &m, 8);
         let vcd = export_vcd(&t, &s, &m).expect("export");

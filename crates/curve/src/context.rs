@@ -15,26 +15,20 @@
 use crate::affine::AffinePoint;
 use crate::extended::ExtendedPoint;
 use crate::fixed_base::FixedBaseTable;
-use crate::lanes::{mul_extended_lanes, LANE_WIDTH};
 use crate::multi::{batch_normalize_threaded, multi_scalar_mul_threaded};
 use crate::params::{D, TWO_D};
 use fourq_fp::{Fp2, Scalar};
 
 /// Below this batch size the kernel runs sequentially regardless of the
-/// engine's thread budget: each scalar multiplication is ~70 µs, so one
-/// lane quad per worker is already enough to amortise a thread spawn, but
-/// a batch of 2–3 is not.
+/// engine's thread budget: each scalar multiplication is ~70 µs, so two
+/// items per worker is already enough to amortise a thread spawn, but a
+/// batch of 2–3 is not.
 const MUL_PAR_MIN_BATCH: usize = 4;
 
-/// Static cost hint for one variable-base lane quad (~4 × 70 µs), fed to
-/// [`fourq_pool::map_items_costed`]. Quads are already far above the
-/// pool's minimum-work floor, so the requested one-quad granularity
-/// survives and load-balancing stays per-quad.
-const MUL_QUAD_COST_NS: u64 = 280_000;
-
-/// Static cost hint for one fixed-base lane quad (~4 × 35 µs — the comb
-/// skips the per-point table build).
-const FIXED_QUAD_COST_NS: u64 = 140_000;
+/// Work-item granularity for the scalar-multiplication paths. Chunks are
+/// claimed from an atomic cursor, so small chunks load-balance well; two
+/// multiplications (~140 µs) per claim keeps cursor traffic negligible.
+const MUL_CHUNK: usize = 2;
 
 /// A reusable FourQ computation context.
 ///
@@ -132,34 +126,14 @@ impl FourQEngine {
     /// [`FourQEngine::batch_to_affine`], which replaces `n` Fermat
     /// inversions with one inversion plus `3(n−1)` multiplications.
     ///
-    /// The batch is regrouped into lane quads of [`crate::LANE_WIDTH`]
-    /// pairs, each quad running the interleaved kernel
-    /// ([`mul_extended_lanes`]) on one core; the ≤3 leftover pairs take
-    /// the scalar kernel. Quads are fanned over worker threads in fixed
-    /// index-range chunks; outputs land at their input index, and the
-    /// lane kernel is bit-identical to the scalar one per lane, so the
-    /// result is bit-identical to the sequential one-at-a-time run.
+    /// With a multi-thread engine the multiplications are spread over
+    /// worker threads in fixed index-range chunks; outputs land at their
+    /// input index, so the result is bit-identical to the sequential run.
     // ct: secret(pairs)
     pub fn batch_scalar_mul(&self, pairs: &[(Scalar, AffinePoint)]) -> Vec<AffinePoint> {
         let workers = self.batch_workers(pairs.len());
-        let n = pairs.len(); // ct: public — batch length is public geometry
-        let n_quads = n / LANE_WIDTH;
-        let quad_ids: Vec<usize> = (0..n_quads).collect();
-        let quads =
-            fourq_pool::map_items_costed(&quad_ids, 1, MUL_QUAD_COST_NS, workers, |_, &q| {
-                let base = q * LANE_WIDTH;
-                let points: [AffinePoint; LANE_WIDTH] = core::array::from_fn(|l| pairs[base + l].1);
-                let ks: [Scalar; LANE_WIDTH] = core::array::from_fn(|l| pairs[base + l].0);
-                mul_extended_lanes(&points, &ks)
-            });
-        let mut projective: Vec<ExtendedPoint<Fp2>> = Vec::with_capacity(pairs.len());
-        for quad in quads {
-            projective.extend(quad);
-        }
-        let remainder = &pairs[n_quads * LANE_WIDTH..]; // ct: public — batch geometry
-        for (k, p) in remainder {
-            projective.push(p.mul_extended(k));
-        }
+        let projective =
+            fourq_pool::map_items(pairs, MUL_CHUNK, workers, |_, (k, p)| p.mul_extended(k));
         self.batch_to_affine(&projective)
     }
 
@@ -178,31 +152,12 @@ impl FourQEngine {
     /// one batch-normalisation inversion. This is the key-generation /
     /// signing workload shape: many independent secret scalars, one
     /// public base.
-    ///
-    /// Scalars are regrouped into lane quads sharing one comb walk
-    /// ([`FixedBaseTable::mul_extended_lanes`]); the ≤3 leftover scalars
-    /// take the scalar comb. Bit-identical to the one-at-a-time run at
-    /// every thread count.
     // ct: secret(ks)
     pub fn batch_fixed_base_mul(&self, ks: &[Scalar]) -> Vec<AffinePoint> {
         let workers = self.batch_workers(ks.len());
-        let n = ks.len(); // ct: public — batch length is public geometry
-        let n_quads = n / LANE_WIDTH;
-        let quad_ids: Vec<usize> = (0..n_quads).collect();
-        let quads =
-            fourq_pool::map_items_costed(&quad_ids, 1, FIXED_QUAD_COST_NS, workers, |_, &q| {
-                let base = q * LANE_WIDTH;
-                let quad: [Scalar; LANE_WIDTH] = core::array::from_fn(|l| ks[base + l]);
-                self.gen_table.mul_extended_lanes(&quad)
-            });
-        let mut projective: Vec<ExtendedPoint<Fp2>> = Vec::with_capacity(ks.len());
-        for quad in quads {
-            projective.extend(quad);
-        }
-        let remainder = &ks[n_quads * LANE_WIDTH..]; // ct: public — batch geometry
-        for k in remainder {
-            projective.push(self.gen_table.mul_extended(k));
-        }
+        let projective = fourq_pool::map_items(ks, MUL_CHUNK, workers, |_, k| {
+            self.gen_table.mul_extended(k)
+        });
         self.batch_to_affine(&projective)
     }
 

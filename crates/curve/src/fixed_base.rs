@@ -9,9 +9,8 @@
 use crate::affine::AffinePoint;
 use crate::engine::identity;
 use crate::extended::{CachedPoint, ExtendedPoint};
-use crate::lanes::{identity_lanes, LaneCachedPoint};
 use crate::params::TWO_D;
-use fourq_fp::{ct_eq_u64, Fp, Fp2, LaneChoice, Scalar};
+use fourq_fp::{ct_eq_u64, Fp, Fp2, Scalar};
 
 /// A precomputed comb table for one base point.
 ///
@@ -132,40 +131,6 @@ impl FixedBaseTable {
         acc
     }
 
-    /// Fixed-base multiplication of `W` independent scalars against the
-    /// same comb table, stepped in lockstep on one core.
-    ///
-    /// The column loop of [`FixedBaseTable::mul_extended`] widened to `W`
-    /// lanes: one lane doubling, `W` comb gathers, one lane-wise masked
-    /// scan of all 16 slots (the table is splatted once per call), one
-    /// lane addition. Lane `l` of the result is bit-identical to
-    /// `self.mul_extended(&ks[l])`.
-    // ct: secret(ks)
-    pub fn mul_extended_lanes<const W: usize>(&self, ks: &[Scalar; W]) -> [ExtendedPoint<Fp2>; W] {
-        let vs: [_; W] = core::array::from_fn(|l| ks[l].to_u256());
-        let lane_entries: Vec<LaneCachedPoint<W>> =
-            self.entries.iter().map(LaneCachedPoint::splat).collect();
-        let mut acc = identity_lanes::<W>();
-        for col in (0..self.cols).rev() {
-            acc = acc.double();
-            // Comb gather per lane: mask arithmetic only, the column index
-            // is the public loop counter.
-            let mut us = [0u64; W];
-            for l in 0..W {
-                for row in 0..TEETH {
-                    us[l] |= vs[l].bit64(row * self.cols + col) << row;
-                }
-            }
-            let mut e = lane_entries[0];
-            for (j, entry) in lane_entries.iter().enumerate().skip(1) {
-                let hit = LaneChoice::eq_each(&us, j as u64);
-                e = LaneCachedPoint::ct_select(&e, entry, &hit);
-            }
-            acc = acc.add_cached(&e);
-        }
-        acc.to_points()
-    }
-
     /// Masked scan of the full table: every slot is read, the mask decides
     /// which entry survives.
     // ct: secret(u)
@@ -233,26 +198,6 @@ mod tests {
     #[should_panic(expected = "identity")]
     fn identity_base_rejected() {
         let _ = FixedBaseTable::new(&AffinePoint::identity());
-    }
-
-    #[test]
-    fn lane_comb_matches_scalar_comb() {
-        let table = FixedBaseTable::new(&AffinePoint::generator());
-        let ks = [
-            Scalar::from_u64(5),
-            Scalar::ZERO,
-            Scalar::from_u64(0xffff_ffff_ffff_fffe),
-            Scalar::from_u64(777777),
-        ];
-        let lanes = table.mul_extended_lanes(&ks);
-        for l in 0..4 {
-            let s = table.mul_extended(&ks[l]);
-            assert_eq!(lanes[l].x, s.x, "lane {l} x");
-            assert_eq!(lanes[l].y, s.y, "lane {l} y");
-            assert_eq!(lanes[l].z, s.z, "lane {l} z");
-            assert_eq!(lanes[l].ta, s.ta, "lane {l} ta");
-            assert_eq!(lanes[l].tb, s.tb, "lane {l} tb");
-        }
     }
 
     #[test]

@@ -57,7 +57,6 @@ mod decompose;
 mod engine;
 mod extended;
 mod fixed_base;
-mod lanes;
 mod multi;
 mod multicurve;
 pub mod params;
@@ -68,9 +67,6 @@ pub use decompose::{decompose, recode, Decomposition, Recoded, DIGITS, LIMB_BITS
 pub use engine::{identity, normalize, scalar_mul_engine, MulOutput};
 pub use extended::{CachedPoint, ExtendedPoint};
 pub use fixed_base::{generator_table, FixedBaseTable};
-pub use lanes::{
-    mul_extended_lanes, scalar_mul_engine_lanes, LaneCachedPoint, LaneExtendedPoint, LANE_WIDTH,
-};
 pub use multi::{
     batch_normalize, batch_normalize_threaded, double_scalar_mul, msm_pippenger,
     msm_pippenger_threaded, msm_straus, multi_scalar_mul, multi_scalar_mul_threaded,

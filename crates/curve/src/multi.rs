@@ -8,9 +8,8 @@
 use crate::affine::AffinePoint;
 use crate::engine::identity;
 use crate::extended::{CachedPoint, ExtendedPoint};
-use crate::lanes::{identity_lanes, LaneCachedPoint, LANE_WIDTH};
 use crate::params::TWO_D;
-use fourq_fp::{Fp2, Fp2Lanes, Scalar, U256};
+use fourq_fp::{Fp2, Scalar, U256};
 
 /// Computes `[a]P + [b]Q` with interleaved (Straus–Shamir) double-and-add:
 /// one shared doubling chain and a 3-entry table `{P, Q, P+Q}`.
@@ -140,87 +139,58 @@ pub fn msm_pippenger(pairs: &[(Scalar, AffinePoint)]) -> AffinePoint {
 /// (measured crossover; see `DESIGN.md` §10).
 const MSM_PAR_MIN_POINTS: usize = 48;
 
-/// Static cost hint for one window quad, fed to
-/// [`fourq_pool::map_items_costed`]: bucket scatter plus the lane sweep is
-/// well above the pool's minimum-work floor, so one quad stays one
-/// scheduling unit (the quad replaces the old fixed 4-window chunk).
-const MSM_QUAD_COST_NS: u64 = 150_000;
+/// Windows per parallel work item. Fixed (thread-count-independent) so
+/// the chunk tree — and therefore the reduction order — never changes.
+const MSM_WINDOW_CHUNK: usize = 4;
 
-/// The cached identity `(Y+X, Y−X, 2Z, 2dT) = (1, 1, 2, 0)` — absorbed by
-/// the complete addition formula, so lane sweeps can always-add.
-fn identity_cached() -> CachedPoint<Fp2> {
-    CachedPoint {
-        y_plus_x: Fp2::ONE,
-        y_minus_x: Fp2::ONE,
-        z2: Fp2::from_u128_pair(2, 0),
-        t2d: Fp2::ZERO,
-    }
-}
-
-/// Bucket accumulation + running-sum sweep for a quad of consecutive
-/// `c`-bit windows `w0 .. w0+LANE_WIDTH`, the windows stepped in lockstep
-/// as lanes: returns each window's `Σ d·B_d` in extended coordinates.
-///
-/// The bucket scatter stays scalar per lane (it is a data-dependent
-/// scatter), but the expensive part — `2·(2^c − 1)` point additions of
-/// the running-sum sweep — runs lane-wise: one instruction stream sweeps
-/// all four windows' buckets at once, with empty buckets contributing the
-/// cached identity (always-add; the complete formula absorbs it, so the
-/// window sum is the same group element the sparse sweep produces).
-/// Lanes past `windows` are padding and yield the identity.
-fn pippenger_window_quad(
+/// The bucket accumulation + running-sum sweep for one `c`-bit window:
+/// returns `Σ d·B_d` over this window's digits, in extended coordinates.
+fn pippenger_window_sum(
     scalars: &[U256],
     lifted: &[ExtendedPoint<Fp2>],
     cached: &[CachedPoint<Fp2>],
-    w0: usize,
-    windows: usize,
+    w: usize,
     c: usize,
-) -> [ExtendedPoint<Fp2>; LANE_WIDTH] {
+) -> ExtendedPoint<Fp2> {
     let n_buckets = (1usize << c) - 1;
-    let buckets: [Vec<Option<ExtendedPoint<Fp2>>>; LANE_WIDTH] = core::array::from_fn(|l| {
-        let w = w0 + l;
-        let mut b: Vec<Option<ExtendedPoint<Fp2>>> = vec![None; n_buckets];
-        if w < windows {
-            for (i, s) in scalars.iter().enumerate() {
-                let d = s.extract_bits(w * c, c) as usize;
-                if d != 0 {
-                    b[d - 1] = Some(match b[d - 1].take() {
-                        Some(acc) => acc.add_cached(&cached[i]),
-                        None => lifted[i].clone(),
-                    });
-                }
-            }
+    let mut buckets: Vec<Option<ExtendedPoint<Fp2>>> = vec![None; n_buckets];
+    for (i, s) in scalars.iter().enumerate() {
+        let d = s.extract_bits(w * c, c) as usize;
+        if d != 0 {
+            buckets[d - 1] = Some(match buckets[d - 1].take() {
+                Some(b) => b.add_cached(&cached[i]),
+                None => lifted[i].clone(),
+            });
         }
-        b
-    });
-    // Lane running-sum sweep: running_l = Σ_{e ≥ d} B_e^(l) after step d,
-    // and Σ_d running_d = Σ d·B_d, per lane.
-    let id = identity_cached();
-    let two_d = Fp2Lanes::splat(TWO_D);
-    let mut running = identity_lanes::<LANE_WIDTH>();
-    let mut window_sum = identity_lanes::<LANE_WIDTH>();
-    for d in (0..n_buckets).rev() {
-        let step: [CachedPoint<Fp2>; LANE_WIDTH] = core::array::from_fn(|l| match &buckets[l][d] {
-            Some(b) => b.to_cached(&TWO_D),
-            None => id.clone(),
-        });
-        running = running.add_cached(&LaneCachedPoint::from_cached(&step));
-        window_sum = window_sum.add_cached(&running.to_cached(&two_d));
     }
-    window_sum.to_points()
+    // Running-sum sweep: running = Σ_{e ≥ d} B_e after step d, and
+    // Σ_d running_d = Σ d·B_d. Both accumulators stay in extended
+    // coordinates; empty buckets only skip the `running` update.
+    let mut running = identity(&Fp2::ONE);
+    let mut window_sum = identity(&Fp2::ONE);
+    let mut any = false;
+    for b in buckets.iter().rev() {
+        if let Some(b) = b {
+            running = running.add_cached(&b.to_cached(&TWO_D));
+            any = true;
+        }
+        if any {
+            window_sum = window_sum.add_cached(&running.to_cached(&TWO_D));
+        }
+    }
+    window_sum
 }
 
 /// [`msm_pippenger`] with an explicit thread budget.
 ///
 /// Every window's bucket accumulation is independent of every other
-/// window's, so the windows are the parallel axis, regrouped into lane
-/// quads: each work item computes [`crate::LANE_WIDTH`] consecutive
-/// windows' partials in lockstep ([`pippenger_window_quad`]), and the
-/// calling thread folds the partials high-to-low through the shared
-/// doubling chain (`acc ← [2^c]acc + partial_w`) — a reduction whose
-/// order is fixed by the window index, not by thread scheduling. Affine
-/// outputs are canonical, so results are bit-identical to the sequential
-/// path at every thread count.
+/// window's, so the windows are the parallel axis: workers compute
+/// window partials over fixed [`MSM_WINDOW_CHUNK`]-window index ranges,
+/// and the calling thread folds the partials high-to-low through the
+/// shared doubling chain (`acc ← [2^c]acc + partial_w`) — a reduction
+/// whose order is fixed by the window index, not by thread scheduling.
+/// Affine outputs are canonical, so results are bit-identical to the
+/// sequential path at every thread count.
 pub fn msm_pippenger_threaded(pairs: &[(Scalar, AffinePoint)], threads: usize) -> AffinePoint {
     // Batch verification input: scalars and points are public signature
     // components, so the digit-driven skips below are deliberate.
@@ -235,21 +205,15 @@ pub fn msm_pippenger_threaded(pairs: &[(Scalar, AffinePoint)], threads: usize) -
         .collect(); // ct: public — verification points are public by protocol
     let cached: Vec<_> = lifted.iter().map(|e| e.to_cached(&TWO_D)).collect();
 
-    let quad_ids: Vec<usize> = (0..windows.div_ceil(LANE_WIDTH)).collect();
+    let window_ids: Vec<usize> = (0..windows).collect();
     let workers = if pairs.len() >= MSM_PAR_MIN_POINTS {
         threads
     } else {
         1
     };
-    let partial_quads =
-        fourq_pool::map_items_costed(&quad_ids, 1, MSM_QUAD_COST_NS, workers, |_, &q| {
-            pippenger_window_quad(&scalars, &lifted, &cached, q * LANE_WIDTH, windows, c)
-        });
-    let mut partials: Vec<ExtendedPoint<Fp2>> = Vec::with_capacity(windows);
-    for quad in partial_quads {
-        partials.extend(quad);
-    }
-    partials.truncate(windows); // drop padding lanes of the last quad
+    let partials = fourq_pool::map_items(&window_ids, MSM_WINDOW_CHUNK, workers, |_, &w| {
+        pippenger_window_sum(&scalars, &lifted, &cached, w, c)
+    });
 
     // Fold the partials through the shared doubling chain, high window
     // first — the same `acc ← [2^c]acc + Σ d·B_d` recurrence the fused

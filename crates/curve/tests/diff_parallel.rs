@@ -1,5 +1,7 @@
 //! Differential tests: every parallel batch path must be bit-identical
-//! to its sequential execution at every thread count.
+//! to its sequential execution at every thread count. The multiplication
+//! paths must also equal an independent one-shot reference at every
+//! thread count.
 //!
 //! These tests are the enforcement side of the determinism contract in
 //! `DESIGN.md` §10: chunk geometry depends only on the input length,
@@ -7,7 +9,9 @@
 //! encodings — so `threads = 8` must reproduce `threads = 1` exactly,
 //! not just up to curve equality.
 
-use fourq_curve::{AffinePoint, ExtendedPoint, FourQEngine, PIPPENGER_THRESHOLD};
+use fourq_curve::{
+    generator_table, msm_straus, AffinePoint, ExtendedPoint, FourQEngine, PIPPENGER_THRESHOLD,
+};
 use fourq_fp::{Fp2, Scalar};
 use fourq_testkit::{diff_check, Arbitrary, TestRng};
 
@@ -21,10 +25,13 @@ fn random_pairs(rng: &mut TestRng, n: usize) -> Vec<(Scalar, AffinePoint)> {
 fn batch_scalar_mul_is_thread_count_invariant() {
     let mut rng = TestRng::from_seed(0x51ca_1a01);
     let pairs = random_pairs(&mut rng, 10);
+    let reference: Vec<AffinePoint> = pairs.iter().map(|(k, p)| p.mul(k)).collect();
     diff_check!(|threads| {
-        FourQEngine::shared()
+        let got = FourQEngine::shared()
             .with_threads(threads)
-            .batch_scalar_mul(&pairs)
+            .batch_scalar_mul(&pairs);
+        assert_eq!(got, reference, "batch diverges from one-shot muls");
+        got
     });
 }
 
@@ -35,10 +42,14 @@ fn batch_fixed_base_mul_is_thread_count_invariant() {
     // Edge scalars ride along: 0 and 1 hit the identity/no-op rows.
     ks[0] = Scalar::ZERO;
     ks[1] = Scalar::ONE;
+    let table = generator_table();
+    let reference: Vec<AffinePoint> = ks.iter().map(|k| table.mul(k)).collect();
     diff_check!(|threads| {
-        FourQEngine::shared()
+        let got = FourQEngine::shared()
             .with_threads(threads)
-            .batch_fixed_base_mul(&ks)
+            .batch_fixed_base_mul(&ks);
+        assert_eq!(got, reference, "batch diverges from the one-shot comb");
+        got
     });
 }
 
@@ -68,7 +79,14 @@ fn msm_is_thread_count_invariant() {
     let mut rng = TestRng::from_seed(0x0515_0070);
     let pairs = random_pairs(&mut rng, 70);
     assert!(pairs.len() >= PIPPENGER_THRESHOLD);
-    diff_check!(|threads| FourQEngine::shared().with_threads(threads).msm(&pairs));
+    // An independent reference catches a window-offset or fold bug that
+    // gives the same wrong answer at every thread count.
+    let straus = msm_straus(&pairs);
+    diff_check!(|threads| {
+        let got = FourQEngine::shared().with_threads(threads).msm(&pairs);
+        assert_eq!(got, straus, "Pippenger diverges from Straus");
+        got
+    });
 }
 
 #[test]

@@ -20,13 +20,6 @@
 //!   either on concrete values or on the microinstruction tracer of
 //!   `fourq-trace` (the Rust counterpart of the paper's Python trace
 //!   recording).
-//! * [`FpLanes`] / [`Fp2Lanes`] — lane-oriented (structure-of-arrays)
-//!   field types stepping `W` independent elements per instruction stream,
-//!   the software image of the paper's pipelined Karatsuba multiplier
-//!   keeping several products in flight (see `DESIGN.md` §16). The
-//!   optional nightly-only `portable-simd` cargo feature swaps the masked
-//!   lane select for an explicit `core::simd` kernel; the default build is
-//!   pure stable scalar Rust.
 //!
 //! # Example
 //!
@@ -41,18 +34,15 @@
 #![forbid(unsafe_code)]
 #![allow(clippy::needless_range_loop)] // limb/index arithmetic reads clearer with explicit indices
 #![warn(missing_docs)]
-#![cfg_attr(feature = "portable-simd", feature(portable_simd))]
 
 mod fp;
 mod fp2;
-mod lanes;
 mod scalar;
 mod traits;
 mod wide;
 
 pub use fp::Fp;
 pub use fp2::{Fp2, MulKind};
-pub use lanes::{Fp2Lanes, FpLanes, LaneChoice, LANE_WIDTH};
 pub use scalar::{ParseScalarError, Scalar, N as SUBGROUP_ORDER, U256};
 pub use traits::{ct_eq_u64, Choice, CtEq, CtNegate, CtSelect, Fp2Like};
 pub use wide::Wide;

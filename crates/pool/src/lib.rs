@@ -77,57 +77,6 @@ pub fn resolved_threads() -> usize {
         .min(AUTO_CAP)
 }
 
-/// Target minimum wall-clock work per scheduled chunk, in nanoseconds.
-///
-/// Chunks far below this are dominated by cursor traffic and cache
-/// hand-off rather than useful work; ~50 µs keeps scheduling overhead
-/// under ~1% for the arithmetic-heavy closures this workspace runs while
-/// still splitting even mid-sized batches across every worker.
-pub const MIN_CHUNK_NANOS: u64 = 50_000;
-
-/// The smallest chunk size worth scheduling for items costing
-/// `per_item_cost_ns` nanoseconds each: enough items that a chunk carries
-/// at least [`MIN_CHUNK_NANOS`] of work.
-///
-/// A pure function of the cost hint (never of the thread count or any
-/// runtime measurement), so chunk geometry — and therefore output byte
-/// layout — stays deterministic. A zero cost hint is treated as 1 ns.
-pub const fn min_items_per_chunk(per_item_cost_ns: u64) -> usize {
-    let cost = if per_item_cost_ns == 0 {
-        1
-    } else {
-        per_item_cost_ns
-    };
-    MIN_CHUNK_NANOS.div_ceil(cost) as usize
-}
-
-/// [`map_items`] with adaptive chunk sizing: the effective chunk size is
-/// `requested_chunk` widened to [`min_items_per_chunk`]`(per_item_cost_ns)`
-/// so that no scheduled chunk carries less than [`MIN_CHUNK_NANOS`] of
-/// estimated work.
-///
-/// Callers pass the *natural* grouping as `requested_chunk` (e.g. a lane
-/// quad) and a static per-item cost hint; cheap items then coalesce into
-/// fewer, fatter chunks instead of flooding the cursor with sub-µs tasks.
-/// Output equals `items.iter().enumerate().map(f).collect()` exactly —
-/// the widening depends only on constants and the hint, never on the
-/// thread count, so the determinism contract is untouched.
-pub fn map_items_costed<T, R, F>(
-    items: &[T],
-    requested_chunk: usize,
-    per_item_cost_ns: u64,
-    threads: usize,
-    f: F,
-) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-{
-    let chunk = requested_chunk.max(min_items_per_chunk(per_item_cost_ns));
-    map_items(items, chunk, threads, f)
-}
-
 /// Applies `f` to fixed contiguous chunks of `items` across up to
 /// `threads` worker threads, returning per-chunk results **in chunk
 /// order**.
@@ -278,52 +227,6 @@ mod tests {
             map_items(&[5u8, 6], 1, 8, |i, &x| (i, x)),
             vec![(0, 5), (1, 6)]
         );
-    }
-
-    #[test]
-    fn adaptive_chunking_no_longer_issues_tiny_chunks() {
-        // Regression: a 10k-item batch of ~50 ns items used to be cut into
-        // 2500 four-item chunks (~200 ns of work each — pure scheduler
-        // churn). The cost-hinted path must coalesce them so every chunk
-        // carries at least MIN_CHUNK_NANOS of estimated work.
-        let per_item_ns = 50;
-        let requested = 4;
-        let widened = requested.max(min_items_per_chunk(per_item_ns));
-        assert_eq!(widened, 1000);
-        let items: Vec<u64> = (0..10_000).collect();
-        let chunks = map_chunks(&items, widened, 4, |_, c| c.len());
-        assert_eq!(chunks.len(), 10, "10k cheap items should form 10 chunks");
-        assert!(chunks
-            .iter()
-            .all(|&len| len as u64 * per_item_ns >= MIN_CHUNK_NANOS));
-    }
-
-    #[test]
-    fn min_items_per_chunk_is_pure_and_clamped() {
-        assert_eq!(min_items_per_chunk(0), MIN_CHUNK_NANOS as usize);
-        assert_eq!(min_items_per_chunk(1), MIN_CHUNK_NANOS as usize);
-        assert_eq!(min_items_per_chunk(50), 1000);
-        assert_eq!(min_items_per_chunk(50_000), 1);
-        // Expensive items never widen past the requested grouping.
-        assert_eq!(min_items_per_chunk(u64::MAX), 1);
-    }
-
-    #[test]
-    fn map_items_costed_equals_sequential_map_at_every_thread_count() {
-        let items: Vec<u32> = (0..257).collect();
-        let expect: Vec<u64> = items
-            .iter()
-            .enumerate()
-            .map(|(i, &x)| (i as u64) << 32 | x as u64)
-            .collect();
-        for threads in [1, 2, 4, 8] {
-            for cost in [0, 50, 5_000, 200_000] {
-                let got = map_items_costed(&items, 4, cost, threads, |i, &x| {
-                    (i as u64) << 32 | x as u64
-                });
-                assert_eq!(got, expect, "threads = {threads}, cost = {cost}");
-            }
-        }
     }
 
     #[test]

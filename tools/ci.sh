@@ -72,33 +72,6 @@ FOURQ_BENCH_FAST=1 cargo run --release -q -p fourq-bench --bin microbench -- \
     --filter parallel --gate-parallel --out "$out"
 rm -f "$out"
 
-step "lane feature-matrix: fourq-fp with portable-simd off (stable default)"
-# The lane layer ships scalar stable-toolchain code by default; the
-# nightly-only portable-simd feature must stay an additive opt-in.
-# Build and test the crate with the feature off explicitly (not just
-# via the workspace default), check the feature flag still exists in
-# the manifest, and — only when the active toolchain is a nightly —
-# type-check the feature-on configuration too.
-cargo build --release -q -p fourq-fp
-cargo test -q -p fourq-fp
-grep -q '^portable-simd' crates/fp/Cargo.toml
-if rustc --version | grep -q nightly; then
-    cargo check -q -p fourq-fp --features portable-simd
-else
-    echo "stable toolchain: portable-simd feature-on check skipped (nightly-only)"
-fi
-
-step "bench smoke: lane interleave tripwire (FOURQ_BENCH_FAST=1)"
-# The batch-of-4 interleaved variable-base scalar multiplication must
-# reach 1.3x per-point over the one-shot pipeline (alert-only on hosts
-# with a single hardware thread, where the out-of-order core has no
-# spare issue slots for the interleave to fill; the measurement is
-# recorded in the report either way).
-out="$(mktemp)"
-FOURQ_BENCH_FAST=1 cargo run --release -q -p fourq-bench --bin microbench -- \
-    --filter simd_ops --gate-lanes --out "$out"
-rm -f "$out"
-
 step "asic-smoke: paper-artifact binaries (FOURQ_BENCH_FAST=1)"
 # End-to-end smoke of the compile-once/execute-many ASIC pipeline: the
 # profiling claim, the Table I schedule (reduced search budgets under
