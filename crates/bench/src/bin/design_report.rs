@@ -12,7 +12,7 @@
 //!
 //! [`CompiledKernel`]: fourq_cpu::CompiledKernel
 
-use fourq_curve::AffinePoint;
+use fourq_curve::{AffinePoint, CurveId};
 use fourq_fp::{Scalar, U256};
 use fourq_sched::MachineConfig;
 use fourq_tech::AreaModel;
@@ -26,7 +26,8 @@ fn main() {
     // Cold compile: the full trace -> schedule -> allocate -> assemble
     // pipeline plus the self-audit against software scalar multiplication.
     let t0 = Instant::now();
-    let kernel = fourq_cpu::compile(&machine, effort).expect("scalar-mul pipeline compiles");
+    let kernel = fourq_cpu::compile_curve(CurveId::FourQ, &machine, effort)
+        .expect("scalar-mul pipeline compiles");
     let compile_time = t0.elapsed();
 
     // Warm execute: replay the fixed microcode for one fresh scalar.

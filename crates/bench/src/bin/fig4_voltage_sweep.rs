@@ -7,35 +7,41 @@
 //! the voltage dependence from the 65 nm SOTB model calibrated to the
 //! paper's two measured anchor points (see `fourq-tech`).
 
-use fourq_bench::SimulatedDesign;
+use fourq_curve::CurveId;
+use fourq_sched::MachineConfig;
+use fourq_tech::SotbModel;
 
 fn main() {
     println!("== Fig. 4: frequency / latency / energy vs supply voltage ==\n");
-    let design = SimulatedDesign::build(64);
-    let cycles = design.sim.sim.cycles;
+    let fp = &fourq_cpu::shared_kernel(CurveId::FourQ, &MachineConfig::paper(), 64, None)
+        .expect("scalar-mul pipeline compiles")
+        .kernel
+        .fingerprint;
+    let cycles = fp.cycles;
+    let tech = SotbModel::calibrate_paper(cycles);
     println!(
         "simulated SM cycle count: {cycles} (schedule lower bound {})",
-        design.sim.lower_bound
+        fp.lower_bound
     );
     println!(
         "technology model: alpha-power (alpha = {:.2}, Vth = {:.3} V), \
          Ceff = {:.3} nF, leakage anchored at 0.32 V\n",
-        design.tech.alpha,
-        design.tech.vth,
-        design.tech.ceff * 1e9
+        tech.alpha,
+        tech.vth,
+        tech.ceff * 1e9
     );
 
     println!(" VDD [V] | fmax [MHz] | latency [us] | energy/SM [uJ] | dyn [uJ] | leak [uJ]");
     println!("---------+------------+--------------+----------------+----------+----------");
-    for pt in design.tech.sweep(0.32, 1.20, 23, cycles) {
+    for pt in tech.sweep(0.32, 1.20, 23, cycles) {
         println!(
             "   {:>4.2}  | {:>9.2}  | {:>11.2}  | {:>13.4}  | {:>7.4}  | {:>7.4}",
             pt.vdd, pt.fmax_mhz, pt.latency_us, pt.energy_uj, pt.dynamic_uj, pt.leakage_uj
         );
     }
 
-    let hi = design.at(1.20);
-    let lo = design.at(0.32);
+    let hi = tech.operating_point(1.20, cycles);
+    let lo = tech.operating_point(0.32, cycles);
     println!("\nanchor checks (paper-measured vs model):");
     println!(
         "  1.20 V : latency {:>8.2} us (paper 10.1 us), energy {:.2} uJ (paper 3.98 uJ)",

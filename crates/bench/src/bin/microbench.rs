@@ -28,7 +28,7 @@
 //! `--gate-fleet` fails the run when the modeled 4-core fleet (2 ROM
 //! ports) falls below 2× the single-core modeled throughput — the
 //! tripwire for ROM-port arbitration in the capacity planner's fleet
-//! model. Alert-only on machines with fewer than 4 hardware threads.
+//! model. The model is deterministic, so the gate can fail on any host.
 //!
 //! `--compare BASELINE.json` re-parses a previous report and fails when
 //! the median slowdown within any of `scalar_ops`, `parallel_ops` or
@@ -201,24 +201,17 @@ fn gate_kernel_cache(report: &BenchReport) -> Result<(), String> {
 /// of the modeled single-core throughput. The model is deterministic,
 /// so a miss means ROM-port arbitration started eating more than half
 /// the added cores — a real regression in either the fleet model or the
-/// kernel's fetch density. Below 4 hardware threads the gate is
-/// alert-only: the accompanying `fleet_ops` timings are unrepresentative
-/// there and CI should not hard-fail on such boxes.
+/// kernel's fetch density — whatever host runs the gate.
 const GATE_FLEET_MIN: f64 = 2.0;
 
-fn gate_fleet(report: &BenchReport) -> Result<(), String> {
+fn gate_fleet() -> Result<(), String> {
+    use fourq_curve::CurveId;
     use fourq_sched::MachineConfig;
     use fourq_tech::fleet::{simulate_fleet, CoreSpec, FleetConfig};
 
-    // Require the group in the run so a filtered-out report cannot pass
-    // the gate vacuously, and take hw_threads from the measurement.
-    let rec = report
-        .results
-        .iter()
-        .find(|r| r.group == "fleet_ops")
-        .ok_or("gate: fleet_ops group missing from this run")?;
-    let fp = &fourq_cpu::shared_kernel_for(fourq_curve::CurveId::FourQ, &MachineConfig::paper(), 2)
+    let fp = &fourq_cpu::shared_kernel(CurveId::FourQ, &MachineConfig::paper(), 2, None)
         .map_err(|e| format!("gate: fourq kernel compiles: {e}"))?
+        .kernel
         .fingerprint;
     let fleet = |cores: usize| {
         let cfg = FleetConfig {
@@ -236,22 +229,15 @@ fn gate_fleet(report: &BenchReport) -> Result<(), String> {
     let solo = fleet(1);
     let quad = fleet(4);
     let scaling = quad / solo;
-    let cores = rec.hw_threads;
     eprintln!(
         "gate: modeled fleet scaling {scaling:.2}x at 4 cores / 2 ROM ports \
-         ({solo:.6} -> {quad:.6} ops/cycle; floor {GATE_FLEET_MIN}x, \
-         {cores} hardware threads recorded)"
+         ({solo:.6} -> {quad:.6} ops/cycle; floor {GATE_FLEET_MIN}x)"
     );
     if scaling < GATE_FLEET_MIN {
-        let msg = format!(
+        return Err(format!(
             "gate: 4-core modeled fleet throughput is only {scaling:.2}x single-core \
              (floor {GATE_FLEET_MIN}x) — ROM-port arbitration regressed"
-        );
-        if cores < 4 {
-            eprintln!("{msg} (alert-only: {cores} hardware thread(s))");
-            return Ok(());
-        }
-        return Err(msg);
+        ));
     }
     Ok(())
 }
@@ -430,7 +416,7 @@ fn main() {
         }
     }
     if gate_fleet_flag {
-        if let Err(e) = gate_fleet(&report) {
+        if let Err(e) = gate_fleet() {
             eprintln!("{e}");
             std::process::exit(1);
         }

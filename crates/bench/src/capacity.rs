@@ -6,9 +6,8 @@
 //! own:
 //!
 //! 1. **Kernels** — per-curve cycle counts from the compiled-kernel
-//!    pipeline (`fourq_cpu::shared_kernel_for`), with the Fourℚ core fed
-//!    by the *window-decomposed stitched* schedule
-//!    (`fourq_cpu::shared_stitched_kernel`) when configured, the ROADMAP
+//!    cache (`fourq_cpu::shared_kernel`), with the Fourℚ core fed by the
+//!    *window-decomposed stitched* schedule when configured, the ROADMAP
 //!    "exact scheduling" thread made load-bearing.
 //! 2. **Fleet** — N cores sharing one table ROM with cycle-accounted
 //!    port arbitration (`fourq_tech::fleet`), cores split across curves
@@ -183,27 +182,13 @@ fn kernel_infos(
     let mut stitched = 0;
     let mut lb = 0;
     for &(curve, _) in &cfg.workload.shares {
-        let (fp, b, s) = match (curve, &cfg.stitch) {
-            (CurveId::FourQ, Some(opts)) => {
-                let st = fourq_cpu::shared_stitched_kernel(curve, machine, cfg.effort, opts)
-                    .expect("stitched kernel compiles");
-                (
-                    st.kernel.fingerprint.clone(),
-                    st.baseline_cycles,
-                    st.stitched_cycles,
-                )
-            }
-            _ => {
-                let k = fourq_cpu::shared_kernel_for(curve, machine, cfg.effort)
-                    .expect("kernel compiles");
-                let fp = k.fingerprint.clone();
-                let c = fp.cycles;
-                (fp, c, c)
-            }
-        };
+        let stitch = cfg.stitch.as_ref().filter(|_| curve == CurveId::FourQ);
+        let st =
+            fourq_cpu::shared_kernel(curve, machine, cfg.effort, stitch).expect("kernel compiles");
+        let fp = &st.kernel.fingerprint;
         if curve == CurveId::FourQ {
-            baseline = b;
-            stitched = s;
+            baseline = st.baseline_cycles;
+            stitched = st.stitched_cycles;
             lb = fp.lower_bound;
         }
         infos.push(CurveKernelInfo {

@@ -7,17 +7,16 @@
 //! | `profile_ops` | the §III-B profiling claim (≈57 % `F_p²` multiplications) |
 //! | `table1_schedule` | Table I — scheduled double-and-add loop |
 //! | `fig4_voltage_sweep` | Fig. 4 — `f_max` / latency / energy vs `V_DD` |
-//! | `table2_comparison` | Table II — comparison to prior art + headline ratios |
-//! | `table2_report` | Table II, measured — all three curves compiled onto the *same* simulated machine |
+//! | `table2_report` | Table II — comparison to prior art + headline ratios, then all three curves compiled onto the *same* simulated machine |
 //! | `ablation` | design-choice ablations (§III): multiplier algorithm, scheduler, pipeline depth, ports |
 //!
 //! Micro-benchmarks (formerly Criterion benches) live in the hermetic
 //! [`harness`] + [`micro`] modules, driven by the `microbench` binary,
 //! which writes the repo-root `BENCH_fourq.json` perf-trajectory file.
 //!
-//! The library part additionally hosts the one piece the table/figure
-//! binaries share: building "our" row of Table II from a simulated scalar
-//! multiplication plus the calibrated technology model.
+//! The library part additionally hosts [`table2`], which builds "our"
+//! rows of Table II from the compiled kernels plus the calibrated
+//! technology model.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -26,56 +25,6 @@ pub mod capacity;
 pub mod harness;
 pub mod micro;
 pub mod table2;
-
-use fourq_cpu::ScalarMulSim;
-use fourq_fp::Scalar;
-use fourq_sched::MachineConfig;
-use fourq_tech::{AreaModel, OperatingPoint, SotbModel};
-
-/// The simulated counterpart of the paper's "Ours" rows in Table II.
-#[derive(Clone, Debug)]
-pub struct SimulatedDesign {
-    /// The end-to-end scalar-multiplication simulation.
-    pub sim: ScalarMulSim,
-    /// Technology model calibrated for this cycle count.
-    pub tech: SotbModel,
-    /// Area estimate.
-    pub area: AreaModel,
-}
-
-impl SimulatedDesign {
-    /// Traces, schedules and simulates one scalar multiplication on the
-    /// paper's machine configuration, then calibrates the 65 nm SOTB
-    /// model to the measured anchor points for that cycle count.
-    pub fn build(ils_iterations: u32) -> SimulatedDesign {
-        Self::build_on(&MachineConfig::paper(), ils_iterations)
-    }
-
-    /// As [`SimulatedDesign::build`] with an explicit machine config.
-    pub fn build_on(machine: &MachineConfig, ils_iterations: u32) -> SimulatedDesign {
-        // The compiled kernel's microprogram and schedule are uniform —
-        // identical for every scalar by construction (recoded digits enter
-        // as runtime mux selectors, never as baked constants) — so this
-        // fixed scalar only picks which datapath values flow through the
-        // audit; the design point no longer depends on it. The kernel is
-        // served from the process-wide cache keyed on (machine, effort).
-        let k = Scalar::from_u256(
-            fourq_fp::U256::from_hex(
-                "1d3f297b1a2c4d5e6f708192a3b4c5d6e7f8091a2b3c4d5e6f70819202122231",
-            )
-            .expect("valid scalar"),
-        );
-        let sim = fourq_cpu::simulate_scalar_mul(&k, machine, ils_iterations);
-        let tech = SotbModel::calibrate_paper(sim.sim.cycles);
-        let area = AreaModel::paper_like(sim.sim.stats.register_pressure, sim.rom_words);
-        SimulatedDesign { sim, tech, area }
-    }
-
-    /// Operating point at a voltage.
-    pub fn at(&self, vdd: f64) -> OperatingPoint {
-        self.tech.operating_point(vdd, self.sim.sim.cycles)
-    }
-}
 
 /// Formats a float with engineering-friendly width, rendering `None` as
 /// a dash (Table II has many unreported cells).
@@ -89,18 +38,6 @@ pub fn cell(v: Option<f64>, width: usize, prec: usize) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn simulated_design_matches_paper_anchor_latency() {
-        let d = SimulatedDesign::build(2);
-        let hi = d.at(1.2);
-        // Calibration makes the 1.2 V latency the paper's 10.1 µs by
-        // construction; the check here is that the pipeline stayed wired
-        // together.
-        assert!((hi.latency_us - 10.1).abs() < 0.2);
-        let lo = d.at(0.32);
-        assert!((lo.energy_uj - 0.327).abs() < 0.01);
-    }
 
     #[test]
     fn cell_formats_missing_values() {

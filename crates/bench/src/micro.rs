@@ -334,6 +334,7 @@ pub fn parallel_ops(report: &mut BenchReport, opts: &BenchOptions) {
 /// and 4 threads. `compile_cold / execute_warm` is the cache-amortisation
 /// ratio `--gate-kernel-cache` checks.
 pub fn asic_pipeline(report: &mut BenchReport, opts: &BenchOptions) {
+    use fourq_curve::CurveId;
     use fourq_sched::MachineConfig;
 
     const KERNEL_EFFORT: u32 = 2;
@@ -345,9 +346,11 @@ pub fn asic_pipeline(report: &mut BenchReport, opts: &BenchOptions) {
     let ks: Vec<Scalar> = (0..KERNEL_BATCH).map(|_| bench_scalar(&mut rng)).collect();
 
     report.push(run("asic_pipeline", "compile_cold", opts, || {
-        fourq_cpu::compile(&machine, KERNEL_EFFORT).expect("kernel compiles")
+        fourq_cpu::compile_curve(CurveId::FourQ, &machine, KERNEL_EFFORT).expect("kernel compiles")
     }));
-    let kernel = fourq_cpu::shared_kernel(&machine, KERNEL_EFFORT).expect("kernel compiles");
+    let kernel = &fourq_cpu::shared_kernel(CurveId::FourQ, &machine, KERNEL_EFFORT, None)
+        .expect("kernel compiles")
+        .kernel;
     report.push(run("asic_pipeline", "execute_warm", opts, || {
         kernel.execute(&g, black_box(&k)).expect("kernel executes")
     }));
@@ -392,8 +395,9 @@ pub fn multi_curve(report: &mut BenchReport, opts: &BenchOptions) {
             opts,
             || fourq_cpu::compile_curve(curve, &machine, KERNEL_EFFORT).expect("kernel compiles"),
         ));
-        let kernel =
-            fourq_cpu::shared_kernel_for(curve, &machine, KERNEL_EFFORT).expect("kernel compiles");
+        let kernel = &fourq_cpu::shared_kernel(curve, &machine, KERNEL_EFFORT, None)
+            .expect("kernel compiles")
+            .kernel;
         let mut scalar = [0u8; 32];
         rng.fill_bytes(&mut scalar);
         let point = eng.generator_encoded(curve);
@@ -441,8 +445,9 @@ pub fn fleet_ops(report: &mut BenchReport, opts: &BenchOptions) {
 
     const KERNEL_EFFORT: u32 = 2;
     let machine = MachineConfig::paper();
-    let fp = &fourq_cpu::shared_kernel_for(fourq_curve::CurveId::FourQ, &machine, KERNEL_EFFORT)
+    let fp = &fourq_cpu::shared_kernel(fourq_curve::CurveId::FourQ, &machine, KERNEL_EFFORT, None)
         .expect("kernel compiles")
+        .kernel
         .fingerprint;
     let core = || CoreSpec {
         name: "fourq".to_string(),

@@ -28,7 +28,8 @@
 //!    any disagreement is a finding; the recomputed bounds feed the
 //!    schedule/register gap report in [`GapMetrics`].
 //!
-//! The verifier is wired into [`crate::compile`]: always on in debug
+//! The verifier is wired into every compile ([`crate::compile_curve`],
+//! [`crate::compile_curve_stitched`]): always on in debug
 //! builds (so every test exercises it), effort-gated in release via
 //! [`VERIFY_EFFORT`].
 
@@ -39,7 +40,7 @@ use fourq_trace::{Operand, Selector, Trace, TraceError, Unit};
 use std::collections::HashMap;
 
 /// Scheduling effort at or above which release builds run the full
-/// verifier inside [`crate::compile`]. Debug builds always verify. The
+/// verifier inside [`crate::compile_curve`]. Debug builds always verify. The
 /// threshold keeps the hot `compile_cold` benchmark path (effort 2)
 /// unverified in release while the design-report/ablation efforts
 /// (16–64) get the full pass.
@@ -1103,11 +1104,14 @@ pub fn verify(kernel: &CompiledKernel, level: CheckLevel) -> VerifyReport {
 mod tests {
     use super::*;
     use crate::shared_kernel;
+    use fourq_curve::CurveId;
     use fourq_sched::lower_bound as sched_lower_bound;
     use fourq_sched::trace_to_problem;
 
     fn kernel() -> &'static CompiledKernel {
-        shared_kernel(&MachineConfig::paper(), 0).expect("compiles")
+        &shared_kernel(CurveId::FourQ, &MachineConfig::paper(), 0, None)
+            .expect("compiles")
+            .kernel
     }
 
     #[test]
@@ -1153,9 +1157,11 @@ mod tests {
         m.mul_units = 2;
         m.read_ports = 8;
         m.write_ports = 4;
-        let k = crate::compile(&m, 0).expect("compiles");
+        let k = &shared_kernel(CurveId::FourQ, &m, 0, None)
+            .expect("compiles")
+            .kernel;
         assert!(k.rom.is_none());
-        let report = verify(&k, CheckLevel::Full);
+        let report = verify(k, CheckLevel::Full);
         assert!(report.is_clean(), "{:?}", report.findings);
         assert_eq!(report.metrics.route_entries, 0);
     }

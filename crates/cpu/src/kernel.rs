@@ -4,19 +4,21 @@
 //! register-allocate, assemble the control ROM — a *per-machine* cost
 //! instead of a per-scalar one: the recorded program is identical for
 //! every (base, scalar) pair, only the two base-point inputs and the
-//! recoded digit stream change between executions. [`compile`] runs the
-//! flow once and captures the result; [`CompiledKernel::execute`] replays
-//! the fixed microcode through the physical register file with fresh
-//! inputs; [`shared_kernel`] memoises kernels process-wide by
-//! `(MachineConfig, effort)`.
+//! recoded digit stream change between executions. [`compile_curve`]
+//! runs the flow once and captures the result;
+//! [`compile_curve_stitched`] does the same on the better of the ILS and
+//! the window-decomposed stitched schedules; [`CompiledKernel::execute`]
+//! replays the fixed microcode through the physical register file with
+//! fresh inputs; [`shared_kernel`] memoises kernels process-wide by
+//! `(curve, machine, effort, stitch options)`.
 //!
 //! Every stage failure is a typed [`PipelineError`] — the compile path
 //! has no panicking branches — and every compile ends with an end-to-end
 //! audit executing two scalars against the software library.
 //!
-//! The same pipeline serves every curve the tracer knows: [`compile_curve`]
-//! / [`shared_kernel_for`] build kernels for Fourℚ, X25519 and P-256 from
-//! their uniform traces, and [`CompiledKernel::execute_x25519`] /
+//! The same pipeline serves every curve the tracer knows: it builds
+//! kernels for Fourℚ, X25519 and P-256 from their uniform traces, and
+//! [`CompiledKernel::execute_x25519`] /
 //! [`CompiledKernel::execute_p256`] replay them with fresh inputs. The
 //! register-file words are [`Word`]s — `F_p²` pairs for Fourℚ,
 //! Montgomery-form base-field residues for the short-Weierstrass and
@@ -31,7 +33,7 @@ use fourq_curve::{AffinePoint, CurveId};
 use fourq_fp::{Scalar, U256};
 use fourq_sched::{
     lower_bound, schedule, serial_schedule, stitched_exact_schedule, trace_to_problem,
-    MachineConfig, Problem, Schedule, ScheduleError, SegmentReport, StitchOptions,
+    MachineConfig, Problem, Schedule, ScheduleError, StitchOptions,
 };
 use fourq_trace::{
     mont_field, DigitStream, OpKind, OpStats, Operand, Trace, TraceError, Unit, Word,
@@ -191,7 +193,7 @@ struct Step {
 /// The compile-once artifact: uniform trace, validated schedule, register
 /// allocation, control ROM and fingerprint for one machine shape.
 ///
-/// Built by [`compile`]; executed any number of times by
+/// Built by [`compile_curve`]; executed any number of times by
 /// [`CompiledKernel::execute`] / [`CompiledKernel::execute_batch`].
 #[derive(Clone, Debug)]
 pub struct CompiledKernel {
@@ -217,35 +219,9 @@ pub struct CompiledKernel {
     prog: Vec<Step>,
 }
 
-/// Compiles the Fourℚ scalar-multiplication kernel for a machine at the
-/// given scheduling effort, with the [`DEFAULT_REGISTER_BUDGET`].
-///
-/// Shorthand for [`compile_curve`] with [`CurveId::FourQ`].
-///
-/// # Errors
-///
-/// Any stage failure as a [`PipelineError`]; [`PipelineError::Diverged`]
-/// if the final audit against the software library fails.
-pub fn compile(machine: &MachineConfig, effort: u32) -> Result<CompiledKernel, PipelineError> {
-    compile_curve_with_budget(CurveId::FourQ, machine, effort, DEFAULT_REGISTER_BUDGET)
-}
-
-/// As [`compile`] with an explicit register-file budget.
-///
-/// # Errors
-///
-/// See [`compile`]; additionally [`PipelineError::RegisterBudget`] when
-/// the allocation does not fit `budget` registers.
-pub fn compile_with_budget(
-    machine: &MachineConfig,
-    effort: u32,
-    budget: usize,
-) -> Result<CompiledKernel, PipelineError> {
-    compile_curve_with_budget(CurveId::FourQ, machine, effort, budget)
-}
-
-/// Compiles the scalar-multiplication kernel of any supported curve,
-/// with the [`DEFAULT_REGISTER_BUDGET`].
+/// Compiles the scalar-multiplication kernel of any supported curve on
+/// the whole-program ILS schedule at `effort`, uncached. The allocation
+/// must fit the [`DEFAULT_REGISTER_BUDGET`].
 ///
 /// Each curve's uniform trace goes through the identical flow — validate,
 /// schedule, allocate, assemble, verify — and ends with the same
@@ -261,24 +237,7 @@ pub fn compile_curve(
     machine: &MachineConfig,
     effort: u32,
 ) -> Result<CompiledKernel, PipelineError> {
-    compile_curve_with_budget(curve, machine, effort, DEFAULT_REGISTER_BUDGET)
-}
-
-/// As [`compile_curve`] with an explicit register-file budget.
-///
-/// # Errors
-///
-/// See [`compile_curve`]; additionally [`PipelineError::RegisterBudget`]
-/// when the allocation does not fit `budget` registers.
-pub fn compile_curve_with_budget(
-    curve: CurveId,
-    machine: &MachineConfig,
-    effort: u32,
-    budget: usize,
-) -> Result<CompiledKernel, PipelineError> {
-    let kernel = compile_trace(record_curve_trace(curve), machine, effort, budget)?;
-    audit_kernel(&kernel)?;
-    Ok(kernel)
+    compile_trace(record_curve_trace(curve), machine, effort, None).map(|st| st.kernel)
 }
 
 /// Records the uniform trace of a curve's scalar multiplication under the
@@ -353,12 +312,14 @@ fn audit_kernel(kernel: &CompiledKernel) -> Result<(), PipelineError> {
     Ok(())
 }
 
-/// A kernel compiled through the window-decomposed stitched scheduler,
-/// carrying the before/after cycle counts and the per-segment evidence.
+/// A compiled kernel with the cycle counts of the schedules it was
+/// chosen from.
 ///
 /// The embedded kernel uses whichever schedule was better — the stitched
 /// one or the whole-program ILS baseline at `effort` — so
 /// `kernel.fingerprint.cycles == stitched_cycles.min(baseline_cycles)`.
+/// A kernel compiled without stitching (a [`shared_kernel`] entry with
+/// no [`StitchOptions`]) carries the ILS makespan in both counts.
 /// Everything downstream (simulation, allocation, ROM, the verifier, the
 /// execute paths) is identical to a [`compile_curve`] kernel.
 #[derive(Clone, Debug)]
@@ -369,14 +330,12 @@ pub struct StitchedKernel {
     pub baseline_cycles: u64,
     /// Makespan of the window-decomposed stitched schedule.
     pub stitched_cycles: u64,
-    /// Per-segment scheduling evidence (empty when the baseline won and
-    /// the stitched schedule was discarded).
-    pub segments: Vec<SegmentReport>,
 }
 
 /// Compiles a curve's kernel through [`stitched_exact_schedule`], keeping
 /// whichever of (stitched, whole-program ILS at `effort`) schedule is
-/// shorter. Uses the [`DEFAULT_REGISTER_BUDGET`].
+/// shorter, uncached. The allocation must fit the
+/// [`DEFAULT_REGISTER_BUDGET`].
 ///
 /// This is the ROADMAP "window-decomposed exact scheduling" path: the job
 /// list is split into `opts.segments` windows, each window is scheduled by
@@ -400,33 +359,7 @@ pub fn compile_curve_stitched(
     effort: u32,
     opts: &StitchOptions,
 ) -> Result<StitchedKernel, PipelineError> {
-    let trace = record_curve_trace(curve);
-    trace.validate()?;
-    let problem = trace_to_problem(&trace);
-    let baseline = schedule(&problem, machine, effort);
-    let stitched = stitched_exact_schedule(&problem, machine, opts);
-    let baseline_cycles = baseline.makespan;
-    let stitched_cycles = stitched.schedule.makespan;
-    let (best, segments) = if stitched_cycles <= baseline_cycles {
-        (stitched.schedule, stitched.segments)
-    } else {
-        (baseline, Vec::new())
-    };
-    let kernel = finish_compile(
-        trace,
-        problem,
-        best,
-        machine,
-        effort,
-        DEFAULT_REGISTER_BUDGET,
-    )?;
-    audit_kernel(&kernel)?;
-    Ok(StitchedKernel {
-        kernel,
-        baseline_cycles,
-        stitched_cycles,
-        segments,
-    })
+    compile_trace(record_curve_trace(curve), machine, effort, Some(opts))
 }
 
 /// 64-byte little-endian `x ‖ y` encoding of a P-256 affine point; the
@@ -447,18 +380,47 @@ fn p256_ctx() -> &'static P256 {
     CTX.get_or_init(P256::new)
 }
 
-/// Runs the flow on an already-recorded trace: validate → bridge →
-/// schedule → the shared back half.
+/// The one compile flow behind [`compile_curve`],
+/// [`compile_curve_stitched`] and [`shared_kernel`]: validate → bridge →
+/// ILS schedule (plus the stitched schedule when `stitch` is given,
+/// keeping the shorter) → the shared back half → the end-to-end audit.
 fn compile_trace(
     trace: Trace,
     machine: &MachineConfig,
     effort: u32,
-    budget: usize,
-) -> Result<CompiledKernel, PipelineError> {
+    stitch: Option<&StitchOptions>,
+) -> Result<StitchedKernel, PipelineError> {
     trace.validate()?;
     let problem = trace_to_problem(&trace);
-    let sched = schedule(&problem, machine, effort);
-    finish_compile(trace, problem, sched, machine, effort, budget)
+    let baseline = schedule(&problem, machine, effort);
+    let baseline_cycles = baseline.makespan;
+    let (best, stitched_cycles) = match stitch {
+        None => (baseline, baseline_cycles),
+        Some(opts) => {
+            let stitched = stitched_exact_schedule(&problem, machine, opts).schedule;
+            let cycles = stitched.makespan;
+            let best = if cycles <= baseline_cycles {
+                stitched
+            } else {
+                baseline
+            };
+            (best, cycles)
+        }
+    };
+    let kernel = finish_compile(
+        trace,
+        problem,
+        best,
+        machine,
+        effort,
+        DEFAULT_REGISTER_BUDGET,
+    )?;
+    audit_kernel(&kernel)?;
+    Ok(StitchedKernel {
+        kernel,
+        baseline_cycles,
+        stitched_cycles,
+    })
 }
 
 /// Back half of the flow, taking the schedule as input so corrupted
@@ -480,13 +442,7 @@ fn finish_compile(
             budget,
         });
     }
-    // A single-sequencer ROM exists only for single-instance units; wider
-    // machines keep the decoded schedule without a packed encoding.
-    let rom = if machine.mul_units == 1 && machine.addsub_units == 1 {
-        Some(ControlRom::assemble(&trace, &sched, &allocation)?)
-    } else {
-        None
-    };
+    let (rom, prog) = assemble(&trace, &sched, &allocation, machine)?;
     let fingerprint = KernelFingerprint {
         cycles: sched.makespan,
         lower_bound: lower_bound(&problem, machine),
@@ -498,27 +454,6 @@ fn finish_compile(
         register_pressure: sim.stats.register_pressure,
         mux_count: trace.muxes.len(),
     };
-    let base = trace.first_op_id();
-    let mut order: Vec<usize> = (0..trace.nodes.len()).collect();
-    order.sort_by_key(|&i| (sched.start[i], i));
-    let prog = order
-        .iter()
-        .map(|&i| {
-            let node = &trace.nodes[i];
-            let latency = match node.kind.unit() {
-                Unit::Multiplier => machine.mul_latency as u64,
-                Unit::AddSub => machine.addsub_latency as u64,
-            };
-            Step {
-                kind: node.kind,
-                a: node.a,
-                b: node.b,
-                dst: allocation.assignment[base + i],
-                start: sched.start[i],
-                finish: sched.start[i] + latency,
-            }
-        })
-        .collect();
     let kernel = CompiledKernel {
         curve: trace.curve,
         machine: *machine,
@@ -546,6 +481,45 @@ fn finish_compile(
     Ok(kernel)
 }
 
+/// The allocation-dependent artifacts: the control ROM and the replay
+/// program (issue order, destinations in physical registers).
+fn assemble(
+    trace: &Trace,
+    sched: &Schedule,
+    allocation: &Allocation,
+    machine: &MachineConfig,
+) -> Result<(Option<ControlRom>, Vec<Step>), PipelineError> {
+    // A single-sequencer ROM exists only for single-instance units; wider
+    // machines keep the decoded schedule without a packed encoding.
+    let rom = if machine.mul_units == 1 && machine.addsub_units == 1 {
+        Some(ControlRom::assemble(trace, sched, allocation)?)
+    } else {
+        None
+    };
+    let base = trace.first_op_id();
+    let mut order: Vec<usize> = (0..trace.nodes.len()).collect();
+    order.sort_by_key(|&i| (sched.start[i], i));
+    let prog = order
+        .iter()
+        .map(|&i| {
+            let node = &trace.nodes[i];
+            let latency = match node.kind.unit() {
+                Unit::Multiplier => machine.mul_latency as u64,
+                Unit::AddSub => machine.addsub_latency as u64,
+            };
+            Step {
+                kind: node.kind,
+                a: node.a,
+                b: node.b,
+                dst: allocation.assignment[base + i],
+                start: sched.start[i],
+                finish: sched.start[i] + latency,
+            }
+        })
+        .collect();
+    Ok((rom, prog))
+}
+
 impl CompiledKernel {
     /// Rebuilds this kernel around a replacement register allocation,
     /// re-deriving the ROM, the replay program and the
@@ -564,36 +538,7 @@ impl CompiledKernel {
     /// [`PipelineError::Assemble`] if the control ROM cannot be packed
     /// under the replacement allocation.
     pub fn with_allocation(&self, allocation: Allocation) -> Result<CompiledKernel, PipelineError> {
-        let rom = if self.machine.mul_units == 1 && self.machine.addsub_units == 1 {
-            Some(ControlRom::assemble(
-                &self.trace,
-                &self.schedule,
-                &allocation,
-            )?)
-        } else {
-            None
-        };
-        let base = self.trace.first_op_id();
-        let mut order: Vec<usize> = (0..self.trace.nodes.len()).collect();
-        order.sort_by_key(|&i| (self.schedule.start[i], i));
-        let prog: Vec<Step> = order
-            .iter()
-            .map(|&i| {
-                let node = &self.trace.nodes[i];
-                let latency = match node.kind.unit() {
-                    Unit::Multiplier => self.machine.mul_latency as u64,
-                    Unit::AddSub => self.machine.addsub_latency as u64,
-                };
-                Step {
-                    kind: node.kind,
-                    a: node.a,
-                    b: node.b,
-                    dst: allocation.assignment[base + i],
-                    start: self.schedule.start[i],
-                    finish: self.schedule.start[i] + latency,
-                }
-            })
-            .collect();
+        let (rom, prog) = assemble(&self.trace, &self.schedule, &allocation, &self.machine)?;
         let mut fingerprint = self.fingerprint.clone();
         fingerprint.registers = allocation.num_registers;
         fingerprint.rom_bits = rom.as_ref().map(|r| r.size_bits()).unwrap_or(0);
@@ -826,44 +771,35 @@ fn out_word(outs: &[(String, Word)], name: &str) -> Word {
         .1
 }
 
-type KernelCache = Mutex<HashMap<(CurveId, MachineConfig, u32), &'static CompiledKernel>>;
+type KernelCache =
+    Mutex<HashMap<(CurveId, MachineConfig, u32, Option<StitchOptions>), &'static StitchedKernel>>;
 
-/// Returns the process-wide compiled Fourℚ kernel for `(machine, effort)`,
-/// compiling it on first use.
-///
-/// Shorthand for [`shared_kernel_for`] with [`CurveId::FourQ`].
-///
-/// # Errors
-///
-/// The [`PipelineError`] of the first compile attempt. Failures are not
-/// cached: a later call retries.
-pub fn shared_kernel(
-    machine: &MachineConfig,
-    effort: u32,
-) -> Result<&'static CompiledKernel, PipelineError> {
-    shared_kernel_for(CurveId::FourQ, machine, effort)
-}
-
-/// Returns the process-wide compiled kernel for
-/// `(curve, machine, effort)`, compiling it on first use.
+/// Returns the process-wide kernel for `(curve, machine, effort, stitch)`,
+/// compiling it on first use: as [`compile_curve_stitched`] with
+/// `Some(opts)`, as [`compile_curve`] with `None` (both cycle counts are
+/// then the ILS makespan).
 ///
 /// Kernels are leaked into `'static` storage (a handful per process — one
-/// per distinct curve, machine shape and effort), so callers share one
-/// immutable artifact across threads with no per-call locking beyond the
-/// map probe.
+/// per distinct key), so callers share one immutable artifact across
+/// threads with no per-call locking beyond the map probe.
 ///
 /// # Errors
 ///
 /// The [`PipelineError`] of the first compile attempt. Failures are not
 /// cached: a later call retries.
-pub fn shared_kernel_for(
+///
+/// # Panics
+///
+/// With `Some(opts)`, as [`compile_curve_stitched`].
+pub fn shared_kernel(
     curve: CurveId,
     machine: &MachineConfig,
     effort: u32,
-) -> Result<&'static CompiledKernel, PipelineError> {
+    stitch: Option<&StitchOptions>,
+) -> Result<&'static StitchedKernel, PipelineError> {
     static CACHE: OnceLock<KernelCache> = OnceLock::new();
     let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-    let key = (curve, *machine, effort);
+    let key = (curve, *machine, effort, stitch.copied());
     {
         let map = cache.lock().unwrap_or_else(|e| e.into_inner());
         if let Some(k) = map.get(&key) {
@@ -872,45 +808,7 @@ pub fn shared_kernel_for(
     }
     // Compile outside the lock (it is the slow path); racing compiles are
     // benign — the first insert wins and later ones are dropped.
-    let kernel = compile_curve(curve, machine, effort)?;
-    let mut map = cache.lock().unwrap_or_else(|e| e.into_inner());
-    Ok(*map
-        .entry(key)
-        .or_insert_with(|| Box::leak(Box::new(kernel))))
-}
-
-type StitchedCache =
-    Mutex<HashMap<(CurveId, MachineConfig, u32, StitchOptions), &'static StitchedKernel>>;
-
-/// Returns the process-wide stitched kernel for
-/// `(curve, machine, effort, opts)`, compiling it on first use.
-///
-/// The stitched compile is the most expensive path in the repo (a
-/// branch-and-bound pass plus dozens of diversified restarts per window),
-/// so the capacity planner and the benches share one artifact per
-/// configuration, exactly as [`shared_kernel_for`] does for the plain
-/// flow.
-///
-/// # Errors
-///
-/// The [`PipelineError`] of the first compile attempt. Failures are not
-/// cached: a later call retries.
-pub fn shared_stitched_kernel(
-    curve: CurveId,
-    machine: &MachineConfig,
-    effort: u32,
-    opts: &StitchOptions,
-) -> Result<&'static StitchedKernel, PipelineError> {
-    static CACHE: OnceLock<StitchedCache> = OnceLock::new();
-    let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-    let key = (curve, *machine, effort, *opts);
-    {
-        let map = cache.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(k) = map.get(&key) {
-            return Ok(k);
-        }
-    }
-    let kernel = compile_curve_stitched(curve, machine, effort, opts)?;
+    let kernel = compile_trace(record_curve_trace(curve), machine, effort, stitch)?;
     let mut map = cache.lock().unwrap_or_else(|e| e.into_inner());
     Ok(*map
         .entry(key)
@@ -920,13 +818,28 @@ pub fn shared_stitched_kernel(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::check::{verify, CheckLevel};
     use fourq_fp::Fp2;
     use fourq_trace::Node;
 
+    /// Cheap options keep the debug-build runtime sane; the full-effort
+    /// stitched numbers are pinned by crates/sched/tests/stitched_sm.rs
+    /// and the fleet KAT.
+    const CHEAP_STITCH: StitchOptions = StitchOptions {
+        segments: 8,
+        node_limit: 500,
+        window_trials: 4,
+    };
+
+    fn kernel_for(curve: CurveId) -> &'static CompiledKernel {
+        &shared_kernel(curve, &MachineConfig::paper(), 0, None)
+            .expect("compiles")
+            .kernel
+    }
+
     #[test]
     fn compiled_kernel_matches_software_for_fresh_inputs() {
-        let m = MachineConfig::paper();
-        let kernel = compile(&m, 0).expect("compiles");
+        let kernel = kernel_for(CurveId::FourQ);
         let base = AffinePoint::generator().mul(&Scalar::from_u64(5));
         for k in [
             Scalar::from_u64(1),
@@ -941,8 +854,7 @@ mod tests {
 
     #[test]
     fn degenerate_inputs_mirror_affine_mul() {
-        let m = MachineConfig::paper();
-        let kernel = shared_kernel(&m, 0).expect("compiles");
+        let kernel = kernel_for(CurveId::FourQ);
         // identity base short-circuits
         let id = AffinePoint::identity();
         let r = kernel.execute(&id, &Scalar::from_u64(42)).unwrap();
@@ -957,8 +869,7 @@ mod tests {
 
     #[test]
     fn execute_batch_matches_execute() {
-        let m = MachineConfig::paper();
-        let kernel = shared_kernel(&m, 0).expect("compiles");
+        let kernel = kernel_for(CurveId::FourQ);
         let g = AffinePoint::generator();
         let scalars: Vec<Scalar> = (1..=6u64).map(|i| Scalar::from_u64(i * 977)).collect();
         let serial: Vec<AffinePoint> = scalars
@@ -975,17 +886,61 @@ mod tests {
     }
 
     #[test]
-    fn shared_kernel_is_cached() {
+    fn shared_kernel_is_keyed_and_equals_uncached_compiles() {
         let m = MachineConfig::paper();
-        let a = shared_kernel(&m, 0).expect("compiles");
-        let b = shared_kernel(&m, 0).expect("cached");
-        assert!(std::ptr::eq(a, b), "same (machine, effort) → same kernel");
+        let fq = shared_kernel(CurveId::FourQ, &m, 0, None).expect("compiles");
+        let x = shared_kernel(CurveId::X25519, &m, 0, None).expect("compiles");
+        let st = shared_kernel(CurveId::FourQ, &m, 0, Some(&CHEAP_STITCH)).expect("compiles");
+        assert!(std::ptr::eq(
+            fq,
+            shared_kernel(CurveId::FourQ, &m, 0, None).unwrap()
+        ));
+        assert!(std::ptr::eq(
+            st,
+            shared_kernel(CurveId::FourQ, &m, 0, Some(&CHEAP_STITCH)).unwrap()
+        ));
+        assert!(!std::ptr::eq(fq, x), "distinct curves → distinct kernels");
+        assert!(
+            !std::ptr::eq(fq, st),
+            "stitched and ILS entries are distinct"
+        );
+        // Each entry is exactly what the uncached compile returns.
+        for (curve, cached) in [(CurveId::FourQ, fq), (CurveId::X25519, x)] {
+            let fresh = compile_curve(curve, &m, 0).expect("compiles");
+            assert_eq!(cached.kernel.fingerprint, fresh.fingerprint, "{curve}");
+            let c = fresh.fingerprint.cycles;
+            assert_eq!((cached.baseline_cycles, cached.stitched_cycles), (c, c));
+        }
+        let fresh = compile_curve_stitched(CurveId::FourQ, &m, 0, &CHEAP_STITCH).expect("compiles");
+        assert_eq!(st.kernel.fingerprint, fresh.kernel.fingerprint);
+        assert_eq!(
+            (st.baseline_cycles, st.stitched_cycles),
+            (fresh.baseline_cycles, fresh.stitched_cycles)
+        );
+        // The stitched entry's baseline is the ILS kernel.
+        assert_eq!(st.baseline_cycles, fq.kernel.fingerprint.cycles);
+    }
+
+    #[test]
+    fn with_allocation_round_trips_every_curve() {
+        for curve in CurveId::ALL {
+            let k = kernel_for(curve);
+            let r = k
+                .with_allocation(k.allocation.clone())
+                .expect("reassembles");
+            assert_eq!(r.fingerprint, k.fingerprint, "{curve}");
+            // The full check re-derives the ROM from the allocation.
+            let report = verify(&r, CheckLevel::Full);
+            assert!(report.is_clean(), "{curve}: {:?}", report.findings.first());
+            // It executes like the compiled kernel: both reproduce the
+            // software baseline on the compile audit's inputs.
+            audit_kernel(&r).unwrap_or_else(|e| panic!("{curve}: {e}"));
+        }
     }
 
     #[test]
     fn fingerprint_is_scalar_independent_and_plausible() {
-        let m = MachineConfig::paper();
-        let kernel = shared_kernel(&m, 0).expect("compiles");
+        let kernel = kernel_for(CurveId::FourQ);
         let fp = &kernel.fingerprint;
         assert!(fp.cycles >= fp.lower_bound);
         assert!(fp.cycles < fp.serial_cycles);
@@ -998,8 +953,11 @@ mod tests {
 
     #[test]
     fn over_budget_register_allocation_is_reported() {
+        let t = record_curve_trace(CurveId::FourQ);
         let m = MachineConfig::paper();
-        match compile_with_budget(&m, 0, 8) {
+        let problem = trace_to_problem(&t);
+        let sched = schedule(&problem, &m, 0);
+        match finish_compile(t, problem, sched, &m, 0, 8) {
             Err(PipelineError::RegisterBudget { needed, budget }) => {
                 assert_eq!(budget, 8);
                 assert!(needed > 8);
@@ -1028,15 +986,14 @@ mod tests {
         };
         let m = MachineConfig::paper();
         assert_eq!(
-            compile_trace(bad, &m, 0, DEFAULT_REGISTER_BUDGET).err(),
+            compile_trace(bad, &m, 0, None).err(),
             Some(PipelineError::Trace(TraceError::ValueCountMismatch))
         );
     }
 
     #[test]
     fn x25519_kernel_matches_baseline() {
-        let m = MachineConfig::paper();
-        let kernel = shared_kernel_for(CurveId::X25519, &m, 0).expect("compiles");
+        let kernel = kernel_for(CurveId::X25519);
         assert_eq!(kernel.curve, CurveId::X25519);
         let ctx = X25519::new();
         let mut base = [0u8; 32];
@@ -1061,8 +1018,7 @@ mod tests {
 
     #[test]
     fn p256_kernel_matches_baseline_including_degenerates() {
-        let m = MachineConfig::paper();
-        let kernel = shared_kernel_for(CurveId::P256, &m, 0).expect("compiles");
+        let kernel = kernel_for(CurveId::P256);
         assert_eq!(kernel.curve, CurveId::P256);
         let ctx = P256::new();
         let g = ctx.generator_affine();
@@ -1088,25 +1044,8 @@ mod tests {
     }
 
     #[test]
-    fn shared_kernel_for_caches_per_curve() {
-        let m = MachineConfig::paper();
-        let fq = shared_kernel_for(CurveId::FourQ, &m, 0).expect("compiles");
-        let x = shared_kernel_for(CurveId::X25519, &m, 0).expect("compiles");
-        assert!(std::ptr::eq(
-            x,
-            shared_kernel_for(CurveId::X25519, &m, 0).unwrap()
-        ));
-        assert!(!std::ptr::eq(fq, x), "distinct curves → distinct kernels");
-        assert!(
-            std::ptr::eq(fq, shared_kernel(&m, 0).unwrap()),
-            "FourQ wrapper hits the same cache entry"
-        );
-    }
-
-    #[test]
     fn wrong_curve_execution_is_reported() {
-        let m = MachineConfig::paper();
-        let kernel = shared_kernel_for(CurveId::X25519, &m, 0).expect("compiles");
+        let kernel = kernel_for(CurveId::X25519);
         let err = kernel
             .execute(&AffinePoint::generator(), &Scalar::from_u64(3))
             .unwrap_err();
@@ -1117,7 +1056,7 @@ mod tests {
                 requested: CurveId::FourQ,
             }
         );
-        let fq = shared_kernel(&m, 0).expect("compiles");
+        let fq = kernel_for(CurveId::FourQ);
         assert!(matches!(
             fq.execute_p256(&[1u8; 32], &[0u8; 64]),
             Err(PipelineError::WrongCurve { .. })
@@ -1127,32 +1066,15 @@ mod tests {
     #[test]
     fn stitched_kernel_verifies_and_executes() {
         let m = MachineConfig::paper();
-        // Cheap options keep the debug-build runtime sane; the full-effort
-        // stitched numbers are pinned by crates/sched/tests/stitched_sm.rs
-        // and the fleet KAT.
-        let opts = StitchOptions {
-            segments: 8,
-            node_limit: 500,
-            window_trials: 4,
-        };
-        let st = shared_stitched_kernel(CurveId::FourQ, &m, 0, &opts).expect("compiles");
+        let st = shared_kernel(CurveId::FourQ, &m, 0, Some(&CHEAP_STITCH)).expect("compiles");
         // The embedded kernel carries the better of the two schedules.
         assert_eq!(
             st.kernel.fingerprint.cycles,
             st.stitched_cycles.min(st.baseline_cycles)
         );
-        if st.stitched_cycles <= st.baseline_cycles {
-            assert_eq!(st.segments.len(), opts.segments);
-            assert_eq!(
-                st.segments.iter().map(|s| s.jobs).sum::<usize>(),
-                st.kernel.trace.nodes.len()
-            );
-        } else {
-            assert!(st.segments.is_empty());
-        }
-        // Satellite check: the stitched artifact passes the full
-        // K-FLOW/K-OBLIV/K-RES battery, same as a plain compile.
-        let report = crate::check::verify(&st.kernel, crate::check::CheckLevel::Full);
+        // The stitched artifact passes the full K-FLOW/K-OBLIV/K-RES
+        // battery, same as a plain compile.
+        let report = verify(&st.kernel, CheckLevel::Full);
         assert!(
             report.findings.is_empty(),
             "stitched kernel rejected: {:?}",
@@ -1164,19 +1086,6 @@ mod tests {
         let got = st.kernel.execute(&base, &k).expect("executes");
         let want = base.mul(&k);
         assert_eq!((got.x, got.y), (want.x, want.y));
-    }
-
-    #[test]
-    fn shared_stitched_kernel_is_cached_per_options() {
-        let m = MachineConfig::paper();
-        let a = StitchOptions {
-            segments: 8,
-            node_limit: 500,
-            window_trials: 4,
-        };
-        let x = shared_stitched_kernel(CurveId::FourQ, &m, 0, &a).expect("compiles");
-        let y = shared_stitched_kernel(CurveId::FourQ, &m, 0, &a).expect("cached");
-        assert!(std::ptr::eq(x, y), "same options → same artifact");
     }
 
     #[test]

@@ -26,15 +26,17 @@
 //! # Example
 //!
 //! ```
-//! use fourq_cpu::simulate_scalar_mul;
+//! use fourq_cpu::shared_kernel;
+//! use fourq_curve::{AffinePoint, CurveId};
 //! use fourq_fp::Scalar;
 //! use fourq_sched::MachineConfig;
 //!
-//! let sim = simulate_scalar_mul(&Scalar::from_u64(12345), &MachineConfig::paper(), 4);
-//! assert!(sim.sim.cycles > 0);
-//! // The datapath computed the same point the software library computes:
-//! // (checked internally; `result` is the affine point.)
-//! assert!(sim.result.is_on_curve());
+//! let kernel = &shared_kernel(CurveId::FourQ, &MachineConfig::paper(), 4, None)?.kernel;
+//! assert!(kernel.fingerprint.cycles > 0);
+//! // The datapath computes the same point the software library computes.
+//! let (g, k) = (AffinePoint::generator(), Scalar::from_u64(12345));
+//! assert_eq!(kernel.execute(&g, &k)?, g.mul(&k));
+//! # Ok::<(), fourq_cpu::PipelineError>(())
 //! ```
 
 #![forbid(unsafe_code)]
@@ -47,8 +49,7 @@ mod vcd;
 
 pub use check::{verify, CheckLevel, GapMetrics, KernelDiag, VerifyReport, VERIFY_EFFORT};
 pub use kernel::{
-    compile, compile_curve, compile_curve_stitched, compile_curve_with_budget, compile_with_budget,
-    shared_kernel, shared_kernel_for, shared_stitched_kernel, CompiledKernel, KernelFingerprint,
+    compile_curve, compile_curve_stitched, shared_kernel, CompiledKernel, KernelFingerprint,
     PipelineError, StitchedKernel, DEFAULT_REGISTER_BUDGET,
 };
 pub use regalloc::{
@@ -56,7 +57,6 @@ pub use regalloc::{
 };
 pub use vcd::export_vcd;
 
-use fourq_curve::AffinePoint;
 use fourq_sched::{MachineConfig, Schedule, UnitKind};
 use fourq_trace::{OpKind, Operand, Trace, Word};
 use std::collections::HashMap;
@@ -336,84 +336,10 @@ pub fn register_pressure(trace: &Trace, sched: &Schedule, machine: &MachineConfi
     peak as usize
 }
 
-/// Full pipeline result for one scalar multiplication: trace statistics,
-/// schedule quality, and the simulated execution.
-#[derive(Clone, Debug)]
-pub struct ScalarMulSim {
-    /// The simulation outcome.
-    pub sim: SimResult,
-    /// The affine result read back from the datapath outputs.
-    pub result: AffinePoint,
-    /// Makespan lower bound for this program on this machine.
-    pub lower_bound: u64,
-    /// Cycles a fully serial (unscheduled) processor would need.
-    pub serial_cycles: u64,
-    /// Number of microinstructions (program-ROM words).
-    pub rom_words: usize,
-}
-
-/// Traces, schedules, simulates and cross-checks a complete scalar
-/// multiplication `[k]G` on the given machine.
-///
-/// Internally this now goes through the process-wide [`shared_kernel`]
-/// cache: the first call for a `(machine, ils_iterations)` pair compiles
-/// the uniform kernel, every later call only replays it (and re-audits
-/// the result against the software library).
-///
-/// # Panics
-///
-/// Panics if the pipeline fails to compile for this machine or the
-/// datapath result disagrees with the software library (which would
-/// indicate a simulator or scheduler bug — this is the end-to-end
-/// functional audit).
-pub fn simulate_scalar_mul(
-    k: &fourq_fp::Scalar,
-    machine: &MachineConfig,
-    ils_iterations: u32,
-) -> ScalarMulSim {
-    simulate_scalar_mul_for(&AffinePoint::generator(), k, machine, ils_iterations)
-}
-
-/// As [`simulate_scalar_mul`] for an arbitrary base point.
-///
-/// # Panics
-///
-/// See [`simulate_scalar_mul`].
-pub fn simulate_scalar_mul_for(
-    point: &AffinePoint,
-    k: &fourq_fp::Scalar,
-    machine: &MachineConfig,
-    ils_iterations: u32,
-) -> ScalarMulSim {
-    let kernel = shared_kernel(machine, ils_iterations)
-        .expect("scalar-mul pipeline compiles on this machine");
-    let result = kernel.execute(point, k).expect("compiled kernel executes");
-    let expected = point.mul(k);
-    assert_eq!(
-        (result.x, result.y),
-        (expected.x, expected.y),
-        "datapath result diverged from software scalar multiplication"
-    );
-    let fp = &kernel.fingerprint;
-    ScalarMulSim {
-        sim: SimResult {
-            cycles: fp.cycles,
-            outputs: vec![
-                ("x".to_string(), Word::Fp2(result.x)),
-                ("y".to_string(), Word::Fp2(result.y)),
-            ],
-            stats: kernel.stats,
-        },
-        result,
-        lower_bound: fp.lower_bound,
-        serial_cycles: fp.serial_cycles,
-        rom_words: fp.rom_words,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fourq_curve::CurveId;
     use fourq_fp::Scalar;
     use fourq_sched::{lower_bound, schedule, trace_to_problem};
 
@@ -466,36 +392,31 @@ mod tests {
     }
 
     #[test]
-    fn full_scalar_mul_end_to_end() {
-        let m = MachineConfig::paper();
-        let sim = simulate_scalar_mul(&Scalar::from_u64(987654321), &m, 2);
-        assert!(sim.sim.cycles >= sim.lower_bound);
-        assert!(sim.sim.cycles < sim.serial_cycles);
-        assert!(sim.result.is_on_curve());
-        // register pressure must fit a plausible register file (the
-        // uniform program keeps the whole table live, hence < 128)
-        assert!(sim.sim.stats.register_pressure < 128);
-    }
-
-    #[test]
     fn wider_machine_is_not_slower() {
-        let k = Scalar::from_u64(0x1111_2222_3333_4441);
+        let cycles = |m: &MachineConfig| {
+            shared_kernel(CurveId::FourQ, m, 0, None)
+                .expect("compiles")
+                .kernel
+                .fingerprint
+                .cycles
+        };
         let m1 = MachineConfig::paper();
         let mut m2 = m1;
         m2.mul_units = 2;
         m2.read_ports = 8;
         m2.write_ports = 4;
-        let s1 = simulate_scalar_mul(&k, &m1, 0);
-        let s2 = simulate_scalar_mul(&k, &m2, 0);
-        assert!(s2.sim.cycles <= s1.sim.cycles);
+        assert!(cycles(&m2) <= cycles(&m1));
     }
 
     #[test]
     fn utilization_bounded() {
         let m = MachineConfig::paper();
-        let sim = simulate_scalar_mul(&Scalar::from_u64(777), &m, 0);
-        assert!(sim.sim.stats.mul_utilization <= 1.0);
-        assert!(sim.sim.stats.addsub_utilization <= 1.0);
-        assert!(sim.sim.stats.mul_utilization > 0.3);
+        let stats = shared_kernel(CurveId::FourQ, &m, 0, None)
+            .expect("compiles")
+            .kernel
+            .stats;
+        assert!(stats.mul_utilization <= 1.0);
+        assert!(stats.addsub_utilization <= 1.0);
+        assert!(stats.mul_utilization > 0.3);
     }
 }

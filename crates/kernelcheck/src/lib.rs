@@ -1,7 +1,7 @@
 //! Report, baseline and JSON plumbing for the `kernelcheck` CLI.
 //!
 //! The analysis itself lives in `fourq_cpu::check` (it must, so that
-//! `fourq_cpu::compile` can run it without a crate cycle); this crate is
+//! `fourq_cpu::compile_curve` can run it without a crate cycle); this crate is
 //! the operational front-end, deliberately mirroring `fourq-ctlint`'s
 //! UX: human-readable findings on stdout, `--json` for the
 //! machine-readable artifact, `--baseline` / `--update-baseline` for a

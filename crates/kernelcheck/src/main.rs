@@ -130,8 +130,8 @@ fn main() -> ExitCode {
     let machine = MachineConfig::paper();
     let mut runs: Vec<CurveRun> = Vec::with_capacity(curves.len());
     for &curve in &curves {
-        let kernel = match fourq_cpu::shared_kernel_for(curve, &machine, effort) {
-            Ok(k) => k,
+        let kernel = match fourq_cpu::shared_kernel(curve, &machine, effort, None) {
+            Ok(st) => &st.kernel,
             Err(e) => {
                 eprintln!("kernelcheck: {curve}: compile failed: {e}");
                 return ExitCode::FAILURE;

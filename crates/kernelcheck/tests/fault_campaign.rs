@@ -2,13 +2,16 @@
 //! must be caught, either statically by the verifier or (pure-data
 //! faults) by the runtime on-curve / software-reference audit.
 
+use fourq_curve::CurveId;
 use fourq_kernelcheck::{run_campaign, Detection};
 use fourq_sched::MachineConfig;
 use fourq_testkit::fault::FaultClass;
 
 #[test]
 fn sixty_four_fault_campaign_detects_everything() {
-    let kernel = fourq_cpu::shared_kernel(&MachineConfig::paper(), 0).expect("compiles");
+    let kernel = &fourq_cpu::shared_kernel(CurveId::FourQ, &MachineConfig::paper(), 0, None)
+        .expect("compiles")
+        .kernel;
     let report = run_campaign(kernel, 64, 0xdeadf001);
     assert_eq!(report.outcomes.len(), 64);
 
@@ -41,7 +44,9 @@ fn sixty_four_fault_campaign_detects_everything() {
 
 #[test]
 fn campaign_exercises_every_class() {
-    let kernel = fourq_cpu::shared_kernel(&MachineConfig::paper(), 0).expect("compiles");
+    let kernel = &fourq_cpu::shared_kernel(CurveId::FourQ, &MachineConfig::paper(), 0, None)
+        .expect("compiles")
+        .kernel;
     let report = run_campaign(kernel, 64, 1);
     for class in [
         FaultClass::RomWord,

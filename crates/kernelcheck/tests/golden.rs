@@ -9,11 +9,18 @@
 //! static artifacts only.
 
 use fourq_cpu::{shared_kernel, verify, CheckLevel, CompiledKernel, KernelDiag, Src};
+use fourq_curve::CurveId;
 use fourq_sched::MachineConfig;
 use fourq_trace::{Operand, Selector, TraceError, Unit};
 
 fn kernel() -> &'static CompiledKernel {
-    shared_kernel(&MachineConfig::paper(), 0).expect("clean kernel compiles")
+    kernel_at(0)
+}
+
+fn kernel_at(effort: u32) -> &'static CompiledKernel {
+    &shared_kernel(CurveId::FourQ, &MachineConfig::paper(), effort, None)
+        .expect("clean kernel compiles")
+        .kernel
 }
 
 fn latency(k: &CompiledKernel, i: usize) -> u64 {
@@ -30,7 +37,7 @@ fn finish(k: &CompiledKernel, i: usize) -> u64 {
 #[test]
 fn clean_kernel_is_clean_at_both_levels_and_efforts() {
     for effort in [0, 2] {
-        let k = shared_kernel(&MachineConfig::paper(), effort).expect("compiles");
+        let k = kernel_at(effort);
         for level in [CheckLevel::Quick, CheckLevel::Full] {
             let r = verify(k, level);
             assert!(r.is_clean(), "effort {effort} {level}: {:?}", r.findings);

@@ -3,8 +3,8 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use fourq::cpu::simulate_scalar_mul;
-use fourq::curve::AffinePoint;
+use fourq::cpu::shared_kernel;
+use fourq::curve::{AffinePoint, CurveId};
 use fourq::fp::Scalar;
 use fourq::sched::MachineConfig;
 use fourq::tech::SotbModel;
@@ -20,19 +20,23 @@ fn main() {
 
     // --- the hardware: the same computation on the simulated ASIC ------
     let machine = MachineConfig::paper();
-    let sim = simulate_scalar_mul(&k, &machine, 8);
+    let kernel = &shared_kernel(CurveId::FourQ, &machine, 8, None)
+        .expect("pipeline compiles")
+        .kernel;
+    let cycles = kernel.fingerprint.cycles;
     println!(
         "simulated ASIC: {} cycles ({} microinstructions, multiplier {:.0}% busy)",
-        sim.sim.cycles,
-        sim.rom_words,
-        100.0 * sim.sim.stats.mul_utilization
+        cycles,
+        kernel.fingerprint.rom_words,
+        100.0 * kernel.stats.mul_utilization
     );
-    assert_eq!(sim.result, p, "datapath agrees with software");
+    let hw = kernel.execute(&g, &k).expect("kernel executes");
+    assert_eq!(hw, p, "datapath agrees with software");
 
     // --- the silicon: latency and energy at two supply voltages --------
-    let tech = SotbModel::calibrate_paper(sim.sim.cycles);
+    let tech = SotbModel::calibrate_paper(cycles);
     for vdd in [1.20, 0.32] {
-        let pt = tech.operating_point(vdd, sim.sim.cycles);
+        let pt = tech.operating_point(vdd, cycles);
         println!(
             "at {vdd:.2} V: {:.1} MHz, {:.1} us/SM, {:.3} uJ/SM",
             pt.fmax_mhz, pt.latency_us, pt.energy_uj

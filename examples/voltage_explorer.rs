@@ -5,8 +5,8 @@
 //!
 //! Run with: `cargo run --release --example voltage_explorer [latency_us]`
 
-use fourq::cpu::simulate_scalar_mul;
-use fourq::fp::{Scalar, U256};
+use fourq::cpu::shared_kernel;
+use fourq::curve::CurveId;
 use fourq::sched::MachineConfig;
 use fourq::tech::SotbModel;
 
@@ -16,12 +16,11 @@ fn main() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(50.0);
 
-    let k = Scalar::from_u256(
-        U256::from_hex("1d3f297b1a2c4d5e6f708192a3b4c5d6e7f8091a2b3c4d5e6f70819202122231")
-            .expect("valid"),
-    );
-    let sim = simulate_scalar_mul(&k, &MachineConfig::paper(), 16);
-    let cycles = sim.sim.cycles;
+    let cycles = shared_kernel(CurveId::FourQ, &MachineConfig::paper(), 16, None)
+        .expect("pipeline compiles")
+        .kernel
+        .fingerprint
+        .cycles;
     let tech = SotbModel::calibrate_paper(cycles);
     println!("simulated scalar multiplication: {cycles} cycles\n");
 

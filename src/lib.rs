@@ -8,16 +8,19 @@
 //! the architecture and `DESIGN.md` for the paper-to-module map.
 //!
 //! ```
-//! use fourq::curve::AffinePoint;
+//! use fourq::curve::{AffinePoint, CurveId};
 //! use fourq::fp::Scalar;
+//! use fourq::sched::MachineConfig;
 //!
 //! // [k]G in software...
 //! let k = Scalar::from_u64(20190325);
-//! let p = AffinePoint::generator().mul(&k);
+//! let g = AffinePoint::generator();
+//! let p = g.mul(&k);
 //!
 //! // ...and the same computation on the simulated cryptoprocessor.
-//! let sim = fourq::cpu::simulate_scalar_mul(&k, &fourq::sched::MachineConfig::paper(), 2);
-//! assert_eq!(sim.result, p);
+//! let kernel = &fourq::cpu::shared_kernel(CurveId::FourQ, &MachineConfig::paper(), 2, None)?.kernel;
+//! assert_eq!(kernel.execute(&g, &k)?, p);
+//! # Ok::<(), fourq::cpu::PipelineError>(())
 //! ```
 #![forbid(unsafe_code)]
 

@@ -2,8 +2,8 @@
 //! pipeline against the software library, across machine configurations
 //! and scalars, plus the compile-once/execute-many kernel contract.
 
-use fourq::cpu::{shared_kernel, simulate, simulate_scalar_mul};
-use fourq::curve::AffinePoint;
+use fourq::cpu::{shared_kernel, simulate, CompiledKernel};
+use fourq::curve::{AffinePoint, CurveId};
 use fourq::fp::{Scalar, U256};
 use fourq::sched::{lower_bound, schedule, trace_to_problem, MachineConfig};
 use fourq::trace::{trace_scalar_mul, trace_scalar_mul_for};
@@ -14,27 +14,11 @@ fn full_scalar() -> Scalar {
     )
 }
 
-#[test]
-fn datapath_equals_software_for_various_scalars() {
-    let machine = MachineConfig::paper();
-    for k in [
-        Scalar::from_u64(1),
-        Scalar::from_u64(2),
-        Scalar::from_u64(0xffff_ffff_ffff_fffe),
-        full_scalar(),
-    ] {
-        let sim = simulate_scalar_mul(&k, &machine, 2);
-        assert_eq!(sim.result, AffinePoint::generator().mul(&k));
-    }
-}
-
-#[test]
-fn datapath_equals_software_for_non_generator_base() {
-    let machine = MachineConfig::paper();
-    let base = AffinePoint::generator().mul(&Scalar::from_u64(777));
-    let k = Scalar::from_u64(0x1234_5678_9abc_def1);
-    let sim = fourq::cpu::simulate_scalar_mul_for(&base, &k, &machine, 2);
-    assert_eq!(sim.result, base.mul(&k));
+/// The Fourℚ kernel every test here shares (effort 2, plain ILS).
+fn kernel_on(machine: &MachineConfig) -> &'static CompiledKernel {
+    &shared_kernel(CurveId::FourQ, machine, 2, None)
+        .expect("pipeline compiles")
+        .kernel
 }
 
 #[test]
@@ -123,7 +107,7 @@ fn traced_program_is_scalar_independent_in_size() {
 #[test]
 fn compiled_kernel_execute_equals_software() {
     let machine = MachineConfig::paper();
-    let kernel = shared_kernel(&machine, 2).expect("pipeline compiles");
+    let kernel = kernel_on(&machine);
     let g = AffinePoint::generator();
     for k in [
         Scalar::from_u64(1),
@@ -148,7 +132,7 @@ fn compiled_kernel_execute_equals_software() {
 #[test]
 fn compiled_kernel_batch_is_thread_count_invariant() {
     let machine = MachineConfig::paper();
-    let kernel = shared_kernel(&machine, 2).expect("pipeline compiles");
+    let kernel = kernel_on(&machine);
     let g = AffinePoint::generator();
     let ks: Vec<Scalar> = (1u64..=9)
         .map(|i| Scalar::from_u64(i.wrapping_mul(0x9e37_79b9_7f4a_7c15)))
@@ -166,8 +150,8 @@ fn compiled_kernel_batch_is_thread_count_invariant() {
 #[test]
 fn shared_kernel_is_compiled_once_per_config() {
     let machine = MachineConfig::paper();
-    let a = shared_kernel(&machine, 2).expect("pipeline compiles");
-    let b = shared_kernel(&machine, 2).expect("pipeline compiles");
+    let a = kernel_on(&machine);
+    let b = kernel_on(&machine);
     assert!(
         std::ptr::eq(a, b),
         "same (machine, effort) must hit the cache"
@@ -177,7 +161,7 @@ fn shared_kernel_is_compiled_once_per_config() {
         write_ports: 1,
         ..MachineConfig::paper()
     };
-    let c = shared_kernel(&narrow, 2).expect("pipeline compiles");
+    let c = kernel_on(&narrow);
     assert!(!std::ptr::eq(a, c), "distinct configs get distinct kernels");
     assert_eq!(a.fingerprint, b.fingerprint);
 }
@@ -188,12 +172,14 @@ fn signature_over_simulated_datapath_point() {
     // signature against it — ties sig, curve and cpu crates together.
     let machine = MachineConfig::paper();
     let secret = Scalar::from_u64(0x5eed_1234_abcd_ef01);
-    let sim = simulate_scalar_mul(&secret, &machine, 2);
+    let public = kernel_on(&machine)
+        .execute(&AffinePoint::generator(), &secret)
+        .expect("kernel executes");
     let kp = fourq::sig::ecdsa::KeyPair::from_secret(secret).unwrap();
-    assert_eq!(kp.public, sim.result);
+    assert_eq!(kp.public, public);
     let sig = kp.sign(b"cross-crate message").unwrap();
     assert!(fourq::sig::ecdsa::verify(
-        &sim.result,
+        &public,
         b"cross-crate message",
         &sig
     ));
