@@ -3,8 +3,8 @@
 //! Each row carries the figures the cited papers report (and that the DATE
 //! paper tabulates). The Table II harness in `fourq-bench` combines these
 //! with our *simulated* FourQ ASIC row to regenerate the comparison and
-//! the headline ratios (15.5× vs FourQ-FPGA [10], 3.66× vs P-256-ASIC [5],
-//! 5.14× energy vs the ECDSA processor [17]).
+//! the headline ratios (15.5× vs FourQ-FPGA \[10\], 3.66× vs P-256-ASIC \[5\],
+//! 5.14× energy vs the ECDSA processor \[17\]).
 
 /// Hardware platform of a design.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -273,19 +273,19 @@ pub const TABLE2_PAPER_OURS: &[ReportedRow] = &[
 
 /// Headline ratio helpers used in the paper's abstract and §IV-B.
 pub mod headline {
-    /// Speed-up of a latency `ours_ms` against the 1-core FourQ FPGA [10]
+    /// Speed-up of a latency `ours_ms` against the 1-core FourQ FPGA \[10\]
     /// (0.157 ms). Paper: 15.5×.
     pub fn speedup_vs_fourq_fpga(ours_ms: f64) -> f64 {
         0.157 / ours_ms
     }
 
-    /// Speed-up against the fastest P-256 ASIC [5] (0.0370 ms).
+    /// Speed-up against the fastest P-256 ASIC \[5\] (0.0370 ms).
     /// Paper: 3.66×.
     pub fn speedup_vs_p256_asic(ours_ms: f64) -> f64 {
         0.0370 / ours_ms
     }
 
-    /// Energy-efficiency gain over the ECDSA processor [17] at its
+    /// Energy-efficiency gain over the ECDSA processor \[17\] at its
     /// low-voltage point (1.68 µJ). Paper: 5.14×.
     pub fn energy_gain_vs_ecdsa(ours_uj: f64) -> f64 {
         1.68 / ours_uj

@@ -2,7 +2,7 @@
 //!
 //! The CIOS (coarsely integrated operand scanning) Montgomery multiplier —
 //! the same algorithm the Montgomery-multiplier ECDSA processors of the
-//! paper's Table II rows [17]/[18] implement in hardware.
+//! paper's Table II rows \[17\]/\[18\] implement in hardware.
 #![allow(clippy::needless_range_loop)] // limb loops are clearer indexed
 
 use fourq_fp::U256;

@@ -1,5 +1,5 @@
 //! NIST P-256 (secp256r1): the curve of the paper's primary ASIC baseline
-//! (Knežević et al. [5]) and of several FPGA rows of Table II.
+//! (Knežević et al. \[5\]) and of several FPGA rows of Table II.
 //!
 //! `y² = x³ − 3x + b` over `p = 2^256 − 2^224 + 2^192 + 2^96 − 1`,
 //! implemented with Montgomery field arithmetic and Jacobian projective

@@ -1,12 +1,12 @@
 //! X25519 (RFC 7748): the Curve25519 Diffie–Hellman function, baseline of
-//! Table II row [22] and the "2× slower than FourQ" comparison of the
+//! Table II row \[22\] and the "2× slower than FourQ" comparison of the
 //! paper's introduction.
 //!
 //! Montgomery ladder over `p = 2^255 − 19` with the standard
 //! constant-time-shaped conditional swaps.
 
 use crate::mont::{FeLike, MontFe, MontField};
-use fourq_fp::U256;
+use fourq_fp::{Choice, CtSelect, U256};
 
 /// One Montgomery-ladder step on the working state `(x2, z2, x3, z3)` with
 /// the fixed base `x1` and curve constant `a24`, written against
@@ -79,6 +79,7 @@ impl X25519 {
 
     /// The X25519 function: `k · u` on the Montgomery curve
     /// (u-coordinate-only ladder). `k` is clamped per RFC 7748.
+    // ct: secret(scalar)
     pub fn ladder(&self, scalar: &[u8; 32], u: &[u8; 32]) -> [u8; 32] {
         let f = &self.field;
         let k = Self::clamp(scalar);
@@ -97,11 +98,12 @@ impl X25519 {
         let x1h = MontFe::new(f, x1);
         let a24h = MontFe::new(f, self.a24);
         for t in (0..255).rev() {
+            // The running conditional swap by masked selection: no branch
+            // depends on the scalar bits.
             let kt = k.bit(t);
-            if swap != kt {
-                core::mem::swap(&mut x2, &mut x3);
-                core::mem::swap(&mut z2, &mut z3);
-            }
+            let c = Choice::from_bit(u64::from(swap ^ kt));
+            (x2, x3) = (U256::ct_select(&x2, &x3, c), U256::ct_select(&x3, &x2, c));
+            (z2, z3) = (U256::ct_select(&z2, &z3, c), U256::ct_select(&z3, &z2, c));
             swap = kt;
 
             let (nx2, nz2, nx3, nz3) = ladder_step(
@@ -117,10 +119,8 @@ impl X25519 {
             x3 = nx3.value;
             z3 = nz3.value;
         }
-        if swap {
-            core::mem::swap(&mut x2, &mut x3);
-            core::mem::swap(&mut z2, &mut z3);
-        }
+        let c = Choice::from_bit(u64::from(swap));
+        (x2, z2) = (U256::ct_select(&x2, &x3, c), U256::ct_select(&z2, &z3, c));
         let out = if z2.is_zero() {
             U256::ZERO
         } else {

@@ -21,7 +21,8 @@
 //!    issue-slot budgets, no physical-register clobber of a live value,
 //!    and (at [`CheckLevel::Full`]) bit-exact agreement of the shipped
 //!    ROM and allocation with a canonical re-derivation — the static
-//!    counterpart of [`crate::simulate_allocated`].
+//!    counterpart of replaying the kernel through its physical registers
+//!    ([`CompiledKernel::execute`]).
 //! 3. **Resource honesty** (`K-RES-*`): the fingerprint's cycle count,
 //!    lower bound, register pressure and ROM geometry are recomputed
 //!    here from scratch (independent code path from `fourq-sched`) and

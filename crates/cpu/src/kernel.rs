@@ -266,6 +266,11 @@ fn record_curve_trace(curve: CurveId) -> Trace {
 /// End-to-end compile audit: the kernel must reproduce its curve's
 /// software baseline on the representative inputs and on unrelated ones
 /// before it is handed out.
+///
+/// The Fourℚ kernel is recorded from `scalar_mul_engine`, the code
+/// `AffinePoint::mul` runs, so it is audited against the independent
+/// double-and-add of `AffinePoint::mul_generic` instead: a bug in the
+/// shared engine then fails the compile rather than agreeing with itself.
 fn audit_kernel(kernel: &CompiledKernel) -> Result<(), PipelineError> {
     match kernel.curve {
         CurveId::FourQ => {
@@ -273,7 +278,7 @@ fn audit_kernel(kernel: &CompiledKernel) -> Result<(), PipelineError> {
             let g = AffinePoint::generator();
             for k in [rep, Scalar::from_u64(0x9e37_79b9_7f4a_7c15)] {
                 let got = kernel.execute(&g, &k)?;
-                let want = g.mul(&k);
+                let want = g.mul_generic(&k);
                 if (got.x, got.y) != (want.x, want.y) {
                     return Err(PipelineError::Diverged);
                 }
@@ -729,8 +734,8 @@ impl CompiledKernel {
                 .unwrap_or(*rep); // constants keep their recorded value
             rf[assignment[id] as usize] = v;
         }
-        // Pending-writeback replay (same timing model as
-        // `simulate_allocated`): a result finishing at cycle c is readable
+        // Pending-writeback replay (the forwarding timing of
+        // `crate::simulate`): a result finishing at cycle c is readable
         // from cycle c on; idle cycles are skipped.
         let mut pending: Vec<(u64, u16, Word)> = Vec::new();
         for step in &self.prog {
@@ -840,16 +845,43 @@ mod tests {
     #[test]
     fn compiled_kernel_matches_software_for_fresh_inputs() {
         let kernel = kernel_for(CurveId::FourQ);
-        let base = AffinePoint::generator().mul(&Scalar::from_u64(5));
-        for k in [
-            Scalar::from_u64(1),
-            Scalar::from_u64(2),
+        let base = AffinePoint::generator().mul_generic(&Scalar::from_u64(5));
+        // N − 1, N − 2, 2^245, and the radix-limb boundaries 2^(62j) and
+        // 2^(62j) − 1, where parity correction and the recoding edges act.
+        let two = Scalar::from_u64(2);
+        let pow2 = |e: u64| two.pow(&U256::from_u64(e));
+        let mut scalars = vec![
+            Scalar::ONE,
+            two,
             Scalar::from_le_bytes(&[0x6b; 32]),
-        ] {
+            Scalar::ZERO.sub(&Scalar::ONE),
+            Scalar::ZERO.sub(&two),
+            pow2(245),
+        ];
+        for e in [62, 124, 186] {
+            scalars.extend([pow2(e), pow2(e).sub(&Scalar::ONE)]);
+        }
+        for k in scalars {
             let got = kernel.execute(&base, &k).expect("executes");
-            let want = base.mul(&k);
+            let want = base.mul_generic(&k);
             assert_eq!((got.x, got.y), (want.x, want.y));
         }
+    }
+
+    #[test]
+    fn clobber_detection_would_fail() {
+        // Everything in one register clobbers live values: the replay
+        // through the physical register file leaves the curve.
+        let kernel = kernel_for(CurveId::FourQ);
+        let bogus = Allocation {
+            assignment: vec![0; kernel.allocation.assignment.len()],
+            num_registers: 1,
+        };
+        let broken = kernel.with_allocation(bogus).expect("reassembles");
+        assert_eq!(
+            broken.execute(&AffinePoint::generator(), &Scalar::from_u64(7)),
+            Err(PipelineError::Diverged)
+        );
     }
 
     #[test]
@@ -1081,10 +1113,10 @@ mod tests {
             report.findings.first()
         );
         // And it still computes scalar multiplication on fresh inputs.
-        let base = AffinePoint::generator().mul(&Scalar::from_u64(7));
+        let base = AffinePoint::generator().mul_generic(&Scalar::from_u64(7));
         let k = Scalar::from_le_bytes(&[0x35; 32]);
         let got = st.kernel.execute(&base, &k).expect("executes");
-        let want = base.mul(&k);
+        let want = base.mul_generic(&k);
         assert_eq!((got.x, got.y), (want.x, want.y));
     }
 

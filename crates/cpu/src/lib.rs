@@ -45,17 +45,13 @@
 pub mod check;
 mod kernel;
 mod regalloc;
-mod vcd;
 
 pub use check::{verify, CheckLevel, GapMetrics, KernelDiag, VerifyReport, VERIFY_EFFORT};
 pub use kernel::{
     compile_curve, compile_curve_stitched, shared_kernel, CompiledKernel, KernelFingerprint,
     PipelineError, StitchedKernel, DEFAULT_REGISTER_BUDGET,
 };
-pub use regalloc::{
-    allocate, simulate_allocated, Allocation, AssembleError, ControlRom, ControlWord, RomRoute, Src,
-};
-pub use vcd::export_vcd;
+pub use regalloc::{allocate, Allocation, AssembleError, ControlRom, ControlWord, RomRoute, Src};
 
 use fourq_sched::{MachineConfig, Schedule, UnitKind};
 use fourq_trace::{OpKind, Operand, Trace, Word};
@@ -377,7 +373,7 @@ mod tests {
     }
 
     #[test]
-    fn uniform_scalar_mul_simulates_for_any_digits() {
+    fn uniform_trace_simulates_for_any_digits() {
         // The same uniform program simulates correctly under two
         // different recorded scalars (the trace carries its own digits).
         let m = MachineConfig::paper();

@@ -6,10 +6,12 @@
 //! physical registers by linear scan over the schedule's lifetimes, and
 //! [`ControlRom::assemble`] packs each cycle's control signals (issue
 //! enables, source/destination register addresses, opcodes) into the
-//! program-ROM words the FSM sequencer plays back. [`simulate_allocated`]
-//! re-executes the program *through the physical register file*, which
-//! catches any allocation bug (a clobbered live value produces a wrong
-//! output and fails the cross-check).
+//! program-ROM words the FSM sequencer plays back.
+//! [`crate::CompiledKernel::execute`] replays the program *through the
+//! physical register file*, so an allocation bug (a clobbered live value)
+//! produces a wrong output: the compile audit reports it as
+//! [`crate::PipelineError::Diverged`], and the verifier's clobber scan
+//! finds it statically.
 //!
 //! With the uniform trace model, an operand may be a [`Operand::Mux`]
 //! route: the register address is then not a constant in the ROM word but
@@ -19,9 +21,8 @@
 //! whichever one the digits pick at runtime must still be in its
 //! register.
 
-use crate::SimError;
 use fourq_sched::{MachineConfig, Schedule};
-use fourq_trace::{OpKind, Operand, Selector, Trace, Unit, Word};
+use fourq_trace::{OpKind, Operand, Selector, Trace, Unit};
 
 /// A virtual-to-physical register mapping.
 #[derive(Clone, Debug)]
@@ -353,90 +354,6 @@ impl ControlRom {
     }
 }
 
-/// Executes the register-allocated program through a *physical* register
-/// file, cycle by cycle, and returns the named outputs.
-///
-/// Mux-routed operands are resolved under the trace's own recorded digit
-/// stream (the representative execution). Unlike [`crate::simulate`],
-/// values here live in shared physical registers: if the allocator
-/// clobbered a live value, the outputs come out wrong — making this the
-/// independent verifier of [`allocate`].
-///
-/// # Errors
-///
-/// [`SimError::LengthMismatch`] if the schedule does not belong to the
-/// trace; [`SimError::MalformedTrace`] if a binary operation is missing
-/// its second operand.
-pub fn simulate_allocated(
-    trace: &Trace,
-    sched: &Schedule,
-    alloc: &Allocation,
-    machine: &MachineConfig,
-) -> Result<Vec<(String, Word)>, SimError> {
-    let base = trace.first_op_id();
-    let n = trace.nodes.len();
-    if sched.start.len() != n {
-        return Err(SimError::LengthMismatch);
-    }
-    let latency = |i: usize| -> u64 {
-        match trace.nodes[i].kind.unit() {
-            Unit::Multiplier => machine.mul_latency as u64,
-            Unit::AddSub => machine.addsub_latency as u64,
-        }
-    };
-
-    let mut rf = vec![trace.zero_word(); alloc.num_registers];
-    for (id, (_, v)) in trace.inputs.iter().enumerate() {
-        rf[alloc.assignment[id] as usize] = *v;
-    }
-
-    // Issue order by cycle; writes land at issue+latency. We process
-    // cycle by cycle: first perform this cycle's writebacks (results that
-    // finish now... but forwarding means a result finishing at cycle c is
-    // readable at c), so: apply writebacks for finish == c, then reads.
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by_key(|&i| (sched.start[i], i));
-    // pending writebacks: (finish_cycle, reg, value)
-    let mut pending: Vec<(u64, u16, Word)> = Vec::new();
-    let mut oi = 0usize;
-    for cycle in 0..=sched.makespan {
-        // retire results that finish at this cycle (readable this cycle).
-        pending.retain(|&(f, reg, v)| {
-            if f == cycle {
-                rf[reg as usize] = v;
-                false
-            } else {
-                true
-            }
-        });
-        // issue
-        while oi < n && sched.start[order[oi]] == cycle {
-            let i = order[oi];
-            oi += 1;
-            let node = &trace.nodes[i];
-            let fetch = |op: Operand| -> Word {
-                rf[alloc.assignment[trace.resolve(op, &trace.digits)] as usize]
-            };
-            let a = fetch(node.a);
-            let b = match (node.kind, node.b) {
-                (OpKind::Mul | OpKind::Add | OpKind::Sub, Some(op)) => Some(fetch(op)),
-                (OpKind::Mul | OpKind::Add | OpKind::Sub, None) => {
-                    return Err(SimError::MalformedTrace { op: i });
-                }
-                _ => None,
-            };
-            let result = Word::eval(node.kind, a, b);
-            pending.push((cycle + latency(i), alloc.assignment[base + i], result));
-        }
-    }
-    debug_assert!(pending.is_empty(), "all results must retire by makespan");
-    Ok(trace
-        .outputs
-        .iter()
-        .map(|(name, id)| (name.clone(), rf[alloc.assignment[*id] as usize]))
-        .collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -451,39 +368,16 @@ mod tests {
     }
 
     #[test]
-    fn loop_body_allocates_and_executes() {
+    fn loop_body_allocates() {
         let t = fourq_trace::trace_double_add_iteration();
         let m = MachineConfig::paper();
         let (s, a) = pipeline(&t, &m);
         // every value has a register
         assert!(a.assignment.iter().all(|&r| r != u16::MAX));
-        let outs = simulate_allocated(&t, &s, &a, &m).expect("executes");
-        for (name, v) in outs {
-            let id = t.outputs.iter().find(|(n, _)| *n == name).unwrap().1;
-            assert_eq!(v, t.values[id], "output {name}");
-        }
         // register count bounded by (and near) the SSA register pressure
         let pressure = crate::register_pressure(&t, &s, &m);
         assert!(a.num_registers >= pressure);
         assert!(a.num_registers <= pressure + 8);
-    }
-
-    #[test]
-    fn full_scalar_mul_on_physical_registers() {
-        let rec = fourq_trace::trace_scalar_mul(&fourq_fp::Scalar::from_u64(0xfeed_5eed_0bad_cafd));
-        let m = MachineConfig::paper();
-        let (s, a) = pipeline(&rec.trace, &m);
-        let outs = simulate_allocated(&rec.trace, &s, &a, &m).expect("executes");
-        assert_eq!(outs[0].1.as_fp2(), rec.expected.x);
-        assert_eq!(outs[1].1.as_fp2(), rec.expected.y);
-        // A realistic register file (paper's has 4R/2W ports; capacity is
-        // set by allocation). The uniform program pins the full 8-entry
-        // table, so the budget is wider than a per-scalar schedule's.
-        assert!(
-            a.num_registers <= 128,
-            "register file of {} words is implausible",
-            a.num_registers
-        );
     }
 
     #[test]
@@ -507,7 +401,7 @@ mod tests {
     }
 
     #[test]
-    fn uniform_scalar_mul_rom_carries_routes() {
+    fn uniform_trace_rom_carries_routes() {
         let rec = fourq_trace::trace_scalar_mul(&fourq_fp::Scalar::from_u64(13));
         let m = MachineConfig::paper();
         let (s, a) = pipeline(&rec.trace, &m);
@@ -524,25 +418,5 @@ mod tests {
         assert!(routed > 0);
         assert!(rom.word_bits() <= 64);
         let _ = rom.encode_word(&rom.words[0]);
-    }
-
-    #[test]
-    fn clobber_detection_would_fail() {
-        // Force a bogus allocation (everything in one register) and check
-        // the physical simulation detects it by producing wrong outputs.
-        let t = fourq_trace::trace_double_add_iteration();
-        let m = MachineConfig::paper();
-        let problem = trace_to_problem(&t);
-        let s = schedule(&problem, &m, 4);
-        let bogus = Allocation {
-            assignment: vec![0; t.first_op_id() + t.nodes.len()],
-            num_registers: 1,
-        };
-        let outs = simulate_allocated(&t, &s, &bogus, &m).expect("runs");
-        let mismatch = outs.iter().any(|(name, v)| {
-            let id = t.outputs.iter().find(|(n, _)| n == name).unwrap().1;
-            *v != t.values[id]
-        });
-        assert!(mismatch, "one-register allocation cannot be correct");
     }
 }

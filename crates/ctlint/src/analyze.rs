@@ -559,12 +559,15 @@ fn find_fns(ctx: &FileCtx) -> Vec<FnInfo> {
             continue;
         }
         let pclose = match_fwd(toks, j);
-        // body: next `{` before any `;` (a `;` first means a trait sig)
+        // body: next `{` before any `;` (a `;` first means a trait sig);
+        // `[..]`/`(..)` groups are stepped over, so the `;` of a return
+        // type like `[u8; 32]` does not end the signature
         let mut k = pclose + 1;
         let body = loop {
             match toks.get(k).map(|t| t.text.as_str()) {
                 Some(";") | None => break None,
                 Some("{") => break Some((k, match_fwd(toks, k))),
+                Some("[" | "(") => k = match_fwd(toks, k) + 1,
                 _ => k += 1,
             }
         };

@@ -81,7 +81,7 @@ fn baseline_update_roundtrip() {
 
     let report = std::fs::read_to_string(&json).expect("json report");
     assert!(report.contains("\"finding_count\": 0"), "{report}");
-    assert!(report.contains("\"baselined_count\": 5"), "{report}");
+    assert!(report.contains("\"baselined_count\": 6"), "{report}");
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -32,3 +32,11 @@ pub fn leak_match(key: &Key) -> u64 {
         _ => 1,
     }
 }
+
+pub fn leak_array_return(key: &Key) -> [u8; 32] {
+    let mut out = [0u8; 32];
+    if key.k > 0 {
+        out[0] = 1;
+    }
+    out
+}

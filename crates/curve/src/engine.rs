@@ -1,15 +1,47 @@
 //! The scalar-multiplication engine — the program executed by the ASIC.
 //!
 //! [`scalar_mul_engine`] is the paper's Algorithm 1 expressed over any
-//! [`Fp2Like`] field implementation. With concrete [`fourq_fp::Fp2`]
-//! elements it computes; with the tracer of `fourq-trace` it emits the
+//! [`EngineSelect`] field. With concrete [`fourq_fp::Fp2`] elements it
+//! computes; on the tracer of `fourq-trace` the same code emits the
 //! complete microinstruction program (setup, 8-entry table, 62 double-add
 //! iterations, final normalisation) that the scheduler and the
 //! cycle-accurate datapath consume.
 
 use crate::decompose::{Recoded, DIGITS, LIMB_BITS};
 use crate::extended::{CachedPoint, ExtendedPoint};
-use fourq_fp::{ct_eq_u64, Choice, CtSelect, Fp2Like};
+use fourq_fp::{ct_eq_u64, Choice, CtSelect, Fp2, Fp2Like};
+
+/// How a field makes the engine's two secret choices: the table entry
+/// `s_i·T[v_i]` of every digit and the final parity pick. [`Fp2`] scans
+/// every candidate under a mask; the tracer of `fourq-trace` records
+/// operand multiplexers driven by the recoded digits, so one recording is
+/// the program for every scalar.
+pub trait EngineSelect: Fp2Like {
+    /// `s_i·T[v_i]`: the table entry of digit position `i`, negated when
+    /// the digit's sign is `−1`.
+    fn table_entry(
+        table: &[CachedPoint<Self>; 8],
+        recoded: &Recoded,
+        i: usize,
+    ) -> CachedPoint<Self>;
+
+    /// The parity pick: `b` when `c` is true, `a` otherwise.
+    fn parity_pick(a: &CachedPoint<Self>, b: &CachedPoint<Self>, c: Choice) -> CachedPoint<Self>;
+}
+
+impl EngineSelect for Fp2 {
+    // ct: secret(recoded)
+    #[inline]
+    fn table_entry(table: &[CachedPoint<Fp2>; 8], recoded: &Recoded, i: usize) -> CachedPoint<Fp2> {
+        ct_lookup(table, recoded.indices[i], recoded.signs[i])
+    }
+
+    // ct: secret(c)
+    #[inline]
+    fn parity_pick(a: &CachedPoint<Fp2>, b: &CachedPoint<Fp2>, c: Choice) -> CachedPoint<Fp2> {
+        CachedPoint::ct_select(a, b, c)
+    }
+}
 
 /// Result of the engine: projective output plus the table/loop structure
 /// sizes (useful for reporting op-count breakdowns).
@@ -33,14 +65,14 @@ pub struct MulOutput<F> {
 /// 4. parity correction `Q ← Q − P`, performed unconditionally with the
 ///    mask selecting between `−P` and a cached identity.
 ///
-/// Every secret-dependent choice (table index, sign digit, parity flag) is
-/// realised by masked selection over all candidates — the software
-/// counterpart of the fixed 12,301-cycle schedule that makes the paper's
-/// ASIC constant-time. `F` therefore needs [`CtSelect`] in addition to the
-/// datapath ops; the tracer implements it as a value-level mux that records
-/// no operation, exactly like the hardware's operand-select lines.
+/// Every secret-dependent choice (table index, sign digit, parity flag)
+/// goes through [`EngineSelect`] — masked selection over all candidates
+/// for [`Fp2`], the software counterpart of the fixed 12,301-cycle
+/// schedule that makes the paper's ASIC constant-time; a mux that records
+/// no operation on the tracer, exactly like the hardware's operand-select
+/// lines.
 // ct: secret(recoded, corrected)
-pub fn scalar_mul_engine<F: Fp2Like + CtSelect>(
+pub fn scalar_mul_engine<F: EngineSelect>(
     x: &F,
     y: &F,
     one: &F,
@@ -88,11 +120,11 @@ pub fn scalar_mul_engine<F: Fp2Like + CtSelect>(
     ];
 
     // Step 3: the main double-and-add loop (the workload of Table I).
-    // Each digit's table entry comes out of `ct_lookup`, which scans all
-    // eight slots under a mask — the entry that survives is decided by the
-    // select lines, never by an address.
+    // Each digit's table entry comes out of `table_entry`, which considers
+    // all eight slots — the entry that survives is decided by the select
+    // lines, never by an address.
     let top = DIGITS - 1;
-    let entry = ct_lookup(&table, recoded.indices[top], recoded.signs[top]);
+    let entry = F::table_entry(&table, recoded, top);
     // Q = s_top · T[v_top], realised by adding the cached entry to the
     // neutral element in extended coordinates (cached points have no
     // direct extended form with a consistent Ta·Tb product).
@@ -101,13 +133,13 @@ pub fn scalar_mul_engine<F: Fp2Like + CtSelect>(
 
     for i in (0..top).rev() {
         q = q.double();
-        let e = ct_lookup(&table, recoded.indices[i], recoded.signs[i]);
+        let e = F::table_entry(&table, recoded, i);
         q = q.add_cached(&e);
     }
 
     // Step 4: parity correction (subtract P once if k was even). The flag
     // is the secret scalar's parity bit, so the addition always executes:
-    // the mask picks between −P and the cached identity (1, 1, 2Z=2, 0),
+    // the pick is between −P and the cached identity (1, 1, 2Z=2, 0),
     // which the complete addition formula absorbs without moving Q.
     let neg_p1 = table[0].neg();
     let id_cached = CachedPoint {
@@ -116,7 +148,7 @@ pub fn scalar_mul_engine<F: Fp2Like + CtSelect>(
         z2: one.dbl(),
         t2d: one.sub(one),
     };
-    let corr = CachedPoint::ct_select(&id_cached, &neg_p1, corrected);
+    let corr = F::parity_pick(&id_cached, &neg_p1, corrected);
     q = q.add_cached(&corr);
 
     MulOutput { point: q }
@@ -148,7 +180,7 @@ fn ct_lookup<F: Fp2Like + CtSelect>(
 ///
 /// `zero` is produced as `one − one` so that tracing implementations record
 /// it as a datapath operation rather than requiring a dedicated constant.
-pub fn identity<F: Fp2Like>(one: &F) -> ExtendedPoint<F> {
+pub(crate) fn identity<F: Fp2Like>(one: &F) -> ExtendedPoint<F> {
     let zero = one.sub(one);
     ExtendedPoint {
         x: zero.clone(),

@@ -20,10 +20,12 @@
 //! * four-dimensional scalar decomposition and sign-aligned recoding
 //!   ([`decompose`], [`recode`]) feeding the 8-entry-table double-and-add
 //!   kernel — the exact workload scheduled in the paper's Table I;
-//! * a scalar-multiplication engine generic over [`fourq_fp::Fp2Like`], so
-//!   the *same* formulas run on concrete field elements or on the
-//!   microinstruction tracer of `fourq-trace` (the paper's Python trace
-//!   recording, §III-C).
+//! * one scalar-multiplication engine ([`scalar_mul_engine`]) generic over
+//!   the field, so the *same* Algorithm 1 runs on concrete field elements
+//!   or on the microinstruction tracer of `fourq-trace` (the paper's Python
+//!   trace recording, §III-C); [`EngineSelect`] is the only difference
+//!   between the two — masked scans for `Fp2`, recorded multiplexers for
+//!   the tracer.
 //!
 //! # Decomposition note
 //!
@@ -64,7 +66,7 @@ pub mod params;
 pub use affine::{AffinePoint, DecodePointError};
 pub use context::FourQEngine;
 pub use decompose::{decompose, recode, Decomposition, Recoded, DIGITS, LIMB_BITS};
-pub use engine::{identity, normalize, scalar_mul_engine, MulOutput};
+pub use engine::{normalize, scalar_mul_engine, EngineSelect, MulOutput};
 pub use extended::{CachedPoint, ExtendedPoint};
 pub use fixed_base::{generator_table, FixedBaseTable};
 pub use multi::{

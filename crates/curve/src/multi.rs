@@ -185,9 +185,9 @@ fn pippenger_window_sum(
 ///
 /// Every window's bucket accumulation is independent of every other
 /// window's, so the windows are the parallel axis: workers compute
-/// window partials over fixed [`MSM_WINDOW_CHUNK`]-window index ranges,
-/// and the calling thread folds the partials high-to-low through the
-/// shared doubling chain (`acc ← [2^c]acc + partial_w`) — a reduction
+/// window partials over fixed index ranges of `MSM_WINDOW_CHUNK` (4)
+/// windows, and the calling thread folds the partials high-to-low through
+/// the shared doubling chain (`acc ← [2^c]acc + partial_w`) — a reduction
 /// whose order is fixed by the window index, not by thread scheduling.
 /// Affine outputs are canonical, so results are bit-identical to the
 /// sequential path at every thread count.

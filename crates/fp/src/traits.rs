@@ -4,11 +4,14 @@
 //!
 //! The paper obtains its microinstruction sequences by *recording the
 //! execution trace* of a Python implementation (§III-C, steps 1–2). The Rust
-//! counterpart: every curve formula in `fourq-curve` is generic over
-//! [`Fp2Like`]; instantiated with [`crate::Fp2`] it computes values,
-//! instantiated with the tracing type of `fourq-trace` it emits the exact
-//! `F_p²` microinstruction stream those values would execute on the ASIC
-//! datapath.
+//! counterpart: every curve formula in `fourq-curve`, the
+//! scalar-multiplication engine included, is generic over [`Fp2Like`];
+//! instantiated with [`crate::Fp2`] it computes values, instantiated with
+//! the tracing type of `fourq-trace` it emits the exact `F_p²`
+//! microinstruction stream those values would execute on the ASIC
+//! datapath. The engine's secret choices are the one place the two
+//! differ: masked selection here, recorded multiplexers on the tracer
+//! (`fourq_curve::EngineSelect`).
 //!
 //! The constant-time layer ([`Choice`], [`CtSelect`], [`CtEq`],
 //! [`CtNegate`]) mirrors the ASIC's fixed 12,301-cycle schedule in software:

@@ -19,8 +19,8 @@
 //! All field elements cross the wire in the library's canonical encodings:
 //! scalars as 32 little-endian bytes (folded modulo the group order on
 //! decode, so every 32-byte string is a valid scalar), points in the
-//! 32-byte compressed encoding of [`AffinePoint::encode`] (validated at
-//! execution time, not decode time — a bad point yields a
+//! 32-byte compressed encoding of [`fourq_curve::AffinePoint::encode`]
+//! (validated at execution time, not decode time — a bad point yields a
 //! [`Status::Failed`] response, not a protocol error). The multi-curve
 //! `CurveMul` op prefixes its payload with a [`CurveId`] wire byte and
 //! carries the scalar raw (per-curve interpretation happens at

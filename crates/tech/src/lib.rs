@@ -224,7 +224,7 @@ impl SotbModel {
 ///
 /// Scalar multiplications are independent, so throughput scales nearly
 /// linearly with the core count until shared I/O saturates; `efficiency`
-/// (0..1] captures that loss (the FourQ-FPGA row [10] reports 11 cores at
+/// (0..1] captures that loss (the FourQ-FPGA row \[10\] reports 11 cores at
 /// ~92 % of linear scaling; its latency grows slightly, reported
 /// separately).
 ///

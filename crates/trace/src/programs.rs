@@ -1,24 +1,25 @@
 //! Canned trace programs: the full scalar multiplication and the Table-I
 //! double-and-add loop body.
 //!
-//! The scalar multiplication here is recorded in *uniform* form: every
-//! secret-dependent choice (table index, digit sign, parity correction)
-//! becomes an operand multiplexer with the recoded digits as runtime
-//! inputs, instead of a value baked into the SSA. The resulting program
-//! is identical — op for op, operand for operand — for every (base,
-//! scalar) pair; only the digit stream and the two base-point inputs
-//! change between executions. This is exactly the paper's control-ROM
-//! model: one fixed microcode schedule, select lines driven by the
-//! recoded scalar.
+//! The scalar multiplication here is `fourq_curve::scalar_mul_engine`
+//! itself, run on [`crate::TracedFp2`] handles and recorded in *uniform* form:
+//! the engine's secret-dependent choices (table index, digit sign, parity
+//! correction) go through `fourq_curve::EngineSelect`, which the tracer
+//! implements as operand multiplexers with the recoded digits as runtime
+//! inputs, instead of values baked into the SSA. The resulting program is
+//! identical — op for op, operand for operand — for every (base, scalar)
+//! pair; only the digit stream and the two base-point inputs change
+//! between executions. This is exactly the paper's control-ROM model: one
+//! fixed microcode schedule, select lines driven by the recoded scalar.
 
-use crate::tracer::{mont_field, DigitStream, Selector, Trace, TracedFe, TracedFp2, Tracer};
+use crate::tracer::{mont_field, DigitStream, Selector, Trace, TracedFe, Tracer};
 use fourq_baselines::mont::FeLike;
 use fourq_baselines::p256::{add_complete, double_complete, Affine, P256};
 use fourq_baselines::x25519::{ladder_step, X25519};
 use fourq_curve::{
-    decompose, normalize, params, recode, CachedPoint, CurveId, ExtendedPoint, DIGITS,
+    decompose, normalize, params, recode, scalar_mul_engine, CurveId, ExtendedPoint, Recoded,
 };
-use fourq_fp::{Fp2, Fp2Like, Scalar, U256};
+use fourq_fp::{Choice, Fp2, Fp2Like, Scalar, U256};
 
 /// A recorded scalar multiplication together with its expected result.
 #[derive(Clone, Debug)]
@@ -26,7 +27,8 @@ pub struct ScalarMulTrace {
     /// The recorded microinstruction program (outputs `x`, `y` are the
     /// affine result).
     pub trace: Trace,
-    /// The affine result computed independently by the concrete engine
+    /// The affine result computed independently, by plain double-and-add
+    /// (`AffinePoint::mul_generic`), not by the engine the trace records
     /// (what the simulator's outputs must match).
     pub expected: fourq_curve::AffinePoint,
 }
@@ -39,7 +41,12 @@ pub struct ScalarMulTrace {
 // ct: secret(k)
 pub fn digit_stream(k: &Scalar) -> DigitStream {
     let d = decompose(k);
-    let r = recode(&d);
+    stream_of(&recode(&d), d.corrected)
+}
+
+/// The select-line inputs of a recoded scalar and its parity flag.
+// ct: secret(r, corrected)
+fn stream_of(r: &Recoded, corrected: Choice) -> DigitStream {
     // Host-side kernel-input preparation is offline with respect to the
     // modelled datapath (the digits *are* the select-line program, not a
     // production secret on the simulated chip), so declassifying them
@@ -47,13 +54,15 @@ pub fn digit_stream(k: &Scalar) -> DigitStream {
     DigitStream {
         indices: r.indices.to_vec(),
         neg: r.signs.iter().map(|&s| s < 0).collect(),
-        corrected: d.corrected.to_bool_vartime(),
+        corrected: corrected.to_bool_vartime(),
     }
 }
 
 /// Records the complete Algorithm-1 scalar multiplication `[k]P` —
 /// setup, table construction, 62 double-add iterations and the final
-/// normalisation — as one uniform microinstruction program.
+/// normalisation — as one uniform microinstruction program, by running
+/// `fourq_curve::scalar_mul_engine` and `fourq_curve::normalize` on
+/// traced handles.
 pub fn trace_scalar_mul(k: &Scalar) -> ScalarMulTrace {
     trace_scalar_mul_for(&fourq_curve::AffinePoint::generator(), k)
 }
@@ -74,133 +83,25 @@ pub fn trace_scalar_mul_for(point: &fourq_curve::AffinePoint, k: &Scalar) -> Sca
         !k.is_zero() && !point.is_identity(),
         "degenerate scalar multiplication has no datapath program"
     );
-    let digits = digit_stream(k);
+    let d = decompose(k);
+    let recoded = recode(&d);
 
-    let tracer = Tracer::with_digits(digits);
+    let tracer = Tracer::with_digits(stream_of(&recoded, d.corrected));
     let x = tracer.input("Px", point.x);
     let y = tracer.input("Py", point.y);
     let one = tracer.constant("const_1", Fp2::ONE);
     let two_d = tracer.constant("const_2d", params::TWO_D);
 
-    let out = uniform_scalar_mul(&tracer, &x, &y, &one, &two_d);
+    let out = scalar_mul_engine(&x, &y, &one, &two_d, &recoded, d.corrected).point;
     let (rx, ry) = normalize(&out);
     tracer.mark_output("x", &rx);
     tracer.mark_output("y", &ry);
     let trace = tracer.finish();
 
-    let expected = point.mul(k);
+    let expected = point.mul_generic(k);
     debug_assert_eq!(rx.value(), expected.x);
     debug_assert_eq!(ry.value(), expected.y);
     ScalarMulTrace { trace, expected }
-}
-
-/// The engine of `fourq-curve` re-expressed in always-compute-and-select
-/// form: the op sequence and operand routing mirror
-/// `fourq_curve::scalar_mul_engine` step for step, but every masked scan
-/// over table slots becomes a recorded [`Selector`] mux, so the digits
-/// stay runtime inputs instead of collapsing into the SSA.
-fn uniform_scalar_mul(
-    tracer: &Tracer,
-    x: &TracedFp2,
-    y: &TracedFp2,
-    one: &TracedFp2,
-    two_d: &TracedFp2,
-) -> ExtendedPoint<TracedFp2> {
-    let p1 = ExtendedPoint::from_affine(x, y, one);
-
-    // Step 1: auxiliary bases by repeated doubling.
-    let mut p2 = p1.clone();
-    for _ in 0..fourq_curve::LIMB_BITS {
-        p2 = p2.double();
-    }
-    let mut p3 = p2.clone();
-    for _ in 0..fourq_curve::LIMB_BITS {
-        p3 = p3.double();
-    }
-    let mut p4 = p3.clone();
-    for _ in 0..fourq_curve::LIMB_BITS {
-        p4 = p4.double();
-    }
-
-    // Step 2: the 8-entry table, built with 7 cached additions.
-    let c2 = p2.to_cached(two_d);
-    let c3 = p3.to_cached(two_d);
-    let c4 = p4.to_cached(two_d);
-    let t0 = p1.clone();
-    let t1 = t0.add_cached(&c2);
-    let t2 = t0.add_cached(&c3);
-    let t3 = t1.add_cached(&c3);
-    let t4 = t0.add_cached(&c4);
-    let t5 = t1.add_cached(&c4);
-    let t6 = t2.add_cached(&c4);
-    let t7 = t3.add_cached(&c4);
-    let table: [CachedPoint<TracedFp2>; 8] = [
-        t0.to_cached(two_d),
-        t1.to_cached(two_d),
-        t2.to_cached(two_d),
-        t3.to_cached(two_d),
-        t4.to_cached(two_d),
-        t5.to_cached(two_d),
-        t6.to_cached(two_d),
-        t7.to_cached(two_d),
-    ];
-
-    // Step 3: the main double-and-add loop. Each digit's table entry is
-    // an 8-way mux per coordinate plus an always-computed negation with
-    // 2-way sign muxes — no instruction or operand depends on the digit.
-    let top = DIGITS - 1;
-    let entry = mux_entry(tracer, &table, top);
-    let q0 = fourq_curve::identity(one);
-    let mut q = q0.add_cached(&entry);
-
-    for i in (0..top).rev() {
-        q = q.double();
-        let e = mux_entry(tracer, &table, i);
-        q = q.add_cached(&e);
-    }
-
-    // Step 4: parity correction (subtract P once if k was even). −P is
-    // always computed; per-coordinate muxes on the parity flag pick
-    // between it and the cached identity (1, 1, 2Z=2, 0), which the
-    // complete addition formula absorbs without moving Q.
-    let neg_p1 = table[0].neg();
-    let id_ypx = one.clone();
-    let id_ymx = one.clone();
-    let id_z2 = one.dbl();
-    let id_t2d = one.sub(one);
-    let corr = CachedPoint {
-        y_plus_x: tracer.mux(Selector::Corrected, &[&id_ypx, &neg_p1.y_plus_x]),
-        y_minus_x: tracer.mux(Selector::Corrected, &[&id_ymx, &neg_p1.y_minus_x]),
-        z2: tracer.mux(Selector::Corrected, &[&id_z2, &neg_p1.z2]),
-        t2d: tracer.mux(Selector::Corrected, &[&id_t2d, &neg_p1.t2d]),
-    };
-    q.add_cached(&corr)
-}
-
-/// The uniform form of the engine's `ct_lookup`: `s_i · T[v_i]` as four
-/// 8-way table-index muxes (one per cached coordinate), an
-/// always-computed `−2dT`, and three 2-way sign muxes (swap `Y+X`/`Y−X`,
-/// pick `±2dT`; `2Z` is sign-invariant).
-fn mux_entry(
-    tracer: &Tracer,
-    table: &[CachedPoint<TracedFp2>; 8],
-    digit: usize,
-) -> CachedPoint<TracedFp2> {
-    let pick8 = |coord: fn(&CachedPoint<TracedFp2>) -> &TracedFp2| {
-        let cands: Vec<&TracedFp2> = table.iter().map(coord).collect();
-        tracer.mux(Selector::TableIndex(digit), &cands)
-    };
-    let ypx = pick8(|e| &e.y_plus_x);
-    let ymx = pick8(|e| &e.y_minus_x);
-    let z2 = pick8(|e| &e.z2);
-    let t2d = pick8(|e| &e.t2d);
-    let neg_t2d = t2d.neg();
-    CachedPoint {
-        y_plus_x: tracer.mux(Selector::SignNeg(digit), &[&ypx, &ymx]),
-        y_minus_x: tracer.mux(Selector::SignNeg(digit), &[&ymx, &ypx]),
-        z2,
-        t2d: tracer.mux(Selector::SignNeg(digit), &[&t2d, &neg_t2d]),
-    }
 }
 
 /// A recorded X25519 ladder together with its expected RFC 7748 output.
@@ -457,6 +358,7 @@ pub fn trace_double_add_iteration() -> Trace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fourq_curve::DIGITS;
 
     #[test]
     fn loop_iteration_matches_paper_op_mix() {

@@ -4,8 +4,8 @@ use core::cell::RefCell;
 use core::fmt;
 use fourq_baselines::mont::{FeLike, MontField};
 use fourq_baselines::{p256::P256, x25519::X25519};
-use fourq_curve::CurveId;
-use fourq_fp::{Fp2, Fp2Like, U256};
+use fourq_curve::{CachedPoint, CurveId, EngineSelect, Recoded};
+use fourq_fp::{Choice, Fp2, Fp2Like, U256};
 use std::collections::HashMap;
 use std::rc::Rc;
 
@@ -161,7 +161,7 @@ impl DigitStream {
 ///
 /// Traces store base-field elements in Montgomery form so every recorded
 /// `Mul` costs exactly one hardware Montgomery multiplication — the same
-/// cost model the paper's Table II competitors ([17]/[18]) are built on.
+/// cost model the paper's Table II competitors (\[17\]/\[18\]) are built on.
 ///
 /// # Panics
 ///
@@ -1119,6 +1119,56 @@ impl Fp2Like for TracedFp2 {
     }
     fn value(&self) -> Fp2 {
         self.value
+    }
+}
+
+/// The engine's secret choices as recorded operand multiplexers: the
+/// select lines read the tracer's digit stream, so the digits stay runtime
+/// inputs instead of collapsing into the SSA, and the recorded program is
+/// the same for every scalar. The `recoded` and `c` arguments are not
+/// consulted — the stream the tracer was created with carries the same
+/// digits.
+impl EngineSelect for TracedFp2 {
+    /// `s_i · T[v_i]` as four 8-way table-index muxes (one per cached
+    /// coordinate), an always-computed `−2dT`, and three 2-way sign muxes
+    /// (swap `Y+X`/`Y−X`, pick `±2dT`; `2Z` is sign-invariant).
+    fn table_entry(
+        table: &[CachedPoint<TracedFp2>; 8],
+        _recoded: &Recoded,
+        i: usize,
+    ) -> CachedPoint<TracedFp2> {
+        let tracer = &table[0].y_plus_x.tracer;
+        let pick8 = |coord: fn(&CachedPoint<TracedFp2>) -> &TracedFp2| {
+            let cands: Vec<&TracedFp2> = table.iter().map(coord).collect();
+            tracer.mux(Selector::TableIndex(i), &cands)
+        };
+        let ypx = pick8(|e| &e.y_plus_x);
+        let ymx = pick8(|e| &e.y_minus_x);
+        let z2 = pick8(|e| &e.z2);
+        let t2d = pick8(|e| &e.t2d);
+        let neg_t2d = t2d.neg();
+        CachedPoint {
+            y_plus_x: tracer.mux(Selector::SignNeg(i), &[&ypx, &ymx]),
+            y_minus_x: tracer.mux(Selector::SignNeg(i), &[&ymx, &ypx]),
+            z2,
+            t2d: tracer.mux(Selector::SignNeg(i), &[&t2d, &neg_t2d]),
+        }
+    }
+
+    /// One 2-way parity-flag mux per cached coordinate.
+    fn parity_pick(
+        a: &CachedPoint<TracedFp2>,
+        b: &CachedPoint<TracedFp2>,
+        _c: Choice,
+    ) -> CachedPoint<TracedFp2> {
+        let tracer = &a.y_plus_x.tracer;
+        let pick = |x: &TracedFp2, y: &TracedFp2| tracer.mux(Selector::Corrected, &[x, y]);
+        CachedPoint {
+            y_plus_x: pick(&a.y_plus_x, &b.y_plus_x),
+            y_minus_x: pick(&a.y_minus_x, &b.y_minus_x),
+            z2: pick(&a.z2, &b.z2),
+            t2d: pick(&a.t2d, &b.t2d),
+        }
     }
 }
 

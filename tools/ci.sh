@@ -23,6 +23,10 @@ cargo fmt --all -- --check
 step "cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -q -- -D warnings
 
+step "cargo doc -D warnings"
+# Broken intra-doc links (e.g. to a deleted item) fail the build.
+RUSTDOCFLAGS='-D warnings' cargo doc --workspace --no-deps -q
+
 step "cargo build --release"
 cargo build --release
 
