@@ -35,8 +35,8 @@ fn main() {
     println!("\nmultiplier-unit operations : {agg_mul} / {agg_total} = {frac:.1}%");
     println!("paper's reported profile   : ~57% F_p^2 multiplications");
     println!(
-        "note: our table setup uses doublings instead of endomorphisms\n\
-         (DESIGN.md S3), which slightly lowers the multiplication share."
+        "note: the setup evaluates the endomorphisms psi7/psi8 (DESIGN.md S3);\n\
+         normalisation and table build add relatively more add/subs."
     );
 
     // Per-phase breakdown from the loop body alone:

@@ -44,10 +44,10 @@ use std::sync::{Mutex, OnceLock};
 /// Default register-file capacity a kernel must fit.
 ///
 /// The uniform always-compute-and-select program keeps the whole 8-entry
-/// precomputed table (32 `F_p²` words) live across all 63 digit reads —
+/// precomputed table (32 `F_p²` words) live across all 66 digit reads —
 /// the price of one fixed ROM serving every scalar — so its register file
-/// is larger than a per-scalar schedule would need (~93 words on the
-/// paper machine vs. ~64 for the specialised flow).
+/// is larger than a per-scalar schedule would need (~96 words on the
+/// paper machine).
 pub const DEFAULT_REGISTER_BUDGET: usize = 128;
 
 /// The representative scalar the kernel is compiled (and value-audited)
@@ -846,8 +846,8 @@ mod tests {
     fn compiled_kernel_matches_software_for_fresh_inputs() {
         let kernel = kernel_for(CurveId::FourQ);
         let base = AffinePoint::generator().mul_generic(&Scalar::from_u64(5));
-        // N − 1, N − 2, 2^245, and the radix-limb boundaries 2^(62j) and
-        // 2^(62j) − 1, where parity correction and the recoding edges act.
+        // N − 1, N − 2, 2^245, and 2^(62j) and 2^(62j) − 1 with their long
+        // runs of equal bits, where parity correction and recoding act.
         let two = Scalar::from_u64(2);
         let pow2 = |e: u64| two.pow(&U256::from_u64(e));
         let mut scalars = vec![

@@ -112,7 +112,8 @@ impl AffinePoint {
     }
 
     /// Scalar multiplication `[k]P` using the paper's Algorithm 1 pipeline
-    /// (decompose → recode → table → 62× double-and-add → normalise).
+    /// (decompose → recode → endomorphism table → 65× double-and-add →
+    /// normalise).
     ///
     /// The pipeline runs for every scalar, including zero: `decompose(0)`
     /// parity-corrects to `k + 1 = 1` and the engine's final `−P` step

@@ -20,14 +20,14 @@ use crate::params::{D, TWO_D};
 use fourq_fp::{Fp2, Scalar};
 
 /// Below this batch size the kernel runs sequentially regardless of the
-/// engine's thread budget: each scalar multiplication is ~70 µs, so two
-/// items per worker is already enough to amortise a thread spawn, but a
-/// batch of 2–3 is not.
+/// engine's thread budget: each scalar multiplication is tens of µs, so
+/// two items per worker is already enough to amortise a thread spawn, but
+/// a batch of 2–3 is not.
 const MUL_PAR_MIN_BATCH: usize = 4;
 
 /// Work-item granularity for the scalar-multiplication paths. Chunks are
 /// claimed from an atomic cursor, so small chunks load-balance well; two
-/// multiplications (~140 µs) per claim keeps cursor traffic negligible.
+/// multiplications per claim keeps cursor traffic negligible.
 const MUL_CHUNK: usize = 2;
 
 /// A reusable FourQ computation context.
@@ -35,11 +35,10 @@ const MUL_CHUNK: usize = 2;
 /// Owns the generator comb table (62 doublings + 62 additions per
 /// fixed-base multiplication once built) and the curve constants `d` and
 /// `2d` used by the cached-point formulas. The four-dimensional
-/// decomposition itself needs no per-engine state — this library realises
-/// the paper's φ/ψ endomorphism split as a radix-2^62 scalar cut (see
-/// `DESIGN.md` §3), whose "endomorphism constants" are the three auxiliary
-/// bases `[2^62]P, [2^124]P, [2^186]P` recomputed per point inside the
-/// kernel.
+/// decomposition itself needs no per-engine state: its endomorphisms ψ₇
+/// and ψ₈ and its lattice are compile-time constants (see `DESIGN.md` §3),
+/// and the images `ψ₇(P)`, `ψ₈(P)`, `ψ₇ψ₈(P)` are evaluated per point
+/// inside the kernel.
 ///
 /// ```
 /// use fourq_curve::{AffinePoint, FourQEngine};

@@ -1,38 +1,39 @@
 //! Scalar decomposition and sign-aligned recoding (Algorithm 1, steps 3–5).
 //!
-//! The paper decomposes a 256-bit scalar into four 64-bit sub-scalars with
+//! The paper decomposes a 256-bit scalar into four sub-scalars with
 //! FourQ's endomorphisms and recodes them into sign/index digit pairs
-//! `(m_i, v_i)` driving the table lookups of the main loop. This module
-//! implements the same pipeline with a radix-2^62 split (see `DESIGN.md`
-//! §3): `k ≡ a₁ + a₂·2^62 + a₃·2^124 + a₄·2^186 (mod N)` with
-//! `0 ≤ a_j < 2^62`, followed by the GLV-SAC sign-aligned recoding that
-//! FourQ's Algorithm 1 uses (all-positive table indices, signs carried by
-//! the first sub-scalar, which is forced odd).
+//! `(m_i, v_i)` driving the table lookups of the main loop. Here the
+//! endomorphisms are ψ₇ and ψ₈ (see `glv.rs`), and
+//! `[k]P = [a₁]P + [a₂]ψ₇(P) + [a₃]ψ₈(P) + [a₄]ψ₇ψ₈(P)` holds on every
+//! point of `E(F_p²)`, not only on the order-`N` subgroup: the split rounds
+//! against the lattice of the whole group (det `392·N`), so no subgroup
+//! check or fallback path is needed. The price is 65-bit sub-scalars. The
+//! GLV-SAC recoding that follows is FourQ's (all-positive table indices,
+//! signs carried by the first sub-scalar, which is forced odd).
 #![allow(clippy::needless_range_loop)] // limb loops are clearer indexed
 
-use fourq_fp::{Choice, CtSelect, Scalar, U256};
+use crate::glv_consts::{BASIS, BIAS, ELL, OFFSET, SUBSCALAR_BITS};
+use fourq_fp::{Choice, Scalar};
 
-/// Bits per decomposition limb (the radix is `2^62`).
-pub const LIMB_BITS: usize = 62;
-
-/// Number of recoded digits; the main loop runs `DIGITS - 1` iterations of
+/// Number of recoded digits; the main loop runs `DIGITS − 1` iterations of
 /// double-and-add, matching the structure of the paper's Algorithm 1
-/// (64 iterations there, 62 here).
-pub const DIGITS: usize = LIMB_BITS + 1;
+/// (64 iterations there, 65 here).
+pub const DIGITS: usize = SUBSCALAR_BITS + 1;
 
-/// The result of decomposing a scalar into four limbs.
+/// The result of decomposing a scalar into four sub-scalars.
 ///
-/// The limbs are a bijective re-encoding of the secret scalar, so the type
-/// is secret-bearing: no `Debug`/`PartialEq` derives (rule R4 of the
+/// The sub-scalars determine the secret scalar, so the type is
+/// secret-bearing: no `Debug`/`PartialEq` derives (rule R4 of the
 /// constant-time policy, `DESIGN.md` §8).
 // ct: secret
 #[derive(Clone, Copy)]
 pub struct Decomposition {
-    /// The four sub-scalars `a₁..a₄` (each `< 2^62`, `a₁` odd).
-    pub limbs: [u64; 4],
-    /// Whether `k` was even and `k+1` was decomposed instead (i.e. the
-    /// parity bit of the secret scalar); the engine compensates by
-    /// subtracting the base point once at the end.
+    /// The sub-scalars `a₁..a₄` of `P`, `ψ₇(P)`, `ψ₈(P)` and `ψ₇ψ₈(P)`
+    /// (each `< 2^65`, `a₁` odd).
+    pub limbs: [u128; 4],
+    /// Whether the rounded `a₁` was even and was incremented, so that the
+    /// split represents `k + 1`; the engine compensates by subtracting the
+    /// base point once at the end.
     pub corrected: Choice,
 }
 
@@ -50,32 +51,40 @@ pub struct Recoded {
     pub indices: [u8; DIGITS],
 }
 
-/// Decomposes `k (mod N)` into four 62-bit limbs with `a₁` odd.
+/// Splits `k (mod N)` into four sub-scalars in `[0, 2^65)` with `a₁` odd.
 ///
-/// If `k` is even, `k + 1` is decomposed and [`Decomposition::corrected`]
-/// is set; the scalar-multiplication engine compensates by subtracting the
-/// base point after the main loop. This mirrors FourQ's requirement that
-/// the first sub-scalar be odd (Algorithm 1, step 4).
+/// Constant-time Babai rounding against the reduced lattice basis `B`:
+/// `cᵢ = ⌊(k·ℓᵢ + βᵢ)/2²⁵⁶⌋`, then `a = (k, 0, 0, 0) − Σ cᵢ·bᵢ + offset`.
+/// The rounding constants `ℓᵢ`, biases `βᵢ` and lattice offset come from
+/// `tools/derive_glv.py`, which centres every sub-scalar's range; the unit
+/// tests of `glv.rs` re-derive the bound. If the rounded `a₁` is even, it
+/// is incremented and [`Decomposition::corrected`] is set (Algorithm 1,
+/// step 4, needs an odd `a₁`).
 // ct: secret(k)
 pub fn decompose(k: &Scalar) -> Decomposition {
-    let v = k.to_u256();
-    // The parity bit of k is itself secret: compute k+1 unconditionally and
-    // keep it by mask selection instead of branching on the low bit.
-    let odd = v.bit64(0);
-    let corrected = Choice::from_bit(1 - odd);
-    // k < N < 2^246, so k+1 cannot overflow 256 bits.
-    let (plus_one, carry) = v.overflowing_add(&U256::ONE);
-    debug_assert!(!carry);
-    let v = U256::ct_select(&plus_one, &v, Choice::from_bit(odd));
-    let limbs = [
-        v.extract_bits(0, LIMB_BITS),
-        v.extract_bits(LIMB_BITS, LIMB_BITS),
-        v.extract_bits(2 * LIMB_BITS, LIMB_BITS),
-        v.extract_bits(3 * LIMB_BITS, LIMB_BITS),
-    ];
-    debug_assert!(limbs[0] & 1 == 1);
-    debug_assert!(v.bits() as usize <= 4 * LIMB_BITS);
-    Decomposition { limbs, corrected }
+    let k = k.to_u256();
+    // The sub-scalars are < 2^65, so arithmetic mod 2^128 is exact: every
+    // product and sum below wraps, and only the low 128 bits of cᵢ count.
+    let mut c = [0u128; 4];
+    for i in 0..4 {
+        let w = k.widening_mul(&ELL[i]);
+        let (_, carry) = w[3].overflowing_add((BIAS[i] as u64) << 32);
+        c[i] = (w[4] as u128 | (w[5] as u128) << 64).wrapping_add(carry as u128);
+    }
+    let mut limbs = OFFSET.map(|o| o as u128);
+    limbs[0] = limbs[0].wrapping_add(k.0[0] as u128 | (k.0[1] as u128) << 64);
+    for j in 0..4 {
+        for i in 0..4 {
+            limbs[j] = limbs[j].wrapping_sub(c[i].wrapping_mul(BASIS[i][j] as u128));
+        }
+    }
+    // The parity of a₁ is secret: add it back arithmetically, no branch.
+    let even = 1 - (limbs[0] & 1);
+    limbs[0] += even;
+    Decomposition {
+        limbs,
+        corrected: Choice::from_bit(even as u64),
+    }
 }
 
 /// Sign-aligned (GLV-SAC) recoding of a decomposition into
@@ -89,8 +98,8 @@ pub fn decompose(k: &Scalar) -> Decomposition {
 ///
 /// # Panics
 ///
-/// In debug builds only: panics if the first limb is even or any limb is
-/// `≥ 2^62` (i.e. if the input did not come from [`decompose`]). The checks
+/// In debug builds only: panics if the first sub-scalar is even or any is
+/// `≥ 2^65` (i.e. if the input did not come from [`decompose`]). The checks
 /// are `debug_assert!`s because they inspect secret limbs; release builds
 /// compile them out and stay branch-free.
 // ct: secret(d)
@@ -98,7 +107,7 @@ pub fn recode(d: &Decomposition) -> Recoded {
     let a1 = d.limbs[0];
     debug_assert!(a1 & 1 == 1, "first sub-scalar must be odd");
     for &l in &d.limbs {
-        debug_assert!(l < 1 << LIMB_BITS, "limb exceeds 2^62");
+        debug_assert!(l < 1 << (DIGITS - 1), "sub-scalar exceeds 2^65");
     }
     let mut signs = [0i8; DIGITS];
     let mut indices = [0u8; DIGITS];
@@ -106,8 +115,8 @@ pub fn recode(d: &Decomposition) -> Recoded {
     // Sign digits from a1: b1[i] = 2·bit_{i+1}(a1) − 1, top digit +1.
     // The {0,1} → {−1,+1} map is arithmetic, not a branch on the bit.
     for (i, s) in signs.iter_mut().enumerate().take(DIGITS - 1) {
-        let bit = (a1 >> (i + 1)) & 1;
-        *s = (2 * bit as i64 - 1) as i8;
+        let bit = ((a1 >> (i + 1)) & 1) as i64;
+        *s = (2 * bit - 1) as i8;
     }
     signs[DIGITS - 1] = 1;
 
@@ -157,6 +166,7 @@ impl Recoded {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::glv_consts::{LAMBDA7, LAMBDA8};
     use fourq_fp::U256;
 
     fn check_roundtrip(k: Scalar) {
@@ -166,29 +176,22 @@ mod tests {
         for j in 0..4 {
             assert_eq!(rec[j], d.limbs[j] as i128, "limb {j} of {k}");
         }
-        // And the limbs themselves reassemble k (or k+1).
-        let mut v = U256::ZERO;
-        for j in (0..4).rev() {
-            for _ in 0..LIMB_BITS {
-                let (dbl, c) = v.overflowing_add(&v);
-                assert!(!c);
-                v = dbl;
-            }
-            let (sum, c) = v.overflowing_add(&U256::from_u64(d.limbs[j]));
-            assert!(!c);
-            v = sum;
-        }
+        // And the sub-scalars satisfy the lattice relation
+        // a₁ + a₂λ₇ + a₃λ₈ + a₄λ₇λ₈ ≡ k (+1 if corrected) (mod N).
+        let [a1, a2, a3, a4] = d.limbs.map(|l| Scalar::from_u256(U256::from_u128(l)));
+        let (l7, l8) = (Scalar::from_u256(LAMBDA7), Scalar::from_u256(LAMBDA8));
+        let sum = a1 + a2 * l7 + a3 * l8 + a4 * l7 * l8;
         let expect = if d.corrected.to_bool_vartime() {
-            k.to_u256().checked_add(&U256::ONE).unwrap()
+            k + Scalar::ONE
         } else {
-            k.to_u256()
+            k
         };
-        assert_eq!(v, expect);
+        assert_eq!(sum, expect, "lattice relation for {k}");
     }
 
     #[test]
     fn roundtrip_small_and_structured() {
-        for v in [1u64, 2, 3, 4, 5, 63, 64, 0xffff_ffff, u64::MAX] {
+        for v in [0u64, 1, 2, 3, 4, 5, 63, 64, 0xffff_ffff, u64::MAX] {
             check_roundtrip(Scalar::from_u64(v));
         }
     }
@@ -219,12 +222,14 @@ mod tests {
     }
 
     #[test]
-    fn even_scalars_are_corrected() {
-        let d = decompose(&Scalar::from_u64(10));
-        assert!(d.corrected.to_bool_vartime());
-        assert_eq!(d.limbs[0], 11);
-        let d = decompose(&Scalar::from_u64(11));
-        assert!(!d.corrected.to_bool_vartime());
+    fn parity_step_makes_the_first_sub_scalar_odd() {
+        let mut seen = [false; 2];
+        for v in 1..64u64 {
+            let d = decompose(&Scalar::from_u64(v));
+            assert_eq!(d.limbs[0] & 1, 1);
+            seen[d.corrected.to_bool_vartime() as usize] = true;
+        }
+        assert_eq!(seen, [true, true], "both parities occur");
     }
 
     #[test]

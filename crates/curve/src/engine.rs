@@ -3,20 +3,26 @@
 //! [`scalar_mul_engine`] is the paper's Algorithm 1 expressed over any
 //! [`EngineSelect`] field. With concrete [`fourq_fp::Fp2`] elements it
 //! computes; on the tracer of `fourq-trace` the same code emits the
-//! complete microinstruction program (setup, 8-entry table, 62 double-add
-//! iterations, final normalisation) that the scheduler and the
-//! cycle-accurate datapath consume.
+//! complete microinstruction program (endomorphism setup, 8-entry table,
+//! 65 double-add iterations, final normalisation) that the scheduler and
+//! the cycle-accurate datapath consume.
 
-use crate::decompose::{Recoded, DIGITS, LIMB_BITS};
+use crate::decompose::{Recoded, DIGITS};
 use crate::extended::{CachedPoint, ExtendedPoint};
+use crate::glv_consts::{PSI7, PSI8};
 use fourq_fp::{ct_eq_u64, Choice, CtSelect, Fp2, Fp2Like};
 
 /// How a field makes the engine's two secret choices: the table entry
 /// `s_i·T[v_i]` of every digit and the final parity pick. [`Fp2`] scans
 /// every candidate under a mask; the tracer of `fourq-trace` records
 /// operand multiplexers driven by the recoded digits, so one recording is
-/// the program for every scalar.
+/// the program for every scalar. It also lifts the public endomorphism
+/// coefficients, which the tracer records as program constants.
 pub trait EngineSelect: Fp2Like {
+    /// Lifts a public curve constant into the field; `one` is the lifted
+    /// unit, which carries whatever context the field needs.
+    fn constant(one: &Self, name: &'static str, value: Fp2) -> Self;
+
     /// `s_i·T[v_i]`: the table entry of digit position `i`, negated when
     /// the digit's sign is `−1`.
     fn table_entry(
@@ -30,6 +36,11 @@ pub trait EngineSelect: Fp2Like {
 }
 
 impl EngineSelect for Fp2 {
+    #[inline]
+    fn constant(_one: &Fp2, _name: &'static str, value: Fp2) -> Fp2 {
+        value
+    }
+
     // ct: secret(recoded)
     #[inline]
     fn table_entry(table: &[CachedPoint<Fp2>; 8], recoded: &Recoded, i: usize) -> CachedPoint<Fp2> {
@@ -57,11 +68,11 @@ pub struct MulOutput<F> {
 /// constants `one` and `2d`, and the recoded digits. The steps mirror the
 /// paper's Algorithm 1:
 ///
-/// 1. compute the three auxiliary bases `[2^62]P`, `[2^124]P`, `[2^186]P`
-///    (the substitution for `φ(P), ψ(P), ψ(φ(P))` — see `DESIGN.md` §3);
-/// 2. build the table `T[u] = P + u₀·P₂ + u₁·P₃ + u₂·P₄` in
+/// 1. compute the endomorphism images `ψ₇(P)`, `ψ₈(P)` and `ψ₇(ψ₈(P))`
+///    (FourQ's `φ(P), ψ(P), ψ(φ(P))` in the paper; see `glv.rs`);
+/// 2. build the table `T[u] = P + u₀·ψ₇(P) + u₁·ψ₈(P) + u₂·ψ₇ψ₈(P)` in
 ///    `(X+Y, Y−X, 2Z, 2dT)` coordinates;
-/// 3. `Q = s₆₂·T[v₆₂]`, then 62 iterations of `Q ← [2]Q; Q ← Q + s_i·T[v_i]`;
+/// 3. `Q = s₆₅·T[v₆₅]`, then 65 iterations of `Q ← [2]Q; Q ← Q + s_i·T[v_i]`;
 /// 4. parity correction `Q ← Q − P`, performed unconditionally with the
 ///    mask selecting between `−P` and a cached identity.
 ///
@@ -80,21 +91,15 @@ pub fn scalar_mul_engine<F: EngineSelect>(
     recoded: &Recoded,
     corrected: Choice,
 ) -> MulOutput<F> {
+    // Constants first: the tracer registers them before any operation.
+    let psi7 = PSI7.lift(|c| F::constant(one, "psi7", c));
+    let psi8 = PSI8.lift(|c| F::constant(one, "psi8", c));
     let p1 = ExtendedPoint::from_affine(x, y, one);
 
-    // Step 1: auxiliary bases by repeated doubling.
-    let mut p2 = p1.clone();
-    for _ in 0..LIMB_BITS {
-        p2 = p2.double();
-    }
-    let mut p3 = p2.clone();
-    for _ in 0..LIMB_BITS {
-        p3 = p3.double();
-    }
-    let mut p4 = p3.clone();
-    for _ in 0..LIMB_BITS {
-        p4 = p4.double();
-    }
+    // Step 1: the endomorphism images, P affine, ψ₈(P) projective.
+    let p2 = psi7.apply(&p1, one, true);
+    let p3 = psi8.apply(&p1, one, true);
+    let p4 = psi7.apply(&p3, one, false);
 
     // Step 2: the 8-entry table, built with 7 cached additions.
     let c2 = p2.to_cached(two_d);

@@ -39,8 +39,7 @@ pub struct FixedBaseTable {
 }
 
 /// Comb width: 4 teeth → 62 doublings + ≤62 additions per multiplication,
-/// 15 stored points. (Matches the main pipeline's 62-iteration loop
-/// length, which keeps traces comparable.)
+/// 15 stored points.
 const TEETH: usize = 4;
 /// Scalar bits covered (246-bit order, rounded to a multiple of TEETH).
 const BITS: usize = 248;

@@ -17,9 +17,10 @@
 //!   ([`AffinePoint`], [`ExtendedPoint`]), including the precomputed-point
 //!   representation `(Y+X, Y−X, 2Z, 2dT)` from step 2 of the paper's
 //!   Algorithm 1 ([`CachedPoint`]);
-//! * four-dimensional scalar decomposition and sign-aligned recoding
-//!   ([`decompose`], [`recode`]) feeding the 8-entry-table double-and-add
-//!   kernel — the exact workload scheduled in the paper's Table I;
+//! * four-dimensional GLV scalar decomposition on FourQ's endomorphisms ψ₇
+//!   and ψ₈, and sign-aligned recoding ([`decompose`], [`recode`]), feeding
+//!   the 8-entry-table double-and-add kernel — the exact workload scheduled
+//!   in the paper's Table I;
 //! * one scalar-multiplication engine ([`scalar_mul_engine`]) generic over
 //!   the field, so the *same* Algorithm 1 runs on concrete field elements
 //!   or on the microinstruction tracer of `fourq-trace` (the paper's Python
@@ -30,11 +31,12 @@
 //! # Decomposition note
 //!
 //! The paper decomposes scalars with FourQ's φ/ψ endomorphisms. This
-//! library uses a radix-2^62 four-way split (`k = a₁ + a₂·2^62 + a₃·2^124 +
-//! a₄·2^186`) — functionally identical output, identical inner loop, with
-//! the one-time table setup performed by doublings instead of endomorphism
-//! evaluations; see `DESIGN.md` §3 for the rationale and the cycle-count
-//! accounting used when comparing against the paper.
+//! library uses the inseparable endomorphisms ψ₇ and ψ₈ of degree 7p and
+//! 8p, derived in-repo by `tools/derive_glv.py`, and rounds against the
+//! lattice of the whole group `E(F_p²)` rather than the order-`N` subgroup:
+//! `[k]P` is exact on every on-curve point, torsion included, at the cost
+//! of 65-bit sub-scalars (65 loop iterations instead of the paper's 64).
+//! See `DESIGN.md` §3.
 //!
 //! # Example
 //!
@@ -59,16 +61,19 @@ mod decompose;
 mod engine;
 mod extended;
 mod fixed_base;
+mod glv;
+mod glv_consts;
 mod multi;
 mod multicurve;
 pub mod params;
 
 pub use affine::{AffinePoint, DecodePointError};
 pub use context::FourQEngine;
-pub use decompose::{decompose, recode, Decomposition, Recoded, DIGITS, LIMB_BITS};
+pub use decompose::{decompose, recode, Decomposition, Recoded, DIGITS};
 pub use engine::{normalize, scalar_mul_engine, EngineSelect, MulOutput};
 pub use extended::{CachedPoint, ExtendedPoint};
 pub use fixed_base::{generator_table, FixedBaseTable};
+pub use glv_consts::{LAMBDA7, LAMBDA8};
 pub use multi::{
     batch_normalize, batch_normalize_threaded, double_scalar_mul, msm_pippenger,
     msm_pippenger_threaded, msm_straus, multi_scalar_mul, multi_scalar_mul_threaded,

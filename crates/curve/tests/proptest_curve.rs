@@ -4,7 +4,7 @@
 //! Runs on the hermetic `fourq-testkit` property runner; every failure
 //! prints a `FOURQ_PROP_SEED` recipe that replays the exact case.
 
-use fourq_curve::{decompose, recode, AffinePoint, DIGITS};
+use fourq_curve::{decompose, recode, AffinePoint, DIGITS, LAMBDA7, LAMBDA8};
 use fourq_fp::{Scalar, U256};
 use fourq_testkit::prop_check;
 
@@ -17,20 +17,16 @@ fn decompose_recode_reconstructs() {
         for j in 0..4 {
             assert_eq!(rec[j], d.limbs[j] as i128);
         }
-        // limbs reassemble k (or k+1 when parity-corrected)
-        let mut v = U256::ZERO;
-        for j in (0..4).rev() {
-            for _ in 0..fourq_curve::LIMB_BITS {
-                v = v.overflowing_add(&v).0;
-            }
-            v = v.overflowing_add(&U256::from_u64(d.limbs[j])).0;
-        }
+        // the sub-scalars satisfy the lattice relation
+        // a₁ + a₂λ₇ + a₃λ₈ + a₄λ₇λ₈ ≡ k (or k+1 when parity-corrected)
+        let [a1, a2, a3, a4] = d.limbs.map(|l| Scalar::from_u256(U256::from_u128(l)));
+        let (l7, l8) = (Scalar::from_u256(LAMBDA7), Scalar::from_u256(LAMBDA8));
         let expect = if d.corrected.to_bool_vartime() {
-            k.to_u256().checked_add(&U256::ONE).unwrap()
+            k + Scalar::ONE
         } else {
-            k.to_u256()
+            k
         };
-        assert_eq!(v, expect);
+        assert_eq!(a1 + a2 * l7 + a3 * l8 + a4 * l7 * l8, expect);
     });
 }
 

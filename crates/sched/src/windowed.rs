@@ -36,8 +36,8 @@ use std::collections::HashMap;
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct StitchOptions {
     /// Number of contiguous windows the job list is split into. For the
-    /// Fourℚ program (64 recoded digits) `8` gives the 8-digit segments
-    /// of the ROADMAP item.
+    /// Fourℚ program (66 recoded digits) `8` gives windows of about eight
+    /// digits each.
     pub segments: usize,
     /// Branch-and-bound node budget *per segment* (see
     /// [`exact_schedule`]); exhausted segments keep the best schedule

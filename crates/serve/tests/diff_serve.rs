@@ -10,7 +10,7 @@
 //! configuration in `{1, 4} threads × {0, 500} µs windows` and compare
 //! against locally computed expectations.
 
-use fourq_curve::{AffinePoint, CurveId, FourQEngine, MultiCurveEngine};
+use fourq_curve::{params::ORDER, AffinePoint, CurveId, FourQEngine, MultiCurveEngine};
 use fourq_fp::Scalar;
 use fourq_serve::proto::{Request, Status};
 use fourq_serve::tenant::TenantKeys;
@@ -73,6 +73,12 @@ fn workload() -> Vec<Request> {
             });
         }
     }
+    // A mixed-order point S + T (T in the 392-torsion): the GLV split
+    // must stay exact off the order-N subgroup.
+    reqs.push(Request::ScalarMul {
+        scalar: Scalar::from_u64(0xfeed_f00d),
+        point: mixed_order_point().encode(),
+    });
     // An invalid point: decode fails, response must be Failed.
     reqs.push(Request::ScalarMul {
         scalar: Scalar::from_u64(5),
@@ -85,6 +91,23 @@ fn workload() -> Vec<Request> {
         point: vec![0xFF; 64],
     });
     reqs
+}
+
+/// `[7]G + T` for the first decodable `y = 2, 3, …` whose point has a
+/// nonzero torsion part `T = [N]R`.
+fn mixed_order_point() -> AffinePoint {
+    let torsion = (2u8..)
+        .filter_map(|y| {
+            let mut bytes = [0u8; 32];
+            bytes[0] = y;
+            AffinePoint::decode(&bytes).ok()
+        })
+        .map(|r| r.mul_u256_generic(&ORDER))
+        .find(|t| !t.is_identity())
+        .expect("a curve point with a torsion component");
+    AffinePoint::generator()
+        .mul_generic(&Scalar::from_u64(7))
+        .add(&torsion)
 }
 
 /// Runs the workload through a real server and returns `(status,
@@ -119,7 +142,10 @@ fn expected() -> Vec<(Status, Vec<u8>)> {
         .into_iter()
         .map(|req| match req {
             Request::ScalarMul { scalar, point } => match AffinePoint::decode(&point) {
-                Ok(p) => (Status::Ok, eng.scalar_mul(&p, &scalar).encode().to_vec()),
+                Ok(p) => (
+                    Status::Ok,
+                    p.mul_u256_generic(&scalar.to_u256()).encode().to_vec(),
+                ),
                 Err(_) => (Status::Failed, Vec::new()),
             },
             Request::FixedBaseMul { scalar } => {

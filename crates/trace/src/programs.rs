@@ -59,7 +59,7 @@ fn stream_of(r: &Recoded, corrected: Choice) -> DigitStream {
 }
 
 /// Records the complete Algorithm-1 scalar multiplication `[k]P` —
-/// setup, table construction, 62 double-add iterations and the final
+/// endomorphism setup, table construction, 65 double-add iterations and the final
 /// normalisation — as one uniform microinstruction program, by running
 /// `fourq_curve::scalar_mul_engine` and `fourq_curve::normalize` on
 /// traced handles.

@@ -1129,6 +1129,11 @@ impl Fp2Like for TracedFp2 {
 /// consulted — the stream the tracer was created with carries the same
 /// digits.
 impl EngineSelect for TracedFp2 {
+    /// A lifted program constant of `one`'s tracer.
+    fn constant(one: &TracedFp2, name: &'static str, value: Fp2) -> TracedFp2 {
+        one.tracer.constant(name, value)
+    }
+
     /// `s_i · T[v_i]` as four 8-way table-index muxes (one per cached
     /// coordinate), an always-computed `−2dT`, and three 2-way sign muxes
     /// (swap `Y+X`/`Y−X`, pick `±2dT`; `2Z` is sign-invariant).

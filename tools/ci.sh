@@ -82,13 +82,15 @@ step "asic-smoke: paper-artifact binaries (FOURQ_BENCH_FAST=1)"
 # FOURQ_BENCH_FAST), the Fig. 4 voltage sweep, Table II (prior art, then
 # all three curves measured on the same silicon), and the design report
 # (asserts replay == software and a clean verifier). The kernel KAT
-# emitter must reproduce the checked-in vector byte for byte.
+# emitter must reproduce the checked-in vector byte for byte, and the
+# GLV derivation must reproduce the checked-in endomorphism constants.
 FOURQ_BENCH_FAST=1 cargo run --release -q -p fourq-bench --bin profile_ops > /dev/null
 FOURQ_BENCH_FAST=1 cargo run --release -q -p fourq-bench --bin table1_schedule > /dev/null
 FOURQ_BENCH_FAST=1 cargo run --release -q -p fourq-bench --bin fig4_voltage_sweep > /dev/null
 FOURQ_BENCH_FAST=1 cargo run --release -q -p fourq-bench --bin table2_report -- --effort 2 > /dev/null
 FOURQ_BENCH_FAST=1 cargo run --release -q -p fourq-bench --bin design_report > /dev/null
 cargo run --release -q -p fourq-bench --bin emit_kernel_kat | diff - tests/vectors/fourq_kernel_kat.json
+python3 tools/derive_glv.py --check
 
 step "asic-smoke: kernel-cache amortisation tripwire, all curves (FOURQ_BENCH_FAST=1)"
 # Warm-cache kernel execute must be >=10x faster than the cold
