@@ -10,19 +10,18 @@
 //! ```text
 //! cargo run --release -p fourq-bench --bin capacity_report
 //! cargo run --release -p fourq-bench --bin capacity_report -- \
-//!     --effort 2 --rom-ports 2 --cores 1,2,4,8,16 --vdd-steps 4 \
+//!     --rom-ports 2 --cores 1,2,4,8,16 --vdd-steps 4 \
 //!     --workload fourq=0.5,x25519=0.3,p256=0.2 --target-load 1e6
 //! cargo run --release -p fourq-bench --bin capacity_report -- --kat
 //! ```
 //!
 //! `FOURQ_BENCH_FAST=1` shrinks the sweep for CI smoke runs. `--kat`
-//! prints the pinned `fourq-fleet-kat/v1` document (the exact bytes of
+//! prints the pinned `fourq-fleet-kat/v2` document (the exact bytes of
 //! `tests/vectors/fourq_fleet_kat.json`); `--json` renders the current
 //! sweep in the same schema.
 
 use fourq_bench::capacity::{kat_json, plan, PlanConfig, Workload};
 use fourq_curve::CurveId;
-use fourq_sched::StitchOptions;
 
 /// Parses `--workload fourq=0.5,x25519=0.3,...` into validated shares:
 /// every share positive and finite, every curve listed at most once.
@@ -63,7 +62,6 @@ fn parse_workload(spec: &str) -> Vec<(CurveId, f64)> {
 fn main() {
     let fast = std::env::var("FOURQ_BENCH_FAST").is_ok_and(|v| v == "1");
     let mut cfg = PlanConfig {
-        effort: 2,
         rom_ports: 2,
         core_counts: if fast {
             vec![1, 2, 4]
@@ -72,15 +70,6 @@ fn main() {
         },
         vdds: vec![0.32, 0.61, 0.91, 1.20],
         workload: Workload::reference(),
-        stitch: Some(if fast {
-            StitchOptions {
-                segments: 8,
-                node_limit: 500,
-                window_trials: 8,
-            }
-        } else {
-            StitchOptions::default()
-        }),
         banked: true,
     };
     let mut emit_json = false;
@@ -101,7 +90,6 @@ fn main() {
                 return;
             }
             "--json" => emit_json = true,
-            "--effort" => cfg.effort = next("--effort").parse().expect("numeric --effort"),
             "--rom-ports" => {
                 cfg.rom_ports = next("--rom-ports").parse().expect("numeric --rom-ports")
             }
@@ -127,13 +115,12 @@ fn main() {
                     .parse()
                     .expect("numeric --target-load")
             }
-            "--no-stitch" => cfg.stitch = None,
             "--no-banked" => cfg.banked = false,
             "--help" | "-h" => {
                 eprintln!(
-                    "usage: capacity_report [--effort N] [--rom-ports N] [--cores a,b,c] \
+                    "usage: capacity_report [--rom-ports N] [--cores a,b,c] \
                      [--vdd-steps N] [--workload fourq=0.5,x25519=0.3,p256=0.2] \
-                     [--target-load OPS] [--no-stitch] [--no-banked] [--json] [--kat]"
+                     [--target-load OPS] [--no-banked] [--json] [--kat]"
                 );
                 return;
             }
@@ -152,14 +139,10 @@ fn main() {
 
     println!("== capacity planner: fleet sweep on the calibrated SOTB model ==\n");
     println!(
-        "fourq kernel: baseline {} cycles -> stitched {} cycles (lower bound {}); gap {} -> {}",
-        result.fourq_baseline_cycles,
-        result.fourq_stitched_cycles,
+        "fourq kernel: {} cycles (lower bound {}, gap {})",
+        result.fourq_cycles,
         result.fourq_lower_bound,
-        result.fourq_baseline_cycles - result.fourq_lower_bound,
-        result
-            .fourq_stitched_cycles
-            .saturating_sub(result.fourq_lower_bound),
+        result.fourq_cycles.saturating_sub(result.fourq_lower_bound),
     );
     println!("workload: {}", describe_workload(&cfg.workload));
     for k in &result.kernels {

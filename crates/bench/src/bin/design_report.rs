@@ -21,13 +21,13 @@ use std::time::Instant;
 fn main() {
     println!("== Design report: simulated FourQ cryptoprocessor ==\n");
     let machine = MachineConfig::paper();
-    let effort = 64;
 
-    // Cold compile: the full trace -> schedule -> allocate -> assemble
-    // pipeline plus the self-audit against software scalar multiplication.
+    // Cold compile (the first lookup in this process): the full trace ->
+    // schedule -> allocate -> assemble pipeline plus the self-audit
+    // against software scalar multiplication.
     let t0 = Instant::now();
-    let kernel = fourq_cpu::compile_curve(CurveId::FourQ, &machine, effort)
-        .expect("scalar-mul pipeline compiles");
+    let kernel =
+        fourq_cpu::shared_kernel(CurveId::FourQ, &machine).expect("scalar-mul pipeline compiles");
     let compile_time = t0.elapsed();
 
     // Warm execute: replay the fixed microcode for one fresh scalar.
@@ -62,7 +62,7 @@ fn main() {
     // The static verifier recomputes the bounds from the trace alone,
     // through an independent code path from fourq-sched's lower_bound —
     // the two must agree, and the kernel must verify clean.
-    let check = fourq_cpu::verify(&kernel, fourq_cpu::CheckLevel::Full);
+    let check = fourq_cpu::verify(kernel, fourq_cpu::CheckLevel::Full);
     assert!(
         check.is_clean(),
         "kernel fails verification: {:?}",

@@ -7,14 +7,13 @@
 //!
 //! A compiled kernel's fingerprint — cycle count, op counts by kind,
 //! control-ROM geometry, register pressure — is a deterministic function
-//! of the curve, machine configuration and scheduling effort, so
-//! regenerating the file must be a no-op unless the pipeline itself
-//! changed. Schema v2 pins one fingerprint per curve (Fourℚ, X25519,
-//! P-256) so a behavioural drift in any curve's trace, scheduler,
-//! register allocator or ROM encoder trips
-//! `tests/kat.rs::kernel_fingerprint_kat`. A caught drift is either a
-//! real regression or an intentional change that must regenerate this
-//! file and say why in the PR.
+//! of the curve and the machine configuration, so regenerating the file
+//! must be a no-op unless the pipeline itself changed. Schema v2 pins
+//! one fingerprint per curve (Fourℚ, X25519, P-256) so a behavioural
+//! drift in any curve's trace, scheduler, register allocator or ROM
+//! encoder trips `tests/kat.rs::kernel_fingerprint_kat`. A caught drift
+//! is either a real regression or an intentional change that must
+//! regenerate this file and say why in the PR.
 
 use fourq_curve::CurveId;
 use fourq_sched::MachineConfig;
@@ -22,8 +21,9 @@ use fourq_sched::MachineConfig;
 /// Schema tag of the kernel KAT file.
 const SCHEMA: &str = "fourq-kernel-kat/v2";
 
-/// Scheduling effort baked into the golden vector. High enough for the
-/// ILS to converge deterministically, low enough to regenerate quickly.
+/// ILS effort the golden vector records. The schedule does not depend on
+/// it (`ils_restarts_do_not_pay` in `fourq-cpu`), so these fingerprints
+/// are the shared kernels' too.
 const EFFORT: u32 = 2;
 
 fn main() {

@@ -13,9 +13,8 @@ use fourq_tech::SotbModel;
 
 fn main() {
     println!("== Fig. 4: frequency / latency / energy vs supply voltage ==\n");
-    let fp = &fourq_cpu::shared_kernel(CurveId::FourQ, &MachineConfig::paper(), 64, None)
+    let fp = &fourq_cpu::shared_kernel(CurveId::FourQ, &MachineConfig::paper())
         .expect("scalar-mul pipeline compiles")
-        .kernel
         .fingerprint;
     let cycles = fp.cycles;
     let tech = SotbModel::calibrate_paper(cycles);

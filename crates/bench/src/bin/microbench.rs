@@ -23,7 +23,7 @@
 //! `execute` is not at least 10× faster than the cold compile+execute
 //! path — the tripwire for the compile-once/execute-many pipeline. When
 //! the `multi_curve` group is in the run, the same floor applies to
-//! every curve's `(curve, machine, effort)` cache entry.
+//! every curve's `(curve, machine)` cache entry.
 //!
 //! `--gate-fleet` fails the run when the modeled 4-core fleet (2 ROM
 //! ports) falls below 2× the single-core modeled throughput — the
@@ -209,9 +209,8 @@ fn gate_fleet() -> Result<(), String> {
     use fourq_sched::MachineConfig;
     use fourq_tech::fleet::{simulate_fleet, CoreSpec, FleetConfig};
 
-    let fp = &fourq_cpu::shared_kernel(CurveId::FourQ, &MachineConfig::paper(), 2, None)
+    let fp = &fourq_cpu::shared_kernel(CurveId::FourQ, &MachineConfig::paper())
         .map_err(|e| format!("gate: fourq kernel compiles: {e}"))?
-        .kernel
         .fingerprint;
     let fleet = |cores: usize| {
         let cfg = FleetConfig {

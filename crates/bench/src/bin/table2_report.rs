@@ -21,16 +21,15 @@
 //!
 //! ```text
 //! cargo run --release -p fourq-bench --bin table2_report
-//! cargo run --release -p fourq-bench --bin table2_report -- --effort 16
 //! ```
 //!
-//! The Fourℚ row of part 1 is calibration-anchored, so the effort does
-//! not change it. Caveats printed with part 2: the machine config models
-//! the paper's Fourℚ datapath (an `F_p²` multiplier on 127-bit lanes);
-//! X25519 and P-256 kernels run their 255/256-bit field ops on the same
-//! nominal units, so their cycle counts are optimistic for them (a real
-//! 256-bit multiplier would be slower or larger). Even so the measured
-//! gap is dominated by operation *count*, which is exact.
+//! The Fourℚ row of part 1 is calibration-anchored. Caveats printed with
+//! part 2: the machine config models the paper's Fourℚ datapath (an
+//! `F_p²` multiplier on 127-bit lanes); X25519 and P-256 kernels run
+//! their 255/256-bit field ops on the same nominal units, so their cycle
+//! counts are optimistic for them (a real 256-bit multiplier would be
+//! slower or larger). Even so the measured gap is dominated by operation
+//! *count*, which is exact.
 
 use fourq_baselines::models::{self, headline, Platform};
 use fourq_baselines::{p256::P256, x25519::X25519};
@@ -38,34 +37,19 @@ use fourq_bench::cell;
 use fourq_bench::table2::{measured_table, MeasuredTable};
 use fourq_sched::MachineConfig;
 
-/// Default ILS scheduling effort; override with `--effort N`.
-const DEFAULT_EFFORT: u32 = 8;
-
 fn main() {
-    let mut effort = DEFAULT_EFFORT;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--effort" => {
-                effort = args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--effort requires a number");
-                    std::process::exit(2);
-                })
-            }
-            "--help" | "-h" => {
-                eprintln!("usage: table2_report [--effort N]");
-                return;
-            }
-            other => {
-                eprintln!("unknown argument '{other}' (see --help)");
-                std::process::exit(2);
-            }
+    if let Some(arg) = std::env::args().nth(1) {
+        if arg == "--help" || arg == "-h" {
+            eprintln!("usage: table2_report");
+            return;
         }
+        eprintln!("unknown argument '{arg}' (see --help)");
+        std::process::exit(2);
     }
 
-    let table = measured_table(&MachineConfig::paper(), effort);
+    let table = measured_table(&MachineConfig::paper());
     print_prior_art(&table);
-    print_measured(&table, effort);
+    print_measured(&table);
 }
 
 /// Part 1: the Fourℚ row against the prior art, the headline ratios and
@@ -158,11 +142,11 @@ fn print_reported(row: &models::ReportedRow) {
 
 /// Part 2: every curve's kernel on the same machine, one technology
 /// calibration against the Fourℚ cycle count (the paper's anchor).
-fn print_measured(table: &MeasuredTable, effort: u32) {
+fn print_measured(table: &MeasuredTable) {
     println!("== Table II, measured: three curves on one simulated machine ==");
     println!(
-        "   (machine = paper config, scheduling effort = {effort}; every row is the\n\
-         \x20   same pipeline, same simulated datapath, same calibrated 65nm SOTB model)\n"
+        "   (machine = paper config; every row is the same pipeline, same\n\
+         \x20   simulated datapath, same calibrated 65nm SOTB model)\n"
     );
 
     let fourq_cycles = table.fourq_cycles;

@@ -6,9 +6,7 @@
 //! own:
 //!
 //! 1. **Kernels** — per-curve cycle counts from the compiled-kernel
-//!    cache (`fourq_cpu::shared_kernel`), with the Fourℚ core fed by the
-//!    *window-decomposed stitched* schedule when configured, the ROADMAP
-//!    "exact scheduling" thread made load-bearing.
+//!    cache (`fourq_cpu::shared_kernel`), one kernel per (curve, machine).
 //! 2. **Fleet** — N cores sharing one table ROM with cycle-accounted
 //!    port arbitration (`fourq_tech::fleet`), cores split across curves
 //!    by compute demand (`assign_cores`).
@@ -21,14 +19,14 @@
 //! is pinned bit-for-bit by `tests/vectors/fourq_fleet_kat.json`.
 
 use fourq_curve::CurveId;
-use fourq_sched::{MachineConfig, StitchOptions};
+use fourq_sched::MachineConfig;
 use fourq_tech::fleet::{
     assign_cores, chips_needed, pareto_frontier, simulate_fleet, CoreSpec, FleetConfig, ParetoPoint,
 };
 use fourq_tech::{AreaModel, SotbModel};
 
 /// Schema tag of the fleet KAT vector file.
-pub const KAT_SCHEMA: &str = "fourq-fleet-kat/v1";
+pub const KAT_SCHEMA: &str = "fourq-fleet-kat/v2";
 
 /// A mixed-curve workload: per-curve shares of the request stream and
 /// the total load the deployment must serve.
@@ -55,11 +53,9 @@ impl Workload {
     }
 }
 
-/// Planner configuration: the sweep axes and the kernel knobs.
+/// Planner configuration: the sweep axes.
 #[derive(Clone, Debug)]
 pub struct PlanConfig {
-    /// ILS scheduling effort for the per-curve kernels.
-    pub effort: u32,
     /// Read ports on the shared table ROM.
     pub rom_ports: u32,
     /// Core counts to sweep.
@@ -68,28 +64,19 @@ pub struct PlanConfig {
     pub vdds: Vec<f64>,
     /// The workload to plan for.
     pub workload: Workload,
-    /// Stitched-scheduler options for the Fourℚ kernel; `None` uses the
-    /// plain ILS kernel.
-    pub stitch: Option<StitchOptions>,
     /// Also sweep the banked-register-file machine variant.
     pub banked: bool,
 }
 
 impl PlanConfig {
     /// The pinned KAT configuration: everything fixed, cheap enough for
-    /// a debug-build test run, stitched scheduling on.
+    /// a debug-build test run.
     pub fn kat() -> PlanConfig {
         PlanConfig {
-            effort: 2,
             rom_ports: 2,
             core_counts: vec![1, 2, 4, 8],
             vdds: vec![0.32, 0.62, 0.90, 1.20],
             workload: Workload::reference(),
-            stitch: Some(StitchOptions {
-                segments: 8,
-                node_limit: 2_000,
-                window_trials: 16,
-            }),
             banked: true,
         }
     }
@@ -100,7 +87,7 @@ impl PlanConfig {
 pub struct CurveKernelInfo {
     /// The curve.
     pub curve: CurveId,
-    /// Cycles per scalar multiplication (stitched where configured).
+    /// Cycles per scalar multiplication.
     pub cycles: u64,
     /// Table-ROM reads per operation (the operand-mux count).
     pub rom_reads: u64,
@@ -148,17 +135,13 @@ pub struct PlanPoint {
     pub on_frontier: bool,
 }
 
-/// The planner's output: the swept points plus the scheduler evidence
-/// behind the Fourℚ cycle count.
+/// The planner's output: the swept points plus the Fourℚ kernel's cycle
+/// count against its lower bound.
 #[derive(Clone, Debug)]
 pub struct CapacityPlan {
-    /// Whole-program ILS makespan of the Fourℚ kernel at the configured
-    /// effort (the "before" number).
-    pub fourq_baseline_cycles: u64,
-    /// Stitched makespan (the "after"; equals the effective kernel
-    /// cycles when stitching wins, and `fourq_baseline_cycles` when
-    /// stitching was disabled).
-    pub fourq_stitched_cycles: u64,
+    /// Cycles of the Fourℚ kernel on the flat machine (0 when the
+    /// workload has no Fourℚ share).
+    pub fourq_cycles: u64,
     /// Issue-bandwidth lower bound of the Fourℚ program.
     pub fourq_lower_bound: u64,
     /// Kernel identities on the flat machine, workload order.
@@ -173,23 +156,18 @@ fn horizon_for(kernels: &[CurveKernelInfo]) -> u64 {
     8 * kernels.iter().map(|k| k.cycles).max().unwrap_or(1)
 }
 
-fn kernel_infos(
-    machine: &MachineConfig,
-    cfg: &PlanConfig,
-) -> (Vec<CurveKernelInfo>, u64, u64, u64) {
+/// The planner's view of each workload curve's kernel on `machine`, plus
+/// the Fourℚ kernel's `(cycles, lower_bound)` (zeros without a Fourℚ
+/// share).
+fn kernel_infos(machine: &MachineConfig, cfg: &PlanConfig) -> (Vec<CurveKernelInfo>, u64, u64) {
     let mut infos = Vec::new();
-    let mut baseline = 0;
-    let mut stitched = 0;
-    let mut lb = 0;
+    let (mut cycles, mut lb) = (0, 0);
     for &(curve, _) in &cfg.workload.shares {
-        let stitch = cfg.stitch.as_ref().filter(|_| curve == CurveId::FourQ);
-        let st =
-            fourq_cpu::shared_kernel(curve, machine, cfg.effort, stitch).expect("kernel compiles");
-        let fp = &st.kernel.fingerprint;
+        let fp = &fourq_cpu::shared_kernel(curve, machine)
+            .expect("kernel compiles")
+            .fingerprint;
         if curve == CurveId::FourQ {
-            baseline = st.baseline_cycles;
-            stitched = st.stitched_cycles;
-            lb = fp.lower_bound;
+            (cycles, lb) = (fp.cycles, fp.lower_bound);
         }
         infos.push(CurveKernelInfo {
             curve,
@@ -199,7 +177,7 @@ fn kernel_infos(
             rom_words: fp.rom_words,
         });
     }
-    (infos, baseline, stitched, lb)
+    (infos, cycles, lb)
 }
 
 /// Chip area for a core mix on a machine variant, priced under both
@@ -266,15 +244,13 @@ pub fn plan_with_threads(cfg: &PlanConfig, threads: usize) -> CapacityPlan {
         );
     }
     let flat = MachineConfig::paper();
-    let (kernels, baseline, stitched, lb) = kernel_infos(&flat, cfg);
-    // One technology model, calibrated against the effective Fourℚ cycle
-    // count (the paper's anchor methodology).
-    let fourq_cycles = kernels
-        .iter()
-        .find(|k| k.curve == CurveId::FourQ)
-        .map(|k| k.cycles)
-        .unwrap_or_else(|| kernels[0].cycles);
-    let tech = SotbModel::calibrate_paper(fourq_cycles);
+    let (kernels, fourq_cycles, fourq_lower_bound) = kernel_infos(&flat, cfg);
+    // One technology model, calibrated against the Fourℚ cycle count (the
+    // paper's anchor methodology), or the first curve's without one.
+    let tech = SotbModel::calibrate_paper(match fourq_cycles {
+        0 => kernels[0].cycles,
+        c => c,
+    });
 
     // The banked machine variant re-schedules every kernel with the
     // 6-port register file; on the paper datapath the ports do not bind,
@@ -389,9 +365,8 @@ pub fn plan_with_threads(cfg: &PlanConfig, threads: usize) -> CapacityPlan {
         points[i].on_frontier = true;
     }
     CapacityPlan {
-        fourq_baseline_cycles: baseline,
-        fourq_stitched_cycles: stitched,
-        fourq_lower_bound: lb,
+        fourq_cycles,
+        fourq_lower_bound,
         kernels,
         points,
     }
@@ -407,7 +382,7 @@ fn sig(x: f64) -> String {
     }
 }
 
-/// Renders a plan as the `fourq-fleet-kat/v1` JSON document.
+/// Renders a plan as the `fourq-fleet-kat/v2` JSON document.
 ///
 /// Key order, float formatting and point order are all fixed, so two
 /// runs of the same configuration produce byte-identical strings — the
@@ -417,7 +392,6 @@ pub fn kat_json(cfg: &PlanConfig, plan: &CapacityPlan) -> String {
     s.push_str("{\n");
     s.push_str(&format!("  \"schema\": \"{KAT_SCHEMA}\",\n"));
     s.push_str("  \"config\": {\n");
-    s.push_str(&format!("    \"effort\": {},\n", cfg.effort));
     s.push_str(&format!("    \"rom_ports\": {},\n", cfg.rom_ports));
     s.push_str(&format!(
         "    \"core_counts\": [{}],\n",
@@ -448,18 +422,11 @@ pub fn kat_json(cfg: &PlanConfig, plan: &CapacityPlan) -> String {
         "    \"target_sm_per_s\": \"{}\",\n",
         sig(cfg.workload.target_sm_per_s)
     ));
-    match &cfg.stitch {
-        Some(o) => s.push_str(&format!(
-            "    \"stitch\": {{\"segments\": {}, \"node_limit\": {}, \"window_trials\": {}}},\n",
-            o.segments, o.node_limit, o.window_trials
-        )),
-        None => s.push_str("    \"stitch\": null,\n"),
-    }
     s.push_str(&format!("    \"banked\": {}\n", cfg.banked));
     s.push_str("  },\n");
     s.push_str(&format!(
-        "  \"fourq_cycles\": {{\"baseline\": {}, \"stitched\": {}, \"lower_bound\": {}}},\n",
-        plan.fourq_baseline_cycles, plan.fourq_stitched_cycles, plan.fourq_lower_bound
+        "  \"fourq_cycles\": {{\"cycles\": {}, \"lower_bound\": {}}},\n",
+        plan.fourq_cycles, plan.fourq_lower_bound
     ));
     s.push_str("  \"kernels\": [\n");
     for (i, k) in plan.kernels.iter().enumerate() {
@@ -521,12 +488,10 @@ mod tests {
 
     fn tiny_cfg() -> PlanConfig {
         PlanConfig {
-            effort: 0,
             rom_ports: 2,
             core_counts: vec![1, 2],
             vdds: vec![0.32, 1.20],
             workload: Workload::reference(),
-            stitch: None,
             banked: false,
         }
     }

@@ -32,6 +32,11 @@ fn bench_scalar(rng: &mut TestRng) -> Scalar {
     Scalar::from_u256(U256(limbs))
 }
 
+/// ILS effort of the uncached `compile_cold` rows. Kept at the value the
+/// committed `BENCH_fourq.json` rows were measured at; the schedule does
+/// not depend on it.
+const KERNEL_EFFORT: u32 = 2;
+
 /// Batch size for the `batch_*` groups — the ISSUE acceptance size.
 const BATCH_N: usize = 64;
 
@@ -337,7 +342,6 @@ pub fn asic_pipeline(report: &mut BenchReport, opts: &BenchOptions) {
     use fourq_curve::CurveId;
     use fourq_sched::MachineConfig;
 
-    const KERNEL_EFFORT: u32 = 2;
     const KERNEL_BATCH: usize = 16;
     let mut rng = TestRng::from_seed(BENCH_SEED ^ 6);
     let machine = MachineConfig::paper();
@@ -348,9 +352,7 @@ pub fn asic_pipeline(report: &mut BenchReport, opts: &BenchOptions) {
     report.push(run("asic_pipeline", "compile_cold", opts, || {
         fourq_cpu::compile_curve(CurveId::FourQ, &machine, KERNEL_EFFORT).expect("kernel compiles")
     }));
-    let kernel = &fourq_cpu::shared_kernel(CurveId::FourQ, &machine, KERNEL_EFFORT, None)
-        .expect("kernel compiles")
-        .kernel;
+    let kernel = fourq_cpu::shared_kernel(CurveId::FourQ, &machine).expect("kernel compiles");
     report.push(run("asic_pipeline", "execute_warm", opts, || {
         kernel.execute(&g, black_box(&k)).expect("kernel executes")
     }));
@@ -376,14 +378,13 @@ pub fn asic_pipeline(report: &mut BenchReport, opts: &BenchOptions) {
 
 /// The multi-curve compiled-kernel pipeline on the paper machine: cold
 /// compile and warm cached execute for each curve the tracer knows, all
-/// through the per-`(curve, machine, effort)` shared kernel cache. The
+/// through the per-`(curve, machine)` shared kernel cache. The
 /// per-curve `compile_cold / execute_warm` pairs are what
 /// `--gate-kernel-cache` checks for cache amortisation beyond Fourℚ.
 pub fn multi_curve(report: &mut BenchReport, opts: &BenchOptions) {
     use fourq_curve::{CurveId, MultiCurveEngine};
     use fourq_sched::MachineConfig;
 
-    const KERNEL_EFFORT: u32 = 2;
     let machine = MachineConfig::paper();
     let eng = MultiCurveEngine::shared();
     let mut rng = TestRng::from_seed(BENCH_SEED ^ 7);
@@ -395,9 +396,7 @@ pub fn multi_curve(report: &mut BenchReport, opts: &BenchOptions) {
             opts,
             || fourq_cpu::compile_curve(curve, &machine, KERNEL_EFFORT).expect("kernel compiles"),
         ));
-        let kernel = &fourq_cpu::shared_kernel(curve, &machine, KERNEL_EFFORT, None)
-            .expect("kernel compiles")
-            .kernel;
+        let kernel = fourq_cpu::shared_kernel(curve, &machine).expect("kernel compiles");
         let mut scalar = [0u8; 32];
         rng.fill_bytes(&mut scalar);
         let point = eng.generator_encoded(curve);
@@ -443,11 +442,9 @@ pub fn fleet_ops(report: &mut BenchReport, opts: &BenchOptions) {
     use fourq_sched::MachineConfig;
     use fourq_tech::fleet::{assign_cores, simulate_fleet, CoreSpec, FleetConfig};
 
-    const KERNEL_EFFORT: u32 = 2;
     let machine = MachineConfig::paper();
-    let fp = &fourq_cpu::shared_kernel(fourq_curve::CurveId::FourQ, &machine, KERNEL_EFFORT, None)
+    let fp = &fourq_cpu::shared_kernel(fourq_curve::CurveId::FourQ, &machine)
         .expect("kernel compiles")
-        .kernel
         .fingerprint;
     let core = || CoreSpec {
         name: "fourq".to_string(),
@@ -479,12 +476,10 @@ pub fn fleet_ops(report: &mut BenchReport, opts: &BenchOptions) {
     }));
 
     let plan_cfg = PlanConfig {
-        effort: KERNEL_EFFORT,
         rom_ports: 2,
         core_counts: vec![1, 4],
         vdds: vec![0.32, 1.20],
         workload: Workload::reference(),
-        stitch: None,
         banked: false,
     };
     // Prime the shared kernel cache outside the timed region.

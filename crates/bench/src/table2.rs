@@ -1,5 +1,5 @@
 //! The one source of truth behind `table2_report`: one set of kernels
-//! per (machine, effort), one technology calibration, one area rule, for
+//! per machine, one technology calibration, one area rule, for
 //! both the prior-art comparison and the measured three-curve table.
 
 use fourq_cpu::CompiledKernel;
@@ -20,20 +20,20 @@ pub struct MeasuredTable {
 }
 
 /// Compiles (or fetches from the process-wide cache) every curve's
-/// kernel on `machine` at `effort` and calibrates the technology model
+/// kernel on `machine` and calibrates the technology model
 /// once, against the Fourℚ row.
 ///
 /// # Panics
 ///
 /// Panics if any kernel fails to compile — the table binaries have no
 /// useful degraded mode.
-pub fn measured_table(machine: &MachineConfig, effort: u32) -> MeasuredTable {
+pub fn measured_table(machine: &MachineConfig) -> MeasuredTable {
     let rows: Vec<(CurveId, &'static CompiledKernel)> = CurveId::ALL
         .iter()
         .map(|&curve| {
-            let k = fourq_cpu::shared_kernel(curve, machine, effort, None)
+            let k = fourq_cpu::shared_kernel(curve, machine)
                 .unwrap_or_else(|e| panic!("{curve} kernel compiles: {e}"));
-            (curve, &k.kernel)
+            (curve, k)
         })
         .collect();
     let fourq_cycles = rows
@@ -82,12 +82,9 @@ mod tests {
     #[test]
     fn fourq_row_is_paper_anchored_and_priced_from_register_pressure() {
         let machine = MachineConfig::paper();
-        let effort = 2;
-        let table = measured_table(&machine, effort);
+        let table = measured_table(&machine);
         let fourq = table.fourq();
-        let kernel = &fourq_cpu::shared_kernel(CurveId::FourQ, &machine, effort, None)
-            .expect("compiles")
-            .kernel;
+        let kernel = fourq_cpu::shared_kernel(CurveId::FourQ, &machine).expect("compiles");
         assert!(std::ptr::eq(fourq, kernel), "the row is the cached kernel");
         assert_eq!(table.fourq_cycles, kernel.fingerprint.cycles);
         // Calibration makes the anchors the paper's by construction; the

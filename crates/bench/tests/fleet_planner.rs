@@ -7,25 +7,17 @@
 
 use fourq_bench::capacity::{kat_json, plan_with_threads, PlanConfig, Workload};
 use fourq_curve::CurveId;
-use fourq_sched::StitchOptions;
 use fourq_tech::SotbModel;
 use fourq_testkit::diff_check;
 
 /// A sweep small enough for debug-build runs at five thread counts but
-/// still covering both machine variants, contended fleets and the
-/// stitched-kernel path.
+/// still covering both machine variants and contended fleets.
 fn small_config() -> PlanConfig {
     PlanConfig {
-        effort: 2,
         rom_ports: 2,
         core_counts: vec![1, 2, 4],
         vdds: vec![0.32, 1.20],
         workload: Workload::reference(),
-        stitch: Some(StitchOptions {
-            segments: 8,
-            node_limit: 500,
-            window_trials: 4,
-        }),
         banked: true,
     }
 }

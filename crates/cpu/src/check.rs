@@ -29,23 +29,16 @@
 //!    any disagreement is a finding; the recomputed bounds feed the
 //!    schedule/register gap report in [`GapMetrics`].
 //!
-//! The verifier is wired into every compile ([`crate::compile_curve`],
-//! [`crate::compile_curve_stitched`]): always on in debug
-//! builds (so every test exercises it), effort-gated in release via
-//! [`VERIFY_EFFORT`].
+//! The verifier runs at [`CheckLevel::Full`] at the end of every compile
+//! ([`crate::shared_kernel`], [`crate::compile_curve`],
+//! [`crate::compile_curve_stitched`]), in debug and release builds alike:
+//! no kernel is handed out unverified.
 
 use crate::regalloc::{allocate, ControlRom, Src};
 use crate::{CompiledKernel, KernelFingerprint};
 use fourq_sched::{MachineConfig, Schedule};
 use fourq_trace::{Operand, Selector, Trace, TraceError, Unit};
 use std::collections::HashMap;
-
-/// Scheduling effort at or above which release builds run the full
-/// verifier inside [`crate::compile_curve`]. Debug builds always verify. The
-/// threshold keeps the hot `compile_cold` benchmark path (effort 2)
-/// unverified in release while the design-report/ablation efforts
-/// (16–64) get the full pass.
-pub const VERIFY_EFFORT: u32 = 16;
 
 /// How deep the verifier digs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -1110,9 +1103,7 @@ mod tests {
     use fourq_sched::trace_to_problem;
 
     fn kernel() -> &'static CompiledKernel {
-        &shared_kernel(CurveId::FourQ, &MachineConfig::paper(), 0, None)
-            .expect("compiles")
-            .kernel
+        shared_kernel(CurveId::FourQ, &MachineConfig::paper()).expect("compiles")
     }
 
     #[test]
@@ -1158,9 +1149,7 @@ mod tests {
         m.mul_units = 2;
         m.read_ports = 8;
         m.write_ports = 4;
-        let k = &shared_kernel(CurveId::FourQ, &m, 0, None)
-            .expect("compiles")
-            .kernel;
+        let k = shared_kernel(CurveId::FourQ, &m).expect("compiles");
         assert!(k.rom.is_none());
         let report = verify(k, CheckLevel::Full);
         assert!(report.is_clean(), "{:?}", report.findings);

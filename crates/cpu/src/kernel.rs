@@ -4,17 +4,20 @@
 //! register-allocate, assemble the control ROM — a *per-machine* cost
 //! instead of a per-scalar one: the recorded program is identical for
 //! every (base, scalar) pair, only the two base-point inputs and the
-//! recoded digit stream change between executions. [`compile_curve`]
-//! runs the flow once and captures the result;
-//! [`compile_curve_stitched`] does the same on the better of the ILS and
-//! the window-decomposed stitched schedules; [`CompiledKernel::execute`]
-//! replays the fixed microcode through the physical register file with
-//! fresh inputs; [`shared_kernel`] memoises kernels process-wide by
-//! `(curve, machine, effort, stitch options)`.
+//! recoded digit stream change between executions. A kernel is therefore
+//! a function of the curve and the machine: [`shared_kernel`] runs the
+//! flow once per `(curve, machine)` and memoises the result
+//! process-wide; [`CompiledKernel::execute`] replays the fixed microcode
+//! through the physical register file with fresh inputs.
+//! [`compile_curve`] (ILS at a caller-chosen effort) and
+//! [`compile_curve_stitched`] (the better of ILS and the
+//! window-decomposed stitched schedule) are the uncached compiles the
+//! benchmark times.
 //!
 //! Every stage failure is a typed [`PipelineError`] — the compile path
-//! has no panicking branches — and every compile ends with an end-to-end
-//! audit executing two scalars against the software library.
+//! has no panicking branches — and every compile ends with the full
+//! static verifier and an end-to-end audit executing two scalars against
+//! the software library.
 //!
 //! The same pipeline serves every curve the tracer knows: it builds
 //! kernels for Fourℚ, X25519 and P-256 from their uniform traces, and
@@ -49,6 +52,12 @@ use std::sync::{Mutex, OnceLock};
 /// is larger than a per-scalar schedule would need (~96 words on the
 /// paper machine).
 pub const DEFAULT_REGISTER_BUDGET: usize = 128;
+
+/// ILS iterations behind every [`shared_kernel`] entry. Zero is enough:
+/// on every curve and machine the repo builds, the two ILS seed
+/// schedules are already the best and no perturbed restart beats them
+/// (`ils_restarts_do_not_pay` pins this).
+const SHARED_EFFORT: u32 = 0;
 
 /// The representative scalar the kernel is compiled (and value-audited)
 /// under. Any non-zero scalar works — the recorded program is the same
@@ -153,7 +162,7 @@ impl From<crate::AssembleError> for PipelineError {
 }
 
 /// Scalar-independent identity of a compiled kernel: every number here is
-/// a constant of the (machine, effort) pair, not of any particular
+/// a constant of the (curve, machine) pair, not of any particular
 /// execution — mux reads never forward, so even the register-file traffic
 /// is digit-independent.
 #[derive(Clone, Debug, PartialEq)]
@@ -193,7 +202,7 @@ struct Step {
 /// The compile-once artifact: uniform trace, validated schedule, register
 /// allocation, control ROM and fingerprint for one machine shape.
 ///
-/// Built by [`compile_curve`]; executed any number of times by
+/// Built by [`shared_kernel`]; executed any number of times by
 /// [`CompiledKernel::execute`] / [`CompiledKernel::execute_batch`].
 #[derive(Clone, Debug)]
 pub struct CompiledKernel {
@@ -201,8 +210,6 @@ pub struct CompiledKernel {
     pub curve: CurveId,
     /// The machine this kernel is scheduled for.
     pub machine: MachineConfig,
-    /// Scheduling effort (ILS iterations) the schedule was built with.
-    pub effort: u32,
     /// The uniform microinstruction program.
     pub trace: Trace,
     /// The validated static schedule.
@@ -317,14 +324,12 @@ fn audit_kernel(kernel: &CompiledKernel) -> Result<(), PipelineError> {
     Ok(())
 }
 
-/// A compiled kernel with the cycle counts of the schedules it was
-/// chosen from.
+/// A [`compile_curve_stitched`] kernel with the cycle counts of the
+/// schedules it was chosen from.
 ///
 /// The embedded kernel uses whichever schedule was better — the stitched
 /// one or the whole-program ILS baseline at `effort` — so
 /// `kernel.fingerprint.cycles == stitched_cycles.min(baseline_cycles)`.
-/// A kernel compiled without stitching (a [`shared_kernel`] entry with
-/// no [`StitchOptions`]) carries the ILS makespan in both counts.
 /// Everything downstream (simulation, allocation, ROM, the verifier, the
 /// execute paths) is identical to a [`compile_curve`] kernel.
 #[derive(Clone, Debug)]
@@ -412,14 +417,7 @@ fn compile_trace(
             (best, cycles)
         }
     };
-    let kernel = finish_compile(
-        trace,
-        problem,
-        best,
-        machine,
-        effort,
-        DEFAULT_REGISTER_BUDGET,
-    )?;
+    let kernel = finish_compile(trace, problem, best, machine, DEFAULT_REGISTER_BUDGET)?;
     audit_kernel(&kernel)?;
     Ok(StitchedKernel {
         kernel,
@@ -430,12 +428,12 @@ fn compile_trace(
 
 /// Back half of the flow, taking the schedule as input so corrupted
 /// schedules surface as [`PipelineError::Schedule`] instead of panics.
+/// Ends with the full static verifier, in every build.
 fn finish_compile(
     trace: Trace,
     problem: Problem,
     sched: Schedule,
     machine: &MachineConfig,
-    effort: u32,
     budget: usize,
 ) -> Result<CompiledKernel, PipelineError> {
     sched.validate(&problem, machine)?;
@@ -462,7 +460,6 @@ fn finish_compile(
     let kernel = CompiledKernel {
         curve: trace.curve,
         machine: *machine,
-        effort,
         trace,
         schedule: sched,
         allocation,
@@ -471,17 +468,12 @@ fn finish_compile(
         stats: sim.stats,
         prog,
     };
-    // Static verification: always in debug builds (every test compile
-    // gets the full pass), effort-gated in release so the hot low-effort
-    // compile path stays cheap.
-    if cfg!(debug_assertions) || effort >= crate::check::VERIFY_EFFORT {
-        let report = crate::check::verify(&kernel, crate::check::CheckLevel::Full);
-        if let Some(first) = report.findings.first() {
-            return Err(PipelineError::Verify {
-                findings: report.findings.len(),
-                first: Box::new(first.clone()),
-            });
-        }
+    let report = crate::check::verify(&kernel, crate::check::CheckLevel::Full);
+    if let Some(first) = report.findings.first() {
+        return Err(PipelineError::Verify {
+            findings: report.findings.len(),
+            first: Box::new(first.clone()),
+        });
     }
     Ok(kernel)
 }
@@ -550,7 +542,6 @@ impl CompiledKernel {
         Ok(CompiledKernel {
             curve: self.curve,
             machine: self.machine,
-            effort: self.effort,
             trace: self.trace.clone(),
             schedule: self.schedule.clone(),
             allocation,
@@ -776,13 +767,11 @@ fn out_word(outs: &[(String, Word)], name: &str) -> Word {
         .1
 }
 
-type KernelCache =
-    Mutex<HashMap<(CurveId, MachineConfig, u32, Option<StitchOptions>), &'static StitchedKernel>>;
+type KernelCache = Mutex<HashMap<(CurveId, MachineConfig), &'static CompiledKernel>>;
 
-/// Returns the process-wide kernel for `(curve, machine, effort, stitch)`,
-/// compiling it on first use: as [`compile_curve_stitched`] with
-/// `Some(opts)`, as [`compile_curve`] with `None` (both cycle counts are
-/// then the ILS makespan).
+/// Returns the process-wide kernel of `curve` on `machine`, compiling it
+/// on first use: the whole §III-C flow on the ILS schedule, the full
+/// static verifier and the end-to-end audit.
 ///
 /// Kernels are leaked into `'static` storage (a handful per process — one
 /// per distinct key), so callers share one immutable artifact across
@@ -792,19 +781,13 @@ type KernelCache =
 ///
 /// The [`PipelineError`] of the first compile attempt. Failures are not
 /// cached: a later call retries.
-///
-/// # Panics
-///
-/// With `Some(opts)`, as [`compile_curve_stitched`].
 pub fn shared_kernel(
     curve: CurveId,
     machine: &MachineConfig,
-    effort: u32,
-    stitch: Option<&StitchOptions>,
-) -> Result<&'static StitchedKernel, PipelineError> {
+) -> Result<&'static CompiledKernel, PipelineError> {
     static CACHE: OnceLock<KernelCache> = OnceLock::new();
     let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-    let key = (curve, *machine, effort, stitch.copied());
+    let key = (curve, *machine);
     {
         let map = cache.lock().unwrap_or_else(|e| e.into_inner());
         if let Some(k) = map.get(&key) {
@@ -813,7 +796,7 @@ pub fn shared_kernel(
     }
     // Compile outside the lock (it is the slow path); racing compiles are
     // benign — the first insert wins and later ones are dropped.
-    let kernel = compile_trace(record_curve_trace(curve), machine, effort, stitch)?;
+    let kernel = compile_trace(record_curve_trace(curve), machine, SHARED_EFFORT, None)?.kernel;
     let mut map = cache.lock().unwrap_or_else(|e| e.into_inner());
     Ok(*map
         .entry(key)
@@ -827,9 +810,8 @@ mod tests {
     use fourq_fp::Fp2;
     use fourq_trace::Node;
 
-    /// Cheap options keep the debug-build runtime sane; the full-effort
-    /// stitched numbers are pinned by crates/sched/tests/stitched_sm.rs
-    /// and the fleet KAT.
+    /// Cheap options keep the debug-build runtime sane; the full-budget
+    /// stitched numbers are pinned by crates/sched/tests/stitched_sm.rs.
     const CHEAP_STITCH: StitchOptions = StitchOptions {
         segments: 8,
         node_limit: 500,
@@ -837,9 +819,7 @@ mod tests {
     };
 
     fn kernel_for(curve: CurveId) -> &'static CompiledKernel {
-        &shared_kernel(curve, &MachineConfig::paper(), 0, None)
-            .expect("compiles")
-            .kernel
+        shared_kernel(curve, &MachineConfig::paper()).expect("compiles")
     }
 
     #[test]
@@ -919,38 +899,47 @@ mod tests {
 
     #[test]
     fn shared_kernel_is_keyed_and_equals_uncached_compiles() {
-        let m = MachineConfig::paper();
-        let fq = shared_kernel(CurveId::FourQ, &m, 0, None).expect("compiles");
-        let x = shared_kernel(CurveId::X25519, &m, 0, None).expect("compiles");
-        let st = shared_kernel(CurveId::FourQ, &m, 0, Some(&CHEAP_STITCH)).expect("compiles");
+        let (paper, banked) = (MachineConfig::paper(), MachineConfig::paper_banked());
+        let fq = shared_kernel(CurveId::FourQ, &paper).expect("compiles");
+        let x = shared_kernel(CurveId::X25519, &paper).expect("compiles");
+        let fq_banked = shared_kernel(CurveId::FourQ, &banked).expect("compiles");
         assert!(std::ptr::eq(
             fq,
-            shared_kernel(CurveId::FourQ, &m, 0, None).unwrap()
-        ));
-        assert!(std::ptr::eq(
-            st,
-            shared_kernel(CurveId::FourQ, &m, 0, Some(&CHEAP_STITCH)).unwrap()
+            shared_kernel(CurveId::FourQ, &paper).unwrap()
         ));
         assert!(!std::ptr::eq(fq, x), "distinct curves → distinct kernels");
         assert!(
-            !std::ptr::eq(fq, st),
-            "stitched and ILS entries are distinct"
+            !std::ptr::eq(fq, fq_banked),
+            "distinct machines → distinct kernels"
         );
         // Each entry is exactly what the uncached compile returns.
-        for (curve, cached) in [(CurveId::FourQ, fq), (CurveId::X25519, x)] {
+        for (curve, m, cached) in [
+            (CurveId::FourQ, paper, fq),
+            (CurveId::X25519, paper, x),
+            (CurveId::FourQ, banked, fq_banked),
+        ] {
             let fresh = compile_curve(curve, &m, 0).expect("compiles");
-            assert_eq!(cached.kernel.fingerprint, fresh.fingerprint, "{curve}");
-            let c = fresh.fingerprint.cycles;
-            assert_eq!((cached.baseline_cycles, cached.stitched_cycles), (c, c));
+            assert_eq!(cached.machine, m, "{curve}");
+            assert_eq!(cached.fingerprint, fresh.fingerprint, "{curve}");
         }
-        let fresh = compile_curve_stitched(CurveId::FourQ, &m, 0, &CHEAP_STITCH).expect("compiles");
-        assert_eq!(st.kernel.fingerprint, fresh.kernel.fingerprint);
-        assert_eq!(
-            (st.baseline_cycles, st.stitched_cycles),
-            (fresh.baseline_cycles, fresh.stitched_cycles)
-        );
-        // The stitched entry's baseline is the ILS kernel.
-        assert_eq!(st.baseline_cycles, fq.kernel.fingerprint.cycles);
+    }
+
+    /// The measured fact the effort-free cache rests on: ILS restarts
+    /// never beat the two seed schedules on any curve, on either paper
+    /// machine. If a future trace makes restarts pay, this fails and the
+    /// cache needs an effort again.
+    #[test]
+    fn ils_restarts_do_not_pay() {
+        for curve in CurveId::ALL {
+            let problem = trace_to_problem(&kernel_for(curve).trace);
+            for m in [MachineConfig::paper(), MachineConfig::paper_banked()] {
+                assert_eq!(
+                    schedule(&problem, &m, 0),
+                    schedule(&problem, &m, 8),
+                    "{curve} on {m:?}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -989,7 +978,7 @@ mod tests {
         let m = MachineConfig::paper();
         let problem = trace_to_problem(&t);
         let sched = schedule(&problem, &m, 0);
-        match finish_compile(t, problem, sched, &m, 0, 8) {
+        match finish_compile(t, problem, sched, &m, 8) {
             Err(PipelineError::RegisterBudget { needed, budget }) => {
                 assert_eq!(budget, 8);
                 assert!(needed > 8);
@@ -1098,11 +1087,16 @@ mod tests {
     #[test]
     fn stitched_kernel_verifies_and_executes() {
         let m = MachineConfig::paper();
-        let st = shared_kernel(CurveId::FourQ, &m, 0, Some(&CHEAP_STITCH)).expect("compiles");
-        // The embedded kernel carries the better of the two schedules.
+        let st = compile_curve_stitched(CurveId::FourQ, &m, 0, &CHEAP_STITCH).expect("compiles");
+        // The embedded kernel carries the better of the two schedules, and
+        // the baseline is the shared ILS kernel.
         assert_eq!(
             st.kernel.fingerprint.cycles,
             st.stitched_cycles.min(st.baseline_cycles)
+        );
+        assert_eq!(
+            st.baseline_cycles,
+            kernel_for(CurveId::FourQ).fingerprint.cycles
         );
         // The stitched artifact passes the full K-FLOW/K-OBLIV/K-RES
         // battery, same as a plain compile.
@@ -1128,7 +1122,7 @@ mod tests {
         let mut sched = schedule(&problem, &m, 0);
         let last = sched.start.len() - 1;
         sched.start[last] = 0; // operands cannot be ready at cycle 0
-        match finish_compile(t, problem, sched, &m, 0, DEFAULT_REGISTER_BUDGET) {
+        match finish_compile(t, problem, sched, &m, DEFAULT_REGISTER_BUDGET) {
             Err(PipelineError::Schedule(_)) => {}
             other => panic!("expected Schedule error, got {other:?}"),
         }

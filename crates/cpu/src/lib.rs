@@ -21,7 +21,8 @@
 //! stream — the expensive trace/schedule/allocate/assemble work happens
 //! **once** per machine shape. [`CompiledKernel`] captures that artifact
 //! and [`CompiledKernel::execute`] replays the fixed microcode for any
-//! (base, scalar) pair; [`shared_kernel`] caches kernels process-wide.
+//! (base, scalar) pair; [`shared_kernel`] caches one kernel per
+//! (curve, machine) process-wide.
 //!
 //! # Example
 //!
@@ -31,7 +32,7 @@
 //! use fourq_fp::Scalar;
 //! use fourq_sched::MachineConfig;
 //!
-//! let kernel = &shared_kernel(CurveId::FourQ, &MachineConfig::paper(), 4, None)?.kernel;
+//! let kernel = shared_kernel(CurveId::FourQ, &MachineConfig::paper())?;
 //! assert!(kernel.fingerprint.cycles > 0);
 //! // The datapath computes the same point the software library computes.
 //! let (g, k) = (AffinePoint::generator(), Scalar::from_u64(12345));
@@ -46,7 +47,7 @@ pub mod check;
 mod kernel;
 mod regalloc;
 
-pub use check::{verify, CheckLevel, GapMetrics, KernelDiag, VerifyReport, VERIFY_EFFORT};
+pub use check::{verify, CheckLevel, GapMetrics, KernelDiag, VerifyReport};
 pub use kernel::{
     compile_curve, compile_curve_stitched, shared_kernel, CompiledKernel, KernelFingerprint,
     PipelineError, StitchedKernel, DEFAULT_REGISTER_BUDGET,
@@ -390,9 +391,8 @@ mod tests {
     #[test]
     fn wider_machine_is_not_slower() {
         let cycles = |m: &MachineConfig| {
-            shared_kernel(CurveId::FourQ, m, 0, None)
+            shared_kernel(CurveId::FourQ, m)
                 .expect("compiles")
-                .kernel
                 .fingerprint
                 .cycles
         };
@@ -407,10 +407,7 @@ mod tests {
     #[test]
     fn utilization_bounded() {
         let m = MachineConfig::paper();
-        let stats = shared_kernel(CurveId::FourQ, &m, 0, None)
-            .expect("compiles")
-            .kernel
-            .stats;
+        let stats = shared_kernel(CurveId::FourQ, &m).expect("compiles").stats;
         assert!(stats.mul_utilization <= 1.0);
         assert!(stats.addsub_utilization <= 1.0);
         assert!(stats.mul_utilization > 0.3);

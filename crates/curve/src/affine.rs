@@ -197,7 +197,8 @@ impl AffinePoint {
     ///
     /// # Errors
     ///
-    /// [`DecodePointError::NonCanonical`] if a coordinate is out of range;
+    /// [`DecodePointError::NonCanonical`] if a coordinate is out of range
+    /// or the sign bit is set on `x = 0`;
     /// [`DecodePointError::NotOnCurve`] if `y` admits no valid `x`.
     pub fn decode(bytes: &[u8; 32]) -> Result<AffinePoint, DecodePointError> {
         let mut ybytes = *bytes;
@@ -215,6 +216,11 @@ impl AffinePoint {
         let den = D * y2 + Fp2::ONE;
         let x2 = num * den.inv();
         let mut x = x2.sqrt().ok_or(DecodePointError::NotOnCurve)?;
+        // Negating x = 0 changes nothing, so a set sign bit would be a
+        // second encoding of (0, 1) or (0, −1).
+        if x.is_zero() && sign == 1 {
+            return Err(DecodePointError::NonCanonical);
+        }
         let parity = if x.re.is_zero() {
             (x.im.to_u128() & 1) as u8
         } else {
@@ -317,6 +323,23 @@ mod tests {
         match AffinePoint::decode(&bytes) {
             Ok(p) => assert!(p.is_on_curve()),
             Err(e) => assert_eq!(e, DecodePointError::NotOnCurve),
+        }
+    }
+
+    #[test]
+    fn decode_rejects_sign_bit_on_zero_x() {
+        // The identity (0, 1) and the order-2 point (0, −1) each have one
+        // encoding: x = 0 has no sign.
+        let order_two = AffinePoint::new(Fp2::ZERO, -Fp2::ONE).expect("on curve");
+        for p in [AffinePoint::identity(), order_two] {
+            let mut enc = p.encode();
+            assert_eq!(enc[31] >> 7, 0);
+            assert_eq!(AffinePoint::decode(&enc), Ok(p));
+            enc[31] |= 0x80;
+            assert_eq!(
+                AffinePoint::decode(&enc),
+                Err(DecodePointError::NonCanonical)
+            );
         }
     }
 

@@ -5,28 +5,6 @@ use crate::traits::Fp2Like;
 use core::fmt;
 use core::ops::{Add, AddAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 
-/// Which `F_p²` multiplication algorithm to use.
-///
-/// The paper's multiplier (Fig. 1(b), Algorithm 2) is the Karatsuba +
-/// lazy-reduction variant: 3 base-field multiplications instead of 4, with
-/// reductions delayed to the end of each accumulation. Both variants are
-/// kept so the benchmark harness can reproduce the design-choice ablation.
-///
-/// The default (and the `Mul` operator) dispatch to the measured-fastest
-/// variant. An early `Wide::reduce` stacked three Mersenne fold layers,
-/// which made the lazy path bench *slower* than schoolbook; after the
-/// single-pass 127-bit-chunk fold the Karatsuba path wins (`fp2_mul`
-/// group in `BENCH_fourq.json`), so it stays the default.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum MulKind {
-    /// Schoolbook: `(a0b0 - a1b1) + i(a0b1 + a1b0)`, 4 `F_p` multiplications.
-    Schoolbook,
-    /// Karatsuba with lazy reduction (the paper's Algorithm 2), 3 `F_p`
-    /// multiplications.
-    #[default]
-    Karatsuba,
-}
-
 /// An element `a0 + a1·i` of `F_p²`.
 ///
 /// ```
@@ -127,15 +105,6 @@ impl Fp2 {
         let t5 = t0.add(t1);
         let t8 = t6.sub_mod_p(t5); // (x0+x1)(y0+y1) - x0y0 - x1y1
         Fp2::new(t4.reduce(), t8.reduce())
-    }
-
-    /// Multiplication with an explicit algorithm choice (for ablations).
-    #[inline]
-    pub fn mul_with(&self, rhs: &Fp2, kind: MulKind) -> Fp2 {
-        match kind {
-            MulKind::Schoolbook => self.mul_schoolbook(rhs),
-            MulKind::Karatsuba => self.mul_karatsuba(rhs),
-        }
     }
 
     /// Squaring, using the complex-squaring shortcut:
@@ -335,6 +304,9 @@ impl SubAssign for Fp2 {
         *self = *self - rhs;
     }
 }
+/// `*` is the Karatsuba multiplier, the faster of the two in the
+/// `fp2_mul` benchmark group; the schoolbook one is the reference the
+/// field property tests check it against.
 impl Mul for Fp2 {
     type Output = Fp2;
     #[inline]

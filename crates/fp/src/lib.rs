@@ -12,7 +12,7 @@
 //!   multiplier implementations: the schoolbook 4-multiplication version and
 //!   the Karatsuba + lazy-reduction version of the paper's Algorithm 2
 //!   (3 base-field multiplications). Both are exposed so the benchmark
-//!   harness can reproduce the design-choice ablation.
+//!   harness can time the design-choice ablation (`fp2_mul` group).
 //! * [`U256`] / [`Scalar`] — 256-bit integer arithmetic and arithmetic
 //!   modulo the prime subgroup order `N`, needed by scalar decomposition and
 //!   the signature schemes.
@@ -42,7 +42,7 @@ mod traits;
 mod wide;
 
 pub use fp::Fp;
-pub use fp2::{Fp2, MulKind};
+pub use fp2::Fp2;
 pub use scalar::{ParseScalarError, Scalar, N as SUBGROUP_ORDER, U256};
 pub use traits::{ct_eq_u64, Choice, CtEq, CtNegate, CtSelect, Fp2Like};
 pub use wide::Wide;

@@ -192,13 +192,12 @@ pub struct CurveSection<'a> {
 /// Renders the machine-readable report: one section per curve checked,
 /// each with its verification levels, optional fault campaign and
 /// baseline tally; top-level counts are totals across curves.
-pub fn to_json(effort: u32, sections: &[CurveSection]) -> String {
+pub fn to_json(sections: &[CurveSection]) -> String {
     let live: usize = sections.iter().map(|s| s.live).sum();
     let suppressed: usize = sections.iter().map(|s| s.suppressed).sum();
     let mut out = String::new();
     out.push_str("{\n");
     let _ = writeln!(out, "  \"tool\": \"fourq-kernelcheck\",");
-    let _ = writeln!(out, "  \"effort\": {effort},");
     let _ = writeln!(out, "  \"finding_count\": {live},");
     let _ = writeln!(out, "  \"baselined_count\": {suppressed},");
     out.push_str("  \"curves\": [\n");
@@ -307,7 +306,7 @@ mod tests {
             live: 1,
             suppressed: 0,
         };
-        let j = to_json(2, &[section]);
+        let j = to_json(&[section]);
         assert!(j.contains("\"tool\": \"fourq-kernelcheck\""));
         assert!(j.contains("\"finding_count\": 1"));
         assert!(j.contains("\"curve\": \"fourq\""));

@@ -2,22 +2,21 @@
 //! CLI driver for `fourq-kernelcheck`.
 //!
 //! ```text
-//! kernelcheck [--curve fourq|x25519|p256|all] [--effort N]
+//! kernelcheck [--curve fourq|x25519|p256|all]
 //!             [--level quick|full|both] [--json FILE]
 //!             [--baseline FILE] [--update-baseline] [--root DIR]
 //!             [--inject N] [--seed S]
 //! ```
 //!
 //! Compiles (or fetches from the process cache) the scalar-multiplication
-//! kernel of each selected curve for the paper's `MachineConfig` at the
-//! given scheduling effort, runs the static verifier at the requested
-//! level(s), optionally runs an `N`-case single-bit fault-injection
-//! campaign per curve, and prints findings plus the recomputed gap
-//! metrics. `--curve` accepts one name, a comma-separated list, or `all`
-//! (the default — every curve the multi-curve pipeline compiles). Exit
-//! status is 0 when every finding is baselined and every injected fault
-//! was detected, 1 on live findings or an undetected fault, 2 on usage
-//! errors.
+//! kernel of each selected curve for the paper's `MachineConfig`, runs
+//! the static verifier at the requested level(s), optionally runs an
+//! `N`-case single-bit fault-injection campaign per curve, and prints
+//! findings plus the recomputed gap metrics. `--curve` accepts one name,
+//! a comma-separated list, or `all` (the default — every curve the
+//! multi-curve pipeline compiles). Exit status is 0 when every finding
+//! is baselined and every injected fault was detected, 1 on live
+//! findings or an undetected fault, 2 on usage errors.
 
 use fourq_curve::CurveId;
 use fourq_kernelcheck::{
@@ -32,7 +31,7 @@ const DEFAULT_BASELINE: &str = "tools/kernelcheck-baseline.txt";
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: kernelcheck [--curve fourq|x25519|p256|all] [--effort N] \
+        "usage: kernelcheck [--curve fourq|x25519|p256|all] \
          [--level quick|full|both] [--json FILE] [--baseline FILE] [--update-baseline] \
          [--root DIR] [--inject N] [--seed S]"
     );
@@ -58,7 +57,6 @@ struct CurveRun {
 
 fn main() -> ExitCode {
     let mut curves: Vec<CurveId> = CurveId::ALL.to_vec();
-    let mut effort: u32 = 2;
     let mut levels: Vec<CheckLevel> = vec![CheckLevel::Quick, CheckLevel::Full];
     let mut json_path: Option<PathBuf> = None;
     let mut baseline_path: Option<PathBuf> = None;
@@ -72,10 +70,6 @@ fn main() -> ExitCode {
         match a.as_str() {
             "--curve" => match args.next().as_deref().and_then(parse_curves) {
                 Some(c) => curves = c,
-                None => return usage(),
-            },
-            "--effort" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(v) => effort = v,
                 None => return usage(),
             },
             "--level" => match args.next().as_deref() {
@@ -130,8 +124,8 @@ fn main() -> ExitCode {
     let machine = MachineConfig::paper();
     let mut runs: Vec<CurveRun> = Vec::with_capacity(curves.len());
     for &curve in &curves {
-        let kernel = match fourq_cpu::shared_kernel(curve, &machine, effort, None) {
-            Ok(st) => &st.kernel,
+        let kernel = match fourq_cpu::shared_kernel(curve, &machine) {
+            Ok(k) => k,
             Err(e) => {
                 eprintln!("kernelcheck: {curve}: compile failed: {e}");
                 return ExitCode::FAILURE;
@@ -189,7 +183,7 @@ fn main() -> ExitCode {
                 suppressed: r.suppressed.len(),
             })
             .collect();
-        let json = to_json(effort, &sections);
+        let json = to_json(&sections);
         if let Err(e) = std::fs::write(p, json) {
             eprintln!("kernelcheck: cannot write {}: {e}", p.display());
             return ExitCode::from(2);
@@ -204,7 +198,7 @@ fn main() -> ExitCode {
         }
         let m = &run.reports.last().expect("ran").metrics;
         println!(
-            "kernelcheck[{curve}]: effort {effort}: {} cycles vs lower bound {} \
+            "kernelcheck[{curve}]: {} cycles vs lower bound {} \
              (critical path {}, issue bandwidth {}), gap {:.1}%",
             m.makespan,
             m.lower_bound,

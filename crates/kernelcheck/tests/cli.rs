@@ -18,7 +18,7 @@ fn temp_path(name: &str) -> PathBuf {
 fn clean_kernel_exits_zero_and_writes_json() {
     let json = temp_path("report.json");
     let out = bin()
-        .args(["--effort", "0", "--json"])
+        .arg("--json")
         .arg(&json)
         .output()
         .expect("binary runs");
@@ -44,7 +44,7 @@ fn clean_kernel_exits_zero_and_writes_json() {
 fn fault_injection_smoke_exits_zero_with_full_detection() {
     let json = temp_path("inject.json");
     let out = bin()
-        .args(["--effort", "0", "--inject", "8", "--seed", "5", "--json"])
+        .args(["--inject", "8", "--seed", "5", "--json"])
         .arg(&json)
         .output()
         .expect("binary runs");
@@ -82,7 +82,7 @@ fn bad_usage_exits_two() {
 fn default_run_covers_all_three_curves() {
     let json = temp_path("curves.json");
     let out = bin()
-        .args(["--effort", "0", "--json"])
+        .arg("--json")
         .arg(&json)
         .output()
         .expect("binary runs");
@@ -109,9 +109,7 @@ fn default_run_covers_all_three_curves() {
 fn curve_flag_selects_a_single_kernel() {
     let json = temp_path("x25519.json");
     let out = bin()
-        .args([
-            "--curve", "x25519", "--effort", "0", "--inject", "4", "--json",
-        ])
+        .args(["--curve", "x25519", "--inject", "4", "--json"])
         .arg(&json)
         .output()
         .expect("binary runs");
@@ -138,7 +136,7 @@ fn baseline_file_suppresses_findings() {
     let baseline = temp_path("baseline.txt");
     std::fs::write(&baseline, "# nothing\nK-FLOW-ROM|cycle 3\n").unwrap();
     let out = bin()
-        .args(["--effort", "0", "--baseline"])
+        .arg("--baseline")
         .arg(&baseline)
         .output()
         .expect("binary runs");

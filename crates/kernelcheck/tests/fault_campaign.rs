@@ -9,9 +9,8 @@ use fourq_testkit::fault::FaultClass;
 
 #[test]
 fn sixty_four_fault_campaign_detects_everything() {
-    let kernel = &fourq_cpu::shared_kernel(CurveId::FourQ, &MachineConfig::paper(), 0, None)
-        .expect("compiles")
-        .kernel;
+    let kernel =
+        fourq_cpu::shared_kernel(CurveId::FourQ, &MachineConfig::paper()).expect("compiles");
     let report = run_campaign(kernel, 64, 0xdeadf001);
     assert_eq!(report.outcomes.len(), 64);
 
@@ -44,9 +43,8 @@ fn sixty_four_fault_campaign_detects_everything() {
 
 #[test]
 fn campaign_exercises_every_class() {
-    let kernel = &fourq_cpu::shared_kernel(CurveId::FourQ, &MachineConfig::paper(), 0, None)
-        .expect("compiles")
-        .kernel;
+    let kernel =
+        fourq_cpu::shared_kernel(CurveId::FourQ, &MachineConfig::paper()).expect("compiles");
     let report = run_campaign(kernel, 64, 1);
     for class in [
         FaultClass::RomWord,

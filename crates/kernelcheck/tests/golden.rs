@@ -14,13 +14,7 @@ use fourq_sched::MachineConfig;
 use fourq_trace::{Operand, Selector, TraceError, Unit};
 
 fn kernel() -> &'static CompiledKernel {
-    kernel_at(0)
-}
-
-fn kernel_at(effort: u32) -> &'static CompiledKernel {
-    &shared_kernel(CurveId::FourQ, &MachineConfig::paper(), effort, None)
-        .expect("clean kernel compiles")
-        .kernel
+    shared_kernel(CurveId::FourQ, &MachineConfig::paper()).expect("clean kernel compiles")
 }
 
 fn latency(k: &CompiledKernel, i: usize) -> u64 {
@@ -35,13 +29,10 @@ fn finish(k: &CompiledKernel, i: usize) -> u64 {
 }
 
 #[test]
-fn clean_kernel_is_clean_at_both_levels_and_efforts() {
-    for effort in [0, 2] {
-        let k = kernel_at(effort);
-        for level in [CheckLevel::Quick, CheckLevel::Full] {
-            let r = verify(k, level);
-            assert!(r.is_clean(), "effort {effort} {level}: {:?}", r.findings);
-        }
+fn clean_kernel_is_clean_at_both_levels() {
+    for level in [CheckLevel::Quick, CheckLevel::Full] {
+        let r = verify(kernel(), level);
+        assert!(r.is_clean(), "{level}: {:?}", r.findings);
     }
 }
 

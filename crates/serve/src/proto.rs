@@ -17,8 +17,11 @@
 //! client cannot make the server allocate unboundedly.
 //!
 //! All field elements cross the wire in the library's canonical encodings:
-//! scalars as 32 little-endian bytes (folded modulo the group order on
-//! decode, so every 32-byte string is a valid scalar), points in the
+//! secret scalars as 32 little-endian bytes (folded modulo the group order
+//! on decode, so every 32-byte string is a valid key), a signature's `s`
+//! as its canonical 32-byte encoding (`s ≥ N` is the typed decode error
+//! [`ProtoError::NonCanonicalScalar`], answered [`Status::Malformed`], so
+//! each signature has one wire form), points in the
 //! 32-byte compressed encoding of [`fourq_curve::AffinePoint::encode`]
 //! (validated at execution time, not decode time — a bad point yields a
 //! [`Status::Failed`] response, not a protocol error). The multi-curve
@@ -33,7 +36,7 @@
 //! bit-flipped frames against both decoders.
 
 use fourq_curve::CurveId;
-use fourq_fp::Scalar;
+use fourq_fp::{Scalar, SUBGROUP_ORDER, U256};
 
 /// Protocol version byte; bumped on any wire-incompatible change.
 pub const PROTO_VERSION: u8 = 1;
@@ -261,6 +264,9 @@ pub enum ProtoError {
     /// from [`ProtoError::BadTag`] so the server can answer the typed
     /// [`Status::UnknownCurve`] frame and keep the connection.
     UnknownCurve(u8),
+    /// A `SchnorrVerify` frame carried a signature `s` at or above the
+    /// group order: a second encoding of the residue `s mod N`.
+    NonCanonicalScalar,
 }
 
 impl core::fmt::Display for ProtoError {
@@ -271,6 +277,7 @@ impl core::fmt::Display for ProtoError {
             ProtoError::BadVersion(v) => write!(f, "unknown protocol version {v}"),
             ProtoError::BadTag(t) => write!(f, "unknown op/status tag {t}"),
             ProtoError::UnknownCurve(c) => write!(f, "unknown curve id {c}"),
+            ProtoError::NonCanonicalScalar => write!(f, "scalar is not below the group order"),
         }
     }
 }
@@ -306,6 +313,16 @@ fn take_32(buf: &mut &[u8]) -> Result<[u8; 32], ProtoError> {
 // ct: secret
 fn take_scalar(buf: &mut &[u8]) -> Result<Scalar, ProtoError> {
     Ok(Scalar::from_le_bytes(&take_32(buf)?))
+}
+
+/// Decodes a public scalar in its canonical encoding: 32 little-endian
+/// bytes below the group order, no fold.
+fn take_canonical_scalar(buf: &mut &[u8]) -> Result<Scalar, ProtoError> {
+    let v = U256::from_le_bytes(&take_32(buf)?);
+    if v >= SUBGROUP_ORDER {
+        return Err(ProtoError::NonCanonicalScalar);
+    }
+    Ok(Scalar::from_u256(v))
 }
 
 /// Decodes a multi-curve secret scalar: 32 raw little-endian bytes whose
@@ -398,7 +415,7 @@ pub fn decode_request(payload: &[u8]) -> Result<(u64, Request), ProtoError> {
             sig_r: take_32(&mut buf)?,
             // Verification inputs are public by protocol; only the
             // signing/key-agreement scalars above are secret.
-            sig_s: Scalar::from_le_bytes(&take_32(&mut buf)?),
+            sig_s: take_canonical_scalar(&mut buf)?,
             msg: buf.to_vec(),
         },
         OpKind::EcdsaSign => Request::EcdsaSign {
@@ -721,6 +738,28 @@ mod tests {
         payload.push(9);
         payload.extend_from_slice(&[0u8; 64]);
         assert_eq!(decode_request(&payload), Err(ProtoError::UnknownCurve(9)));
+    }
+
+    #[test]
+    fn schnorr_s_at_or_above_the_order_is_rejected() {
+        let payload = |s: U256| {
+            let mut p = vec![PROTO_VERSION, OpKind::SchnorrVerify.as_u8()];
+            p.extend_from_slice(&5u64.to_le_bytes());
+            p.extend_from_slice(&[1u8; 64]); // public key and R
+            p.extend_from_slice(&s.to_le_bytes());
+            p.extend_from_slice(b"msg");
+            p
+        };
+        let s = Scalar::from_u64(12345);
+        let (_, req) = decode_request(&payload(s.to_u256())).expect("canonical s decodes");
+        assert!(matches!(req, Request::SchnorrVerify { sig_s, .. } if sig_s == s));
+        let s_plus_n = s.to_u256().checked_add(&SUBGROUP_ORDER).expect("fits");
+        for bad in [SUBGROUP_ORDER, s_plus_n, U256([u64::MAX; 4])] {
+            assert_eq!(
+                decode_request(&payload(bad)),
+                Err(ProtoError::NonCanonicalScalar)
+            );
+        }
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //! connection lifecycle, and the wire stats probe.
 
 use fourq_curve::{CurveId, MultiCurveEngine};
-use fourq_fp::Scalar;
+use fourq_fp::{Scalar, SUBGROUP_ORDER};
 use fourq_serve::proto::{OpKind, Request, Status, MAX_FRAME, PROTO_VERSION};
 use fourq_serve::{Client, ServerConfig};
+use fourq_sig::schnorr;
 
 fn quiet_server(cfg: ServerConfig) -> fourq_serve::ServerHandle {
     fourq_serve::spawn(cfg).expect("spawn server")
@@ -76,6 +77,47 @@ fn malformed_frame_answers_and_keeps_the_connection() {
         })
         .expect("call after malformed");
     assert_eq!(resp.status, Status::Ok);
+    handle.shutdown();
+}
+
+#[test]
+fn non_canonical_schnorr_s_is_malformed_and_keeps_the_connection() {
+    let handle = quiet_server(ServerConfig::default());
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let kp = schnorr::KeyPair::from_seed(&[7u8; 32]);
+    let msg = b"one signature, one encoding";
+    let sig = kp.sign(msg);
+
+    // s + N is a second encoding of the same residue: a malformed frame,
+    // answered with the id echoed.
+    let s_plus_n = sig
+        .s
+        .to_u256()
+        .checked_add(&SUBGROUP_ORDER)
+        .expect("s + N fits in 256 bits");
+    let mut payload = vec![PROTO_VERSION, OpKind::SchnorrVerify.as_u8()];
+    payload.extend_from_slice(&77u64.to_le_bytes());
+    payload.extend_from_slice(&kp.public.encoded);
+    payload.extend_from_slice(&sig.r);
+    payload.extend_from_slice(&s_plus_n.to_le_bytes());
+    payload.extend_from_slice(msg);
+    let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
+    frame.extend_from_slice(&payload);
+    client.send_raw(&frame).expect("send raw");
+    let resp = client.recv().expect("recv");
+    assert_eq!((resp.id, resp.status), (77, Status::Malformed));
+
+    // The canonical encoding of the same signature still verifies on the
+    // same connection.
+    let resp = client
+        .call(&Request::SchnorrVerify {
+            public: kp.public.encoded,
+            sig_r: sig.r,
+            sig_s: sig.s,
+            msg: msg.to_vec(),
+        })
+        .expect("call after malformed");
+    assert_eq!((resp.status, resp.payload), (Status::Ok, vec![1]));
     handle.shutdown();
 }
 

@@ -399,9 +399,8 @@ mod tests {
 
     #[test]
     fn small_campaign_detects_everything() {
-        let kernel = &fourq_cpu::shared_kernel(CurveId::FourQ, &MachineConfig::paper(), 0, None)
-            .expect("compiles")
-            .kernel;
+        let kernel =
+            fourq_cpu::shared_kernel(CurveId::FourQ, &MachineConfig::paper()).expect("compiles");
         let report = run_campaign(kernel, 12, 0xfa017);
         assert_eq!(report.outcomes.len(), 12);
         if let Some(o) = report.undetected().first() {
@@ -423,9 +422,8 @@ mod tests {
 
     #[test]
     fn x25519_campaign_detects_everything() {
-        let kernel = &fourq_cpu::shared_kernel(CurveId::X25519, &MachineConfig::paper(), 0, None)
-            .expect("compiles")
-            .kernel;
+        let kernel =
+            fourq_cpu::shared_kernel(CurveId::X25519, &MachineConfig::paper()).expect("compiles");
         let report = run_campaign(kernel, 8, 0x25519);
         assert_eq!(report.outcomes.len(), 8);
         if let Some(o) = report.undetected().first() {
@@ -435,9 +433,8 @@ mod tests {
 
     #[test]
     fn p256_campaign_smoke() {
-        let kernel = &fourq_cpu::shared_kernel(CurveId::P256, &MachineConfig::paper(), 0, None)
-            .expect("compiles")
-            .kernel;
+        let kernel =
+            fourq_cpu::shared_kernel(CurveId::P256, &MachineConfig::paper()).expect("compiles");
         let report = run_campaign(kernel, 4, 0x256);
         assert_eq!(report.outcomes.len(), 4);
         if let Some(o) = report.undetected().first() {
@@ -450,9 +447,8 @@ mod tests {
         // Seed 5 used to draw `Ry0` — the projective-scaling-only
         // constant whose faults are output-invariant by homogeneity —
         // and report it undetected. It must no longer be injectable.
-        let kernel = &fourq_cpu::shared_kernel(CurveId::P256, &MachineConfig::paper(), 0, None)
-            .expect("compiles")
-            .kernel;
+        let kernel =
+            fourq_cpu::shared_kernel(CurveId::P256, &MachineConfig::paper()).expect("compiles");
         let report = run_campaign(kernel, 8, 5);
         assert!(!report.outcomes.iter().any(|o| o.site.contains("Ry0")));
         if let Some(o) = report.undetected().first() {
@@ -462,9 +458,8 @@ mod tests {
 
     #[test]
     fn campaign_is_deterministic_in_seed() {
-        let kernel = &fourq_cpu::shared_kernel(CurveId::FourQ, &MachineConfig::paper(), 0, None)
-            .expect("compiles")
-            .kernel;
+        let kernel =
+            fourq_cpu::shared_kernel(CurveId::FourQ, &MachineConfig::paper()).expect("compiles");
         let a = run_campaign(kernel, 8, 7);
         let b = run_campaign(kernel, 8, 7);
         let sites_a: Vec<&str> = a.outcomes.iter().map(|o| o.site.as_str()).collect();

@@ -7,9 +7,8 @@
 //!      assemble the control ROM, and audit the result against software.
 //!   2. execute — replay the fixed microcode for any (base, scalar) pair;
 //!      the chip never reschedules, it just feeds new digits to the muxes.
-//!   3. reuse — the kernel is cached process-wide per (curve, machine,
-//!      effort, stitch options), so every later caller pays only the
-//!      replay cost.
+//!   3. reuse — the kernel is cached process-wide per (curve, machine),
+//!      so every later caller pays only the replay cost.
 //!
 //! Run with: `cargo run --release --example asic_pipeline`
 
@@ -25,9 +24,8 @@ fn main() {
     // self-audit that executes two scalars against AffinePoint::mul.
     let machine = MachineConfig::paper();
     let t0 = Instant::now();
-    let kernel: &'static CompiledKernel = &shared_kernel(CurveId::FourQ, &machine, 32, None)
-        .expect("pipeline compiles")
-        .kernel;
+    let kernel: &'static CompiledKernel =
+        shared_kernel(CurveId::FourQ, &machine).expect("pipeline compiles");
     let compile_time = t0.elapsed();
     let fp = &kernel.fingerprint;
     println!(
@@ -74,8 +72,8 @@ fn main() {
 
     // Step 3: a second lookup hits the process-wide cache — same kernel,
     // zero compilation.
-    let again = shared_kernel(CurveId::FourQ, &machine, 32, None).expect("pipeline compiles");
-    assert!(std::ptr::eq(kernel, &again.kernel));
+    let again = shared_kernel(CurveId::FourQ, &machine).expect("pipeline compiles");
+    assert!(std::ptr::eq(kernel, again));
     println!(
         "step 3 — cache hit: same kernel instance, amortisation {:.0}x per reuse",
         (compile_time.as_secs_f64() + execute_time.as_secs_f64()) / execute_time.as_secs_f64()

@@ -20,9 +20,7 @@ fn main() {
 
     // --- the hardware: the same computation on the simulated ASIC ------
     let machine = MachineConfig::paper();
-    let kernel = &shared_kernel(CurveId::FourQ, &machine, 8, None)
-        .expect("pipeline compiles")
-        .kernel;
+    let kernel = shared_kernel(CurveId::FourQ, &machine).expect("pipeline compiles");
     let cycles = kernel.fingerprint.cycles;
     println!(
         "simulated ASIC: {} cycles ({} microinstructions, multiplier {:.0}% busy)",

@@ -16,9 +16,8 @@ fn main() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(50.0);
 
-    let cycles = shared_kernel(CurveId::FourQ, &MachineConfig::paper(), 16, None)
+    let cycles = shared_kernel(CurveId::FourQ, &MachineConfig::paper())
         .expect("pipeline compiles")
-        .kernel
         .fingerprint
         .cycles;
     let tech = SotbModel::calibrate_paper(cycles);

@@ -18,7 +18,7 @@
 //! let p = g.mul(&k);
 //!
 //! // ...and the same computation on the simulated cryptoprocessor.
-//! let kernel = &fourq::cpu::shared_kernel(CurveId::FourQ, &MachineConfig::paper(), 2, None)?.kernel;
+//! let kernel = fourq::cpu::shared_kernel(CurveId::FourQ, &MachineConfig::paper())?;
 //! assert_eq!(kernel.execute(&g, &k)?, p);
 //! # Ok::<(), fourq::cpu::PipelineError>(())
 //! ```

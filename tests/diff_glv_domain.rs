@@ -102,9 +102,7 @@ fn every_path_is_exact_on_torsion_and_mixed_order_points() {
     points.extend(curve_points(0xd1ff).take(2));
 
     let eng = FourQEngine::shared();
-    let kernel = &shared_kernel(CurveId::FourQ, &MachineConfig::paper(), 2, None)
-        .expect("pipeline compiles")
-        .kernel;
+    let kernel = shared_kernel(CurveId::FourQ, &MachineConfig::paper()).expect("pipeline compiles");
     let ks = scalars();
     let mut pairs = Vec::new();
     for p in &points {

@@ -14,11 +14,9 @@ fn full_scalar() -> Scalar {
     )
 }
 
-/// The Fourℚ kernel every test here shares (effort 2, plain ILS).
+/// The shared Fourℚ kernel of `machine`.
 fn kernel_on(machine: &MachineConfig) -> &'static CompiledKernel {
-    &shared_kernel(CurveId::FourQ, machine, 2, None)
-        .expect("pipeline compiles")
-        .kernel
+    shared_kernel(CurveId::FourQ, machine).expect("pipeline compiles")
 }
 
 #[test]
@@ -154,7 +152,7 @@ fn shared_kernel_is_compiled_once_per_config() {
     let b = kernel_on(&machine);
     assert!(
         std::ptr::eq(a, b),
-        "same (machine, effort) must hit the cache"
+        "same (curve, machine) must hit the cache"
     );
     let narrow = MachineConfig {
         read_ports: 2,

@@ -87,7 +87,7 @@ step "asic-smoke: paper-artifact binaries (FOURQ_BENCH_FAST=1)"
 FOURQ_BENCH_FAST=1 cargo run --release -q -p fourq-bench --bin profile_ops > /dev/null
 FOURQ_BENCH_FAST=1 cargo run --release -q -p fourq-bench --bin table1_schedule > /dev/null
 FOURQ_BENCH_FAST=1 cargo run --release -q -p fourq-bench --bin fig4_voltage_sweep > /dev/null
-FOURQ_BENCH_FAST=1 cargo run --release -q -p fourq-bench --bin table2_report -- --effort 2 > /dev/null
+FOURQ_BENCH_FAST=1 cargo run --release -q -p fourq-bench --bin table2_report > /dev/null
 FOURQ_BENCH_FAST=1 cargo run --release -q -p fourq-bench --bin design_report > /dev/null
 cargo run --release -q -p fourq-bench --bin emit_kernel_kat | diff - tests/vectors/fourq_kernel_kat.json
 python3 tools/derive_glv.py --check
@@ -104,10 +104,10 @@ rm -f "$out"
 
 step "fleet-smoke: capacity planner + fleet scaling tripwire (FOURQ_BENCH_FAST=1)"
 # End-to-end smoke of the multi-core fleet model: the capacity_report
-# sweep (reduced core grid and stitch budget under FOURQ_BENCH_FAST)
-# must produce its Pareto frontier, and the modeled 4-core fleet on a
-# 2-port table ROM must sustain >=2x the single-core throughput (a
-# deterministic model, so the gate holds on any host).
+# sweep (reduced core grid under FOURQ_BENCH_FAST) must produce its
+# Pareto frontier, and the modeled 4-core fleet on a 2-port table ROM
+# must sustain >=2x the single-core throughput (a deterministic model,
+# so the gate holds on any host).
 FOURQ_BENCH_FAST=1 cargo run --release -q -p fourq-bench --bin capacity_report > /dev/null
 out="$(mktemp)"
 FOURQ_BENCH_FAST=1 cargo run --release -q -p fourq-bench --bin microbench -- \
