@@ -8,7 +8,7 @@
 //! | `signatures` | §I ITS motivation — Schnorr/ECDSA sign + verify throughput |
 //! | `curve_compare` | Table II shape — FourQ vs P-256 vs Curve25519 in software |
 //! | `scheduling` | §III-C turn-around — scheduling must be fast per design iteration |
-//! | `scalar_ops` | mod-N arithmetic ablation — Montgomery vs `rem_wide`, windowed vs binary inversion |
+//! | `scalar_ops` | mod-N arithmetic — Montgomery multiplication, windowed and batch inversion |
 //! | `batch_ops` | batch-first curve pipeline — amortized normalisation, fixed-base, MSM |
 //! | `batch_sig` | batch-first signature pipeline — RLC batch verify, batch signing |
 //! | `multi_curve` | Table II on one machine — per-curve compiled kernels through the shared cache |
@@ -163,9 +163,8 @@ pub fn scheduling(report: &mut BenchReport, opts: &BenchOptions) {
     }));
 }
 
-/// Mod-N scalar arithmetic ablation: the Montgomery/CIOS multiplier and
-/// windowed Fermat ladder against the original shift-subtract
-/// (`rem_wide`) paths they replaced, plus the batch inversion.
+/// Mod-N scalar arithmetic: the Montgomery/CIOS multiplier, the windowed
+/// Fermat ladder and the batch inversion.
 pub fn scalar_ops(report: &mut BenchReport, opts: &BenchOptions) {
     let mut rng = TestRng::from_seed(BENCH_SEED ^ 3);
     let a = bench_scalar(&mut rng);
@@ -174,14 +173,8 @@ pub fn scalar_ops(report: &mut BenchReport, opts: &BenchOptions) {
     report.push(run("scalar_ops", "mul_montgomery", opts, || {
         black_box(a) * black_box(b)
     }));
-    report.push(run("scalar_ops", "mul_rem_wide", opts, || {
-        black_box(a).mul_rem_wide(black_box(&b))
-    }));
     report.push(run("scalar_ops", "inv_windowed", opts, || {
         black_box(a).inv()
-    }));
-    report.push(run("scalar_ops", "inv_binary_rem_wide", opts, || {
-        black_box(a).inv_binary_rem_wide()
     }));
     report.push(per_item(
         run("scalar_ops", "batch_invert_n64_per_item", opts, || {

@@ -1,7 +1,7 @@
 //! Affine FourQ points and the user-facing scalar-multiplication API.
 
 use crate::decompose::{decompose, recode};
-use crate::engine::{normalize, scalar_mul_engine};
+use crate::engine::scalar_mul_engine;
 use crate::extended::ExtendedPoint;
 use crate::params::{D, GENERATOR_X, GENERATOR_Y, ORDER, TWO_D};
 use core::fmt;
@@ -111,6 +111,22 @@ impl AffinePoint {
         self.add(self)
     }
 
+    /// The affine form of a projective point: `(X·Z⁻¹, Y·Z⁻¹)` with one
+    /// [`Fp2::inv`], which runs the Fermat chain in `F_p` on the norm of
+    /// `Z`. Every concrete normalisation goes through here;
+    /// [`crate::normalize`] keeps the `F_p²` chain for the tracer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `Z = 0`, which the complete formulas never produce.
+    pub(crate) fn from_extended(p: &ExtendedPoint<Fp2>) -> AffinePoint {
+        let zinv = p.z.inv();
+        AffinePoint {
+            x: p.x * zinv,
+            y: p.y * zinv,
+        }
+    }
+
     /// Scalar multiplication `[k]P` using the paper's Algorithm 1 pipeline
     /// (decompose → recode → endomorphism table → 65× double-and-add →
     /// normalise).
@@ -121,9 +137,7 @@ impl AffinePoint {
     /// *point* (public) short-circuits.
     // ct: secret(k)
     pub fn mul(&self, k: &Scalar) -> AffinePoint {
-        let out = self.mul_extended(k);
-        let (x, y) = normalize(&out);
-        AffinePoint { x, y }
+        AffinePoint::from_extended(&self.mul_extended(k))
     }
 
     /// Scalar multiplication returning the projective result, normalisation
@@ -163,8 +177,7 @@ impl AffinePoint {
                 acc = acc.add_cached(&cached);
             }
         }
-        let (x, y) = normalize(&acc);
-        AffinePoint { x, y }
+        AffinePoint::from_extended(&acc)
     }
 
     /// Multiplies by the cofactor 392, mapping any curve point into the
@@ -340,6 +353,60 @@ mod tests {
                 AffinePoint::decode(&enc),
                 Err(DecodePointError::NonCanonical)
             );
+        }
+    }
+
+    /// `decode(b) == Ok(P)` holds exactly when `P.encode() == b`. The
+    /// Schnorr verifier compares `[s]G + [N−h]A` with `R` by encoding
+    /// instead of decoding `R`, and gives the same verdicts only because
+    /// of this.
+    #[test]
+    fn decode_accepts_exactly_the_encodings() {
+        let mut rng = fourq_testkit::TestRng::from_seed(0xdec0_de00_e4c0_de00);
+        let mut accepted = 0;
+        for _ in 0..100_000 {
+            let mut b = [0u8; 32];
+            rng.fill_bytes(&mut b);
+            if let Ok(p) = AffinePoint::decode(&b) {
+                assert_eq!(p.encode(), b, "decode accepted a non-encoding");
+                // Points no string decoded to must round-trip as well.
+                for q in [p.neg(), p.double(), p.add(&AffinePoint::generator())] {
+                    assert_eq!(AffinePoint::decode(&q.encode()), Ok(q));
+                }
+                accepted += 1;
+            }
+        }
+        assert!(accepted > 10_000, "only {accepted} strings decoded");
+
+        let order_two = AffinePoint::new(Fp2::ZERO, -Fp2::ONE).expect("on curve");
+        let g = AffinePoint::generator();
+        let mut edges = Vec::new();
+        // A y component equal to p, the non-canonical zero.
+        for (lo, hi) in [(0, 16), (16, 32)] {
+            let mut b = AffinePoint::identity().encode();
+            b[lo..hi].fill(0xff);
+            b[hi - 1] = 0x7f;
+            edges.push(b);
+        }
+        // Bit 127 of y.re set.
+        let mut b = g.encode();
+        b[15] |= 0x80;
+        edges.push(b);
+        // The sign bit set on (0, 1) and on (0, −1).
+        for p in [AffinePoint::identity(), order_two] {
+            let mut b = p.encode();
+            b[31] |= 0x80;
+            edges.push(b);
+        }
+        for b in edges {
+            assert_eq!(
+                AffinePoint::decode(&b),
+                Err(DecodePointError::NonCanonical),
+                "{b:02x?}"
+            );
+        }
+        for p in [AffinePoint::identity(), order_two, g, g.neg()] {
+            assert_eq!(AffinePoint::decode(&p.encode()), Ok(p));
         }
     }
 

@@ -13,7 +13,8 @@
 //! is a thin wrapper over the batch path with `n = 1`.
 
 use crate::affine::AffinePoint;
-use crate::extended::ExtendedPoint;
+use crate::engine::psi_table;
+use crate::extended::{CachedPoint, ExtendedPoint};
 use crate::fixed_base::FixedBaseTable;
 use crate::multi::{batch_normalize_threaded, multi_scalar_mul_threaded};
 use crate::params::{D, TWO_D};
@@ -33,12 +34,14 @@ const MUL_CHUNK: usize = 2;
 /// A reusable FourQ computation context.
 ///
 /// Owns the generator comb table (62 doublings + 62 additions per
-/// fixed-base multiplication once built) and the curve constants `d` and
-/// `2d` used by the cached-point formulas. The four-dimensional
+/// fixed-base multiplication once built), the generator's 8-entry ψ
+/// table (Algorithm 1, steps 1–2), which [`crate::double_scalar_mul`]
+/// reads whenever one of its points is `G`, and the curve constants `d`
+/// and `2d` used by the cached-point formulas. The four-dimensional
 /// decomposition itself needs no per-engine state: its endomorphisms ψ₇
 /// and ψ₈ and its lattice are compile-time constants (see `DESIGN.md` §3),
-/// and the images `ψ₇(P)`, `ψ₈(P)`, `ψ₇ψ₈(P)` are evaluated per point
-/// inside the kernel.
+/// and for any other point the images `ψ₇(P)`, `ψ₈(P)`, `ψ₇ψ₈(P)` are
+/// evaluated per call.
 ///
 /// ```
 /// use fourq_curve::{AffinePoint, FourQEngine};
@@ -50,18 +53,22 @@ const MUL_CHUNK: usize = 2;
 #[derive(Clone, Debug)]
 pub struct FourQEngine {
     gen_table: FixedBaseTable,
+    gen_psi: [CachedPoint<Fp2>; 8],
     threads: usize,
 }
 
 impl FourQEngine {
     /// Builds a fresh engine, precomputing the generator comb table
-    /// (~60–70 point operations, one-time). The thread budget for batch
+    /// (~60–70 point operations) and the generator's ψ table (three
+    /// endomorphism images and 7 additions), both one-time. The thread budget for batch
     /// operations is resolved once here — `FOURQ_THREADS` if set, else
     /// the machine's available parallelism (capped); see
     /// [`fourq_pool::resolved_threads`].
     pub fn new() -> FourQEngine {
+        let g = AffinePoint::generator();
         FourQEngine {
-            gen_table: FixedBaseTable::new(&AffinePoint::generator()),
+            gen_table: FixedBaseTable::new(&g),
+            gen_psi: psi_table(&g.x, &g.y, &Fp2::ONE, &TWO_D),
             threads: fourq_pool::resolved_threads(),
         }
     }
@@ -74,6 +81,7 @@ impl FourQEngine {
     pub fn with_threads(&self, n: usize) -> FourQEngine {
         FourQEngine {
             gen_table: self.gen_table.clone(),
+            gen_psi: self.gen_psi.clone(),
             threads: n.clamp(1, fourq_pool::MAX_THREADS),
         }
     }
@@ -94,6 +102,13 @@ impl FourQEngine {
     /// The cached generator comb table.
     pub fn generator_table(&self) -> &FixedBaseTable {
         &self.gen_table
+    }
+
+    /// The cached 8-entry ψ table of the generator (Algorithm 1, steps
+    /// 1–2), read by [`crate::double_scalar_mul`] whenever one of its
+    /// points is `G`.
+    pub(crate) fn generator_psi_table(&self) -> &[CachedPoint<Fp2>; 8] {
+        &self.gen_psi
     }
 
     /// The curve constant `d`.
@@ -176,8 +191,7 @@ impl FourQEngine {
 
     /// One-shot projective → affine conversion (one inversion).
     pub fn to_affine(&self, p: &ExtendedPoint<Fp2>) -> AffinePoint {
-        let (x, y) = crate::engine::normalize(p);
-        AffinePoint { x, y }
+        AffinePoint::from_extended(p)
     }
 
     /// Converts a whole batch with a single field inversion

@@ -91,38 +91,8 @@ pub fn scalar_mul_engine<F: EngineSelect>(
     recoded: &Recoded,
     corrected: Choice,
 ) -> MulOutput<F> {
-    // Constants first: the tracer registers them before any operation.
-    let psi7 = PSI7.lift(|c| F::constant(one, "psi7", c));
-    let psi8 = PSI8.lift(|c| F::constant(one, "psi8", c));
-    let p1 = ExtendedPoint::from_affine(x, y, one);
-
-    // Step 1: the endomorphism images, P affine, ψ₈(P) projective.
-    let p2 = psi7.apply(&p1, one, true);
-    let p3 = psi8.apply(&p1, one, true);
-    let p4 = psi7.apply(&p3, one, false);
-
-    // Step 2: the 8-entry table, built with 7 cached additions.
-    let c2 = p2.to_cached(two_d);
-    let c3 = p3.to_cached(two_d);
-    let c4 = p4.to_cached(two_d);
-    let t0 = p1.clone();
-    let t1 = t0.add_cached(&c2);
-    let t2 = t0.add_cached(&c3);
-    let t3 = t1.add_cached(&c3);
-    let t4 = t0.add_cached(&c4);
-    let t5 = t1.add_cached(&c4);
-    let t6 = t2.add_cached(&c4);
-    let t7 = t3.add_cached(&c4);
-    let table: [CachedPoint<F>; 8] = [
-        t0.to_cached(two_d),
-        t1.to_cached(two_d),
-        t2.to_cached(two_d),
-        t3.to_cached(two_d),
-        t4.to_cached(two_d),
-        t5.to_cached(two_d),
-        t6.to_cached(two_d),
-        t7.to_cached(two_d),
-    ];
+    // Steps 1–2: the endomorphism images and the 8-entry table.
+    let table = psi_table(x, y, one, two_d);
 
     // Step 3: the main double-and-add loop (the workload of Table I).
     // Each digit's table entry comes out of `table_entry`, which considers
@@ -157,6 +127,39 @@ pub fn scalar_mul_engine<F: EngineSelect>(
     q = q.add_cached(&corr);
 
     MulOutput { point: q }
+}
+
+/// Steps 1–2 of Algorithm 1 for the affine point `(x, y)`: the
+/// endomorphism images `ψ₇(P)`, `ψ₈(P)` and `ψ₇(ψ₈(P))`, then the table
+/// `T[u] = P + u₀·ψ₇(P) + u₁·ψ₈(P) + u₂·ψ₇ψ₈(P)` in `(X+Y, Y−X, 2Z, 2dT)`
+/// coordinates, built with 7 cached additions. `T[0]` is `P` itself.
+///
+/// [`scalar_mul_engine`] (and through it the tracer) and
+/// [`crate::double_scalar_mul`] build their tables here.
+pub(crate) fn psi_table<F: EngineSelect>(x: &F, y: &F, one: &F, two_d: &F) -> [CachedPoint<F>; 8] {
+    // Constants first: the tracer registers them before any operation.
+    let psi7 = PSI7.lift(|c| F::constant(one, "psi7", c));
+    let psi8 = PSI8.lift(|c| F::constant(one, "psi8", c));
+    let p1 = ExtendedPoint::from_affine(x, y, one);
+
+    // Step 1: the endomorphism images, P affine, ψ₈(P) projective.
+    let p2 = psi7.apply(&p1, one, true);
+    let p3 = psi8.apply(&p1, one, true);
+    let p4 = psi7.apply(&p3, one, false);
+
+    // Step 2: the 8-entry table, built with 7 cached additions.
+    let c2 = p2.to_cached(two_d);
+    let c3 = p3.to_cached(two_d);
+    let c4 = p4.to_cached(two_d);
+    let t0 = p1;
+    let t1 = t0.add_cached(&c2);
+    let t2 = t0.add_cached(&c3);
+    let t3 = t1.add_cached(&c3);
+    let t4 = t0.add_cached(&c4);
+    let t5 = t1.add_cached(&c4);
+    let t6 = t2.add_cached(&c4);
+    let t7 = t3.add_cached(&c4);
+    [t0, t1, t2, t3, t4, t5, t6, t7].map(|t| t.to_cached(two_d))
 }
 
 /// Constant-time lookup of `signs · T[index]` from the 8-entry table.
@@ -204,7 +207,9 @@ pub(crate) fn identity<F: Fp2Like>(one: &F) -> ExtendedPoint<F> {
 ///
 /// The fabricated processor performs its final conversion on the same two
 /// arithmetic units, which is why this is expressed generically instead of
-/// calling [`fourq_fp::Fp2::inv`].
+/// calling [`fourq_fp::Fp2::inv`]. The software paths on concrete points
+/// call [`fourq_fp::Fp2::inv`], which runs the same chain in `F_p` in
+/// less than half the time and returns the same (exact) inverse.
 pub fn normalize<F: Fp2Like>(p: &ExtendedPoint<F>) -> (F, F) {
     let zinv = invert(&p.z);
     (p.x.mul(&zinv), p.y.mul(&zinv))

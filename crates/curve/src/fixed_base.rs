@@ -4,7 +4,9 @@
 //! base point; a one-time table of `[2^(j·s)]`-spaced multiples lets each
 //! subsequent multiplication skip most doublings (Lim–Lee comb). This is
 //! the standard deployment optimisation for the signing side of the
-//! paper's ITS workload (the verifying side uses [`crate::double_scalar_mul`]).
+//! paper's ITS workload. The verifying side runs
+//! [`crate::double_scalar_mul`], which reads `G` from a different cached
+//! table, the generator's 8-entry ψ table held by [`crate::FourQEngine`].
 
 use crate::affine::AffinePoint;
 use crate::engine::identity;
@@ -107,9 +109,7 @@ impl FixedBaseTable {
     /// doubling/addition sequence and memory access pattern are fixed.
     // ct: secret(k)
     pub fn mul(&self, k: &Scalar) -> AffinePoint {
-        let acc = self.mul_extended(k);
-        let (x, y) = crate::engine::normalize(&acc);
-        AffinePoint { x, y }
+        AffinePoint::from_extended(&self.mul_extended(k))
     }
 
     /// Fixed-base multiplication returning the projective result, so batch

@@ -26,7 +26,9 @@
 //!   or on the microinstruction tracer of `fourq-trace` (the paper's Python
 //!   trace recording, §III-C); [`EngineSelect`] is the only difference
 //!   between the two — masked scans for `Fp2`, recorded multiplexers for
-//!   the tracer.
+//!   the tracer;
+//! * [`double_scalar_mul`], the verifier's `[a]P + [b]Q`: both scalars
+//!   split four ways on the same ψ tables, one 65-doubling loop.
 //!
 //! # Decomposition note
 //!

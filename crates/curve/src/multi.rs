@@ -1,18 +1,31 @@
 //! Multi-scalar multiplication and batch normalisation.
 //!
-//! ECDSA verification (paper §II-A, verification step 4) computes
-//! `[u₁]G + [u₂]Q`. Doing the two multiplications jointly with the
-//! Straus–Shamir trick halves the doubling work; this is the standard
-//! optimisation a deployment of the paper's verifier would use.
+//! Signature verification (paper §II-A, ECDSA verification step 4, and
+//! Schnorr) computes `[u₁]G + [u₂]Q`. [`double_scalar_mul`] splits both
+//! scalars four ways with the endomorphisms of Algorithm 1 and runs the
+//! two digit streams through one loop of 65 doublings, where a
+//! Straus–Shamir loop over the full scalars needs 246.
 
 use crate::affine::AffinePoint;
-use crate::engine::identity;
+use crate::context::FourQEngine;
+use crate::decompose::{decompose, recode, DIGITS};
+use crate::engine::{identity, psi_table};
 use crate::extended::{CachedPoint, ExtendedPoint};
 use crate::params::TWO_D;
 use fourq_fp::{Fp2, Scalar, U256};
+use std::borrow::Cow;
 
-/// Computes `[a]P + [b]Q` with interleaved (Straus–Shamir) double-and-add:
-/// one shared doubling chain and a 3-entry table `{P, Q, P+Q}`.
+/// Computes `[a]P + [b]Q` with the 4-D split of Algorithm 1 on both
+/// scalars: [`decompose`] and [`recode`] turn each into 66 signed digits
+/// over its point's 8-entry ψ table, and one shared loop runs 65
+/// iterations of one doubling and two cached additions, then the two
+/// parity corrections and one inversion. Exact on every point of
+/// `E(F_p²)`, torsion included, like [`AffinePoint::mul`].
+///
+/// Verification inputs are public, so the digits index the tables
+/// directly and the parity corrections branch. `G`'s table is built once
+/// per process and held by [`FourQEngine::shared`]; any other point's is
+/// built per call.
 ///
 /// ```
 /// use fourq_curve::{double_scalar_mul, AffinePoint};
@@ -23,33 +36,47 @@ use fourq_fp::{Fp2, Scalar, U256};
 /// assert_eq!(r, g.mul(&Scalar::from_u64(5 + 7 * 99)));
 /// ```
 pub fn double_scalar_mul(a: &Scalar, p: &AffinePoint, b: &Scalar, q: &AffinePoint) -> AffinePoint {
-    // Verifier-side: u₁/u₂ are derived from the (public) signature and
-    // message, so variable-time double-and-add is fine here.
-    let av = a.to_u256(); // ct: public — verification inputs are public by protocol
-    let bv = b.to_u256(); // ct: public — verification inputs are public by protocol
-    let bits = av.bits().max(bv.bits());
-    if bits == 0 {
-        return AffinePoint::identity();
+    // Verifier-side: both scalars derive from the public signature and
+    // message, so their digits may drive indexing and branches.
+    let da = decompose(a); // ct: public — verification inputs are public by protocol
+    let db = decompose(b); // ct: public — verification inputs are public by protocol
+    let streams = [
+        (recode(&da), psi_table_of(p)),
+        (recode(&db), psi_table_of(q)),
+    ];
+    let add_digits = |acc: ExtendedPoint<Fp2>, i: usize| {
+        streams.iter().fold(acc, |acc, (r, t)| {
+            let e = &t[r.indices[i] as usize];
+            if r.signs[i] < 0 {
+                acc.add_cached(&e.neg())
+            } else {
+                acc.add_cached(e)
+            }
+        })
+    };
+    let top = DIGITS - 1;
+    let mut acc = add_digits(identity(&Fp2::ONE), top);
+    for i in (0..top).rev() {
+        acc = add_digits(acc.double(), i);
     }
-    // table entries in cached form: [P, Q, P+Q]
-    let pe = ExtendedPoint::from_affine(&p.x, &p.y, &Fp2::ONE);
-    let qe = ExtendedPoint::from_affine(&q.x, &q.y, &Fp2::ONE);
-    let pc = pe.to_cached(&TWO_D);
-    let qc = qe.to_cached(&TWO_D);
-    let pq = pe.add_cached(&qc).to_cached(&TWO_D);
-
-    let mut acc = identity(&Fp2::ONE);
-    for i in (0..bits as usize).rev() {
-        acc = acc.double();
-        match (av.bit(i), bv.bit(i)) {
-            (true, true) => acc = acc.add_cached(&pq),
-            (true, false) => acc = acc.add_cached(&pc),
-            (false, true) => acc = acc.add_cached(&qc),
-            (false, false) => {}
+    // A split whose rounded a₁ was even represents k + 1: subtract T[0],
+    // the point itself.
+    for (d, (_, t)) in [da, db].iter().zip(&streams) {
+        if d.corrected.to_bool_vartime() {
+            acc = acc.add_cached(&t[0].neg());
         }
     }
-    let (x, y) = crate::engine::normalize(&acc);
-    AffinePoint { x, y }
+    AffinePoint::from_extended(&acc)
+}
+
+/// The ψ table of `p`: the shared engine's copy for `G`, a fresh one
+/// otherwise.
+fn psi_table_of(p: &AffinePoint) -> Cow<'static, [CachedPoint<Fp2>; 8]> {
+    if *p == AffinePoint::generator() {
+        Cow::Borrowed(FourQEngine::shared().generator_psi_table())
+    } else {
+        Cow::Owned(psi_table(&p.x, &p.y, &Fp2::ONE, &TWO_D))
+    }
 }
 
 /// Computes `Σ [k_i]P_i`, dispatching to the measured-fastest algorithm
@@ -105,8 +132,7 @@ pub fn msm_straus(pairs: &[(Scalar, AffinePoint)]) -> AffinePoint {
             }
         }
     }
-    let (x, y) = crate::engine::normalize(&acc);
-    AffinePoint { x, y }
+    AffinePoint::from_extended(&acc)
 }
 
 /// Picks the Pippenger window width `c` minimising the estimated addition
@@ -225,8 +251,7 @@ pub fn msm_pippenger_threaded(pairs: &[(Scalar, AffinePoint)], threads: usize) -
         }
         acc = acc.add_cached(&partial.to_cached(&TWO_D));
     }
-    let (x, y) = crate::engine::normalize(&acc);
-    AffinePoint { x, y }
+    AffinePoint::from_extended(&acc)
 }
 
 /// Montgomery's batch-inversion trick: normalises many projective points
@@ -346,8 +371,7 @@ pub fn window_scalar_mul(k: &U256, p: &AffinePoint) -> AffinePoint {
             acc = acc.add_cached(&cached[digit - 1]);
         }
     }
-    let (x, y) = crate::engine::normalize(&acc);
-    AffinePoint { x, y }
+    AffinePoint::from_extended(&acc)
 }
 
 #[cfg(test)]

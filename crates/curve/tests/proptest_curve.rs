@@ -129,11 +129,10 @@ fn batch_to_affine_matches_pointwise() {
 
 #[test]
 fn double_scalar_mul_correct() {
-    prop_check!(cases = 12, |rng; a: u64, b: u64| {
+    prop_check!(cases = 12, |rng; a: Scalar, b: Scalar| {
         let q = rng.range_u64(1, 1000);
         let g = AffinePoint::generator();
         let qp = g.mul(&Scalar::from_u64(q));
-        let (a, b) = (Scalar::from_u64(a), Scalar::from_u64(b));
         assert_eq!(
             fourq_curve::double_scalar_mul(&a, &g, &b, &qp),
             g.mul(&a).add(&qp.mul(&b))

@@ -516,22 +516,11 @@ impl Scalar {
     /// Modular multiplication.
     ///
     /// Two Montgomery products: `mont(mont(a, b), R²) = a·b·R⁻¹·R²·R⁻¹ =
-    /// a·b mod N`. Replaces the former 512-iteration shift-subtract
-    /// reduction ([`Scalar::mul_rem_wide`], kept for the ablation), cutting
-    /// a scalar multiplication from ~4 µs to tens of nanoseconds — the
-    /// change that removed the ECDSA outlier from `BENCH_fourq.json`.
+    /// a·b mod N`. Replaced a 512-iteration shift-subtract reduction,
+    /// cutting a scalar multiplication from ~4 µs to tens of nanoseconds —
+    /// the change that removed the ECDSA outlier from `BENCH_fourq.json`.
     pub fn mul(&self, rhs: &Scalar) -> Scalar {
         Scalar(mont_mul(&mont_mul(&self.0, &rhs.0), &R2_MOD_N))
-    }
-
-    /// Modular multiplication through the generic shift-subtract reduction
-    /// ([`U256::rem_wide`]) — the pre-Montgomery reference path.
-    ///
-    /// Kept (a) as an independent implementation the property tests
-    /// cross-check [`Scalar::mul`] against and (b) so the benchmark suite
-    /// can record the before/after of the Montgomery rework.
-    pub fn mul_rem_wide(&self, rhs: &Scalar) -> Scalar {
-        Scalar(U256::rem_wide(&self.0.widening_mul(&rhs.0), &N))
     }
 
     /// Modular exponentiation with a fixed 4-bit-window ladder run in the
@@ -566,24 +555,6 @@ impl Scalar {
         Scalar(mont_mul(&acc, &U256::ONE))
     }
 
-    /// Binary (square-and-multiply) exponentiation over the shift-subtract
-    /// multiplier — the pre-windowed reference path, kept for the ablation
-    /// benchmarks and as a cross-check implementation.
-    pub fn pow_binary_rem_wide(&self, e: &U256) -> Scalar {
-        let mut acc = Scalar::ONE;
-        let bits = e.bits();
-        if bits == 0 {
-            return acc;
-        }
-        for i in (0..bits as usize).rev() {
-            acc = acc.mul_rem_wide(&acc);
-            if e.bit(i) {
-                acc = acc.mul_rem_wide(self);
-            }
-        }
-        acc
-    }
-
     /// Modular inverse via Fermat (`N` is prime), computed with the
     /// windowed Montgomery ladder of [`Scalar::pow`].
     ///
@@ -596,21 +567,6 @@ impl Scalar {
         // ct: allow(R5) reason="N is a fixed constant > 2; expect cannot fire"
         let n_minus_2 = N.checked_sub(&U256::from_u64(2)).expect("N > 2");
         self.pow(&n_minus_2)
-    }
-
-    /// The pre-Montgomery Fermat inversion (binary ladder over
-    /// [`Scalar::mul_rem_wide`]). Kept so `BENCH_fourq.json` records the
-    /// before/after of the ECDSA-outlier fix and as a test cross-check.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the scalar is zero.
-    pub fn inv_binary_rem_wide(&self) -> Scalar {
-        // ct: allow(R5) reason="documented domain-error panic; zero has no inverse"
-        assert!(!self.is_zero(), "inverse of zero scalar");
-        // ct: allow(R5) reason="N is a fixed constant > 2; expect cannot fire"
-        let n_minus_2 = N.checked_sub(&U256::from_u64(2)).expect("N > 2");
-        self.pow_binary_rem_wide(&n_minus_2)
     }
 
     /// Montgomery batch inversion: inverts `n` scalars with **one** real
@@ -802,6 +758,24 @@ mod tests {
         );
     }
 
+    /// `a·b mod N` through the generic shift-subtract reduction, the
+    /// reference the Montgomery paths are checked against.
+    fn mul_ref(a: &Scalar, b: &Scalar) -> Scalar {
+        Scalar(U256::rem_wide(&a.0.widening_mul(&b.0), &N))
+    }
+
+    /// Binary square-and-multiply over [`mul_ref`].
+    fn pow_ref(a: &Scalar, e: &U256) -> Scalar {
+        let mut acc = Scalar::ONE;
+        for i in (0..e.bits() as usize).rev() {
+            acc = mul_ref(&acc, &acc);
+            if e.bit(i) {
+                acc = mul_ref(&acc, a);
+            }
+        }
+        acc
+    }
+
     #[test]
     fn montgomery_mul_matches_rem_wide() {
         let cases = [
@@ -817,7 +791,7 @@ mod tests {
         for (a, b) in cases {
             let sa = Scalar::from_u256(a);
             let sb = Scalar::from_u256(b);
-            assert_eq!(sa.mul(&sb), sa.mul_rem_wide(&sb), "a={a:?} b={b:?}");
+            assert_eq!(sa.mul(&sb), mul_ref(&sa, &sb), "a={a:?} b={b:?}");
         }
     }
 
@@ -832,15 +806,17 @@ mod tests {
             U256::from_u64(0xffff_ffff),
             N.checked_sub(&U256::from_u64(2)).unwrap(),
         ] {
-            assert_eq!(a.pow(&e), a.pow_binary_rem_wide(&e), "e={e:?}");
+            assert_eq!(a.pow(&e), pow_ref(&a, &e), "e={e:?}");
         }
     }
 
     #[test]
     fn inv_matches_binary_reference() {
+        let n_minus_2 = N.checked_sub(&U256::from_u64(2)).unwrap();
         for v in [1u64, 2, 3, 0xdeadbeef, u64::MAX] {
             let a = Scalar::from_u64(v);
-            assert_eq!(a.inv(), a.inv_binary_rem_wide(), "v={v}");
+            assert_eq!(a.inv(), pow_ref(&a, &n_minus_2), "v={v}");
+            assert_eq!(mul_ref(&a, &a.inv()), Scalar::ONE, "v={v}");
         }
     }
 

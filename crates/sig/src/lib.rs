@@ -7,7 +7,7 @@
 //!
 //! * [`schnorr`] — a Schnorr-style scheme in the spirit of SchnorrQ
 //!   (deterministic nonces via SHA-512, one scalar multiplication to sign,
-//!   two to verify);
+//!   one joint double-scalar multiplication to verify);
 //! * [`ecdsa`] — the ECDSA workflow exactly as laid out in §II-A of the
 //!   paper (steps 1–5 of signature generation and verification), adapted to
 //!   FourQ's `F_p²` coordinates by reducing the encoded x-coordinate

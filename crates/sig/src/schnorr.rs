@@ -1,8 +1,10 @@
 //! A Schnorr-style signature scheme over FourQ (SchnorrQ-flavoured).
 //!
-//! Signing costs one fixed-base scalar multiplication; verification costs
-//! two scalar multiplications and one point addition — the operation mix
-//! the paper's throughput analysis assumes (§II-A).
+//! Signing costs one fixed-base scalar multiplication. Verification costs
+//! one joint double-scalar multiplication `[s]G + [N−h]A`, a single
+//! 65-doubling loop over the endomorphism split of both scalars, and a
+//! compare of its encoding with `R` — the operation mix of the paper's
+//! ITS workload (§II-A).
 
 use fourq_curve::{AffinePoint, FourQEngine};
 use fourq_fp::{CtSelect, Scalar};
@@ -141,19 +143,19 @@ fn challenge(renc: &[u8; 32], aenc: &[u8; 32], msg: &[u8]) -> Scalar {
 
 /// Verifies a signature: `[s]G == R + [h]A`.
 ///
+/// Computes `[s]G + [N−h]A` with one [`fourq_curve::double_scalar_mul`]
+/// and compares its encoding with `sig.r`. `R` is never decoded:
+/// [`AffinePoint::decode`] accepts exactly the encodings that
+/// [`AffinePoint::encode`] produces, so the byte compare gives the verdict
+/// of decoding `R` and comparing points, without the square root.
+///
 /// Returns `false` for malformed `R` encodings, wrong messages, or wrong
 /// keys — never panics on attacker-controlled input.
 pub fn verify(public: &PublicKey, msg: &[u8], sig: &Signature) -> bool {
-    let commitment = match AffinePoint::decode(&sig.r) {
-        Ok(p) => p,
-        Err(_) => return false,
-    };
     let h = challenge(&sig.r, &public.encoded, msg);
-    // [s]G == R + [h]A  ⇔  [s]G + [N−h]A == R (one joint double-scalar
-    // multiplication instead of two separate ones).
     let lhs =
         fourq_curve::double_scalar_mul(&sig.s, &AffinePoint::generator(), &h.neg(), &public.point);
-    lhs == commitment
+    lhs.encode() == sig.r
 }
 
 /// Batch verification of many `(public key, message, signature)` triples
@@ -382,6 +384,27 @@ mod tests {
                 .map(|((kp, m), s)| (&kp.public, m.as_slice(), s))
                 .collect();
             assert!(!verify_batch(&bad_items), "forgery at {forged_at} accepted");
+        }
+    }
+
+    #[test]
+    fn non_canonical_commitment_is_rejected() {
+        // With s = h·d the equation [s]G == R + [h]A holds for R = O
+        // whatever bytes were hashed. The identity with its sign bit set
+        // is a second encoding of O; only the canonical one may verify.
+        let d = Scalar::from_u64(0x5ec7_e7d0);
+        let point = FourQEngine::shared().fixed_base_mul(&d);
+        let public = PublicKey {
+            point,
+            encoded: point.encode(),
+        };
+        let msg = b"identity commitment";
+        let canonical = AffinePoint::identity().encode();
+        let mut signed = canonical;
+        signed[31] |= 0x80;
+        for (r, valid) in [(signed, false), (canonical, true)] {
+            let s = challenge(&r, &public.encoded, msg) * d;
+            assert_eq!(verify(&public, msg, &Signature { r, s }), valid);
         }
     }
 

@@ -4,15 +4,21 @@
 //! The decomposition rounds against the lattice of the whole group
 //! `E(F_p²) ≅ Z/8 × (Z/7)² × Z/N`, so torsion and mixed-order points need no
 //! subgroup check and no fallback path. This pins that decision: the
-//! one-shot `AffinePoint::mul`, the batch engine and the compiled kernel
-//! must each equal plain double-and-add (`mul_u256_generic`) on points of
-//! order 2, 4, 8, 7 and 56, on mixed-order points `S + T`, and on scalars
-//! at the edges of the split.
+//! one-shot `AffinePoint::mul`, the batch engine, the compiled kernel and
+//! the verifier's `double_scalar_mul` must each equal plain double-and-add
+//! (`mul_u256_generic`) on points of order 2, 4, 8, 7 and 56, on
+//! mixed-order points `S + T`, and on scalars at the edges of the split;
+//! and `schnorr::verify` and `ecdsa::verify` must give the verdicts that
+//! double-and-add and `AffinePoint::decode` give, torsion keys included.
 
 use fourq::cpu::shared_kernel;
-use fourq::curve::{params::ORDER, AffinePoint, CurveId, FourQEngine};
+use fourq::curve::{
+    decompose, double_scalar_mul, params::ORDER, AffinePoint, CurveId, FourQEngine,
+};
 use fourq::fp::{Scalar, U256};
+use fourq::hash::{Sha256, Sha512};
 use fourq::sched::MachineConfig;
+use fourq::sig::{ecdsa, schnorr};
 
 /// Deterministic on-curve points, cofactor not cleared.
 fn curve_points(seed: u64) -> impl Iterator<Item = AffinePoint> {
@@ -117,5 +123,166 @@ fn every_path_is_exact_on_torsion_and_mixed_order_points() {
     let batch = eng.batch_scalar_mul(&pairs);
     for ((k, p), got) in pairs.iter().zip(batch) {
         assert_eq!(got, p.mul_u256_generic(&k.to_u256()), "batch, k = {k}");
+    }
+}
+
+fn generic(p: &AffinePoint, k: &Scalar) -> AffinePoint {
+    p.mul_u256_generic(&k.to_u256())
+}
+
+#[test]
+fn double_scalar_mul_is_exact_on_every_point_pair() {
+    let g = AffinePoint::generator();
+    let torsion = torsion();
+    let s = generic(&g, &Scalar::from_u64(0x0dd5_ca1a_b1e5));
+    let mut points = vec![g, s, AffinePoint::identity()];
+    points.extend(&torsion);
+    points.push(s.add(&torsion[4]));
+
+    // 0, 1, 2, N−1, N−2, one scalar whose rounded a₁ is even (the split
+    // represents k + 1), one whose a₁ is odd, and seeded random ones.
+    let all = scalars();
+    let mut ks = all[..5].to_vec();
+    for even in [true, false] {
+        let k = all[5..]
+            .iter()
+            .find(|k| decompose(k).corrected.to_bool_vartime() == even)
+            .expect("both parities occur");
+        ks.push(*k);
+    }
+    ks.extend(&all[all.len() - 2..]);
+
+    let want: Vec<Vec<AffinePoint>> = points
+        .iter()
+        .map(|p| ks.iter().map(|k| generic(p, k)).collect())
+        .collect();
+    // Every (P, Q) pair sees every `a`; `b` rotates with the pair, so every
+    // (a, b) pair of scalars occurs too.
+    for (ip, p) in points.iter().enumerate() {
+        for (iq, q) in points.iter().enumerate() {
+            for (ia, a) in ks.iter().enumerate() {
+                let ib = (ia + ip + iq) % ks.len();
+                let b = &ks[ib];
+                assert_eq!(
+                    double_scalar_mul(a, p, b, q),
+                    want[ip][ia].add(&want[iq][ib]),
+                    "a = {a}, b = {b}, P = {p:?}, Q = {q:?}"
+                );
+            }
+        }
+    }
+}
+
+/// `SHA-512(R ‖ A ‖ m) mod N`, the Schnorr challenge.
+fn schnorr_challenge(r: &[u8; 32], a: &[u8; 32], msg: &[u8]) -> Scalar {
+    Scalar::from_wide_bytes(&Sha512::digest(&[r.as_slice(), a, msg].concat()))
+}
+
+/// The Schnorr verdict by decoding `R` and double-and-add:
+/// `[s]G + [N−h]A == R`.
+fn schnorr_reference(pk: &schnorr::PublicKey, msg: &[u8], sig: &schnorr::Signature) -> bool {
+    let Ok(r) = AffinePoint::decode(&sig.r) else {
+        return false;
+    };
+    let h = schnorr_challenge(&sig.r, &pk.encoded, msg);
+    let g = AffinePoint::generator();
+    generic(&g, &sig.s).add(&generic(&pk.point, &h.neg())) == r
+}
+
+/// The ECDSA verdict of §II-A with double-and-add for step 4.
+fn ecdsa_reference(q: &AffinePoint, msg: &[u8], sig: &ecdsa::Signature) -> bool {
+    if sig.r.is_zero() || sig.s.is_zero() || !q.is_on_curve() || q.is_identity() {
+        return false;
+    }
+    let mut e = Sha256::digest(msg);
+    e.reverse();
+    let z = Scalar::from_u256(U256::from_le_bytes(&e).shr(256 - 246));
+    let w = sig.s.inv();
+    let p = generic(&AffinePoint::generator(), &(z * w)).add(&generic(q, &(sig.r * w)));
+    !p.is_identity() && Scalar::from_u256(U256::from_le_bytes(&p.x.to_bytes())) == sig.r
+}
+
+#[test]
+fn verify_verdicts_match_double_and_add_and_decode() {
+    let g = AffinePoint::generator();
+    let torsion = torsion();
+    let d = Scalar::from_u64(0x00c0_ffee_d00d);
+    let a = generic(&g, &d);
+    let ecdsa_key = ecdsa::KeyPair::from_secret(d).expect("nonzero key");
+    for (name, key) in [
+        ("A", a),
+        ("A + T7", a.add(&torsion[3])),
+        ("A + T8", a.add(&torsion[2])),
+    ] {
+        let pk = schnorr::PublicKey {
+            point: key,
+            encoded: key.encode(),
+        };
+        // Schnorr signatures crafted for `key` with the secret of `A`: on a
+        // torsion key they verify only when [N−h]T is the identity, so
+        // messages run until both verdicts have occurred.
+        let (mut accepted, mut rejected) = (0, 0);
+        for m in 0u8.. {
+            assert!(m < 100, "{name}: {accepted} accepted, {rejected} rejected");
+            let msg = [b'm', m];
+            let nonce = Scalar::from_u64(0x9e37_79b9 + m as u64);
+            let r = generic(&g, &nonce).encode();
+            let s = nonce + schnorr_challenge(&r, &pk.encoded, &msg) * d;
+            let mut cases = vec![
+                schnorr::Signature { r, s },
+                schnorr::Signature {
+                    r,
+                    s: s + Scalar::ONE,
+                },
+            ];
+            let ecdsa_sig = ecdsa_key.sign(&msg).expect("signs");
+            let mut ecdsa_cases = vec![
+                ecdsa_sig,
+                ecdsa::Signature {
+                    s: ecdsa_sig.s + Scalar::ONE,
+                    ..ecdsa_sig
+                },
+            ];
+            if m == 0 && name == "A" {
+                for bit in 0..256 {
+                    let mut flipped = r;
+                    flipped[bit / 8] ^= 1 << (bit % 8);
+                    cases.push(schnorr::Signature { r: flipped, s });
+                    let mut flipped = ecdsa_sig.r.to_le_bytes();
+                    flipped[bit / 8] ^= 1 << (bit % 8);
+                    let r = Scalar::from_le_bytes(&flipped);
+                    ecdsa_cases.push(ecdsa::Signature { r, ..ecdsa_sig });
+                }
+            }
+            for c in &cases {
+                let want = schnorr_reference(&pk, &msg, c);
+                assert_eq!(
+                    schnorr::verify(&pk, &msg, c),
+                    want,
+                    "{name}, m = {m}, {c:?}"
+                );
+            }
+            for c in &ecdsa_cases {
+                let want = ecdsa_reference(&key, &msg, c);
+                assert_eq!(ecdsa::verify(&key, &msg, c), want, "{name}, m = {m}, {c:?}");
+            }
+            if name == "A" {
+                assert!(
+                    ecdsa_reference(&key, &msg, &ecdsa_sig),
+                    "honest ECDSA, m = {m}"
+                );
+            }
+            if schnorr_reference(&pk, &msg, &cases[0]) {
+                accepted += 1;
+            } else {
+                rejected += 1;
+            }
+            if m >= 7 && (name == "A" || (accepted > 0 && rejected > 0)) {
+                break;
+            }
+        }
+        if name == "A" {
+            assert_eq!(rejected, 0, "an honest Schnorr signature was rejected");
+        }
     }
 }
