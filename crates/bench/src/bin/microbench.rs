@@ -32,8 +32,9 @@
 //!
 //! `--compare BASELINE.json` re-parses a previous report and fails when
 //! the median slowdown within any of `scalar_ops`, `parallel_ops` or
-//! `asic_pipeline` exceeds 25%. Alert-only when the baseline was
-//! recorded on hardware with a different `hw_threads` count.
+//! `asic_pipeline` exceeds 25%. Each matched pair of records is judged
+//! by its own hardware: pairs whose `hw_threads` counts differ are
+//! reported alert-only.
 //!
 //! `--filter` accepts a comma-separated list of group-name substrings,
 //! so the CI regression stage can run exactly
@@ -241,90 +242,22 @@ fn gate_fleet() -> Result<(), String> {
     Ok(())
 }
 
-/// The regression tripwire (`--compare BASELINE.json`): for each group in
-/// [`COMPARE_GROUPS`], matching benches (same group/name/threads) are
-/// compared against the baseline file; the run fails when a group's
-/// *median* slowdown exceeds [`COMPARE_MAX_REGRESSION`]. The median makes
-/// the gate robust to one noisy bench without letting a real across-the-
-/// board regression hide. When the baseline was recorded on different
-/// hardware (`hw_threads` mismatch) the comparison is alert-only —
-/// cross-machine ns/op deltas are not regressions.
-const COMPARE_GROUPS: [&str; 3] = ["scalar_ops", "parallel_ops", "asic_pipeline"];
-const COMPARE_MAX_REGRESSION: f64 = 0.25;
-
+/// The regression tripwire (`--compare BASELINE.json`): re-parses the
+/// baseline and judges this run against it with [`BenchReport::compare`].
 fn compare_baseline(report: &BenchReport, path: &std::path::Path) -> Result<(), String> {
     let text = std::fs::read_to_string(path)
         .map_err(|e| format!("compare: cannot read {}: {e}", path.display()))?;
     let base = BenchReport::from_json(&text)
         .map_err(|e| format!("compare: cannot parse {}: {e}", path.display()))?;
-
-    let cur_hw = fourq_bench::harness::hw_threads();
-    let base_hw = base
-        .results
-        .iter()
-        .map(|r| r.hw_threads)
-        .find(|&h| h != 0)
-        .unwrap_or(0);
-    let alert_only = base_hw != 0 && base_hw != cur_hw;
-    if alert_only {
-        eprintln!(
-            "compare: baseline recorded on {base_hw} hardware thread(s), this machine has \
-             {cur_hw} — reporting alert-only"
-        );
-    } else if base_hw == 0 {
-        eprintln!("compare: baseline predates hw_threads recording; comparing anyway");
+    let outcome = report.compare(&base);
+    for line in &outcome.lines {
+        eprintln!("{line}");
     }
-
-    let mut failures = Vec::new();
-    for group in COMPARE_GROUPS {
-        let mut ratios: Vec<(f64, String)> = Vec::new();
-        for cur in report.results.iter().filter(|r| r.group == group) {
-            let matched = base
-                .results
-                .iter()
-                .find(|b| b.group == cur.group && b.name == cur.name && b.threads == cur.threads);
-            if let Some(b) = matched {
-                if b.ns_per_op > 0.0 {
-                    ratios.push((cur.ns_per_op / b.ns_per_op, cur.name.clone()));
-                }
-            }
-        }
-        if ratios.is_empty() {
-            eprintln!("compare: {group}: no overlapping benches with the baseline, skipping");
-            continue;
-        }
-        let mut sorted: Vec<f64> = ratios.iter().map(|(r, _)| *r).collect();
-        sorted.sort_by(|a, b| a.total_cmp(b));
-        let median = sorted[sorted.len() / 2];
-        let worst = ratios
-            .iter()
-            .max_by(|a, b| a.0.total_cmp(&b.0))
-            .expect("non-empty ratios");
-        eprintln!(
-            "compare: {group}: median {:+.1}% over {} benches (worst {:+.1}% in {})",
-            (median - 1.0) * 100.0,
-            ratios.len(),
-            (worst.0 - 1.0) * 100.0,
-            worst.1
-        );
-        if median - 1.0 > COMPARE_MAX_REGRESSION {
-            failures.push(format!(
-                "compare: {group} median regression {:+.1}% exceeds the {:.0}% limit",
-                (median - 1.0) * 100.0,
-                COMPARE_MAX_REGRESSION * 100.0
-            ));
-        }
+    if outcome.failures.is_empty() {
+        Ok(())
+    } else {
+        Err(outcome.failures.join("\n"))
     }
-    if failures.is_empty() {
-        return Ok(());
-    }
-    if alert_only {
-        for f in &failures {
-            eprintln!("{f} (alert-only: hardware mismatch)");
-        }
-        return Ok(());
-    }
-    Err(failures.join("\n"))
 }
 
 fn main() {

@@ -238,6 +238,96 @@ impl BenchReport {
     }
 }
 
+/// Groups the regression tripwire ([`BenchReport::compare`]) compares.
+pub const COMPARE_GROUPS: [&str; 3] = ["scalar_ops", "parallel_ops", "asic_pipeline"];
+
+/// The largest median slowdown within a group that
+/// [`BenchReport::compare`] lets pass.
+pub const COMPARE_MAX_REGRESSION: f64 = 0.25;
+
+/// The outcome of [`BenchReport::compare`].
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct Comparison {
+    /// One summary per group and hardware class, for the log.
+    pub lines: Vec<String>,
+    /// Same-hardware median regressions above
+    /// [`COMPARE_MAX_REGRESSION`]; any entry fails the comparison.
+    pub failures: Vec<String>,
+}
+
+impl BenchReport {
+    /// The regression tripwire (`microbench --compare BASELINE.json`).
+    ///
+    /// For each group in [`COMPARE_GROUPS`], every record of `self` with a
+    /// baseline record of the same group, name and thread count gives one
+    /// ratio of ns/op. Each pair is judged by its own two records: ratios
+    /// from pairs with equal `hw_threads` feed the group's hard gate,
+    /// which fails when their median slowdown exceeds
+    /// [`COMPARE_MAX_REGRESSION`]; the other ratios are summarised
+    /// alert-only, since a cross-machine ns/op delta is not a regression.
+    /// The median makes the gate robust to one noisy bench without letting
+    /// a real across-the-board regression hide.
+    pub fn compare(&self, baseline: &BenchReport) -> Comparison {
+        let mut out = Comparison::default();
+        for group in COMPARE_GROUPS {
+            let (mut same, mut other) = (Vec::new(), Vec::new());
+            for cur in self.results.iter().filter(|r| r.group == group) {
+                let matched = baseline.results.iter().find(|b| {
+                    b.group == cur.group && b.name == cur.name && b.threads == cur.threads
+                });
+                if let Some(b) = matched.filter(|b| b.ns_per_op > 0.0) {
+                    let ratio = (cur.ns_per_op / b.ns_per_op, cur.name.as_str());
+                    if b.hw_threads == cur.hw_threads {
+                        same.push(ratio);
+                    } else {
+                        other.push(ratio);
+                    }
+                }
+            }
+            if same.is_empty() && other.is_empty() {
+                out.lines.push(format!(
+                    "compare: {group}: no overlapping benches with the baseline, skipping"
+                ));
+                continue;
+            }
+            for (mut ratios, hard) in [(same, true), (other, false)] {
+                if ratios.is_empty() {
+                    continue;
+                }
+                ratios.sort_by(|a, b| a.0.total_cmp(&b.0));
+                let median = ratios[ratios.len() / 2].0;
+                let (worst, worst_name) = ratios[ratios.len() - 1];
+                let class = if hard {
+                    "same hardware"
+                } else {
+                    "other hardware, alert-only"
+                };
+                out.lines.push(format!(
+                    "compare: {group} ({class}): median {:+.1}% over {} benches \
+                     (worst {:+.1}% in {worst_name})",
+                    (median - 1.0) * 100.0,
+                    ratios.len(),
+                    (worst - 1.0) * 100.0,
+                ));
+                if median - 1.0 > COMPARE_MAX_REGRESSION {
+                    let msg = format!(
+                        "compare: {group} median regression {:+.1}% exceeds the {:.0}% limit",
+                        (median - 1.0) * 100.0,
+                        COMPARE_MAX_REGRESSION * 100.0
+                    );
+                    if hard {
+                        out.failures.push(msg);
+                    } else {
+                        out.lines
+                            .push(format!("{msg} (alert-only: hardware mismatch)"));
+                    }
+                }
+            }
+        }
+        out
+    }
+}
+
 fn quote(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
@@ -533,6 +623,83 @@ mod tests {
                     \"threads\": 1}]}";
         let report = BenchReport::from_json(text).expect("parses");
         assert_eq!(report.results[0].hw_threads, 0);
+    }
+
+    fn record(group: &str, name: &str, ns_per_op: f64, hw_threads: u32) -> BenchRecord {
+        BenchRecord {
+            group: group.into(),
+            name: name.into(),
+            ns_per_op,
+            ops_per_sec: 1e9 / ns_per_op,
+            samples: 9,
+            iters_per_sample: 1,
+            threads: 1,
+            hw_threads,
+        }
+    }
+
+    #[test]
+    fn compare_judges_each_pair_by_its_own_hardware() {
+        // The baseline's first record comes from an 8-thread host; the
+        // others, which regressed by 40%, from this 2-thread one.
+        let base = BenchReport {
+            results: vec![
+                record("scalar_ops", "a", 100.0, 8),
+                record("scalar_ops", "b", 100.0, 2),
+                record("scalar_ops", "c", 100.0, 2),
+            ],
+        };
+        let cur = BenchReport {
+            results: vec![
+                record("scalar_ops", "a", 100.0, 2),
+                record("scalar_ops", "b", 140.0, 2),
+                record("scalar_ops", "c", 140.0, 2),
+            ],
+        };
+        let c = cur.compare(&base);
+        assert_eq!(c.failures.len(), 1, "{c:?}");
+        assert!(c.failures[0].contains("scalar_ops"));
+
+        // The same rows against a baseline recorded entirely elsewhere are
+        // alert-only.
+        let elsewhere = BenchReport {
+            results: base
+                .results
+                .iter()
+                .map(|r| BenchRecord {
+                    hw_threads: 8,
+                    ..r.clone()
+                })
+                .collect(),
+        };
+        let c = cur.compare(&elsewhere);
+        assert!(c.failures.is_empty(), "{c:?}");
+        assert!(c
+            .lines
+            .iter()
+            .any(|l| l.contains("alert-only: hardware mismatch")));
+    }
+
+    #[test]
+    fn compare_passes_within_the_limit_and_skips_other_groups() {
+        let base = BenchReport {
+            results: vec![
+                record("asic_pipeline", "x", 100.0, 2),
+                record("fp2_mul", "y", 100.0, 2),
+            ],
+        };
+        let cur = BenchReport {
+            results: vec![
+                record("asic_pipeline", "x", 120.0, 2),
+                record("fp2_mul", "y", 900.0, 2),
+            ],
+        };
+        let c = cur.compare(&base);
+        assert!(c.failures.is_empty(), "{c:?}");
+        assert!(c
+            .lines
+            .iter()
+            .any(|l| l.contains("parallel_ops: no overlapping")));
     }
 
     #[test]

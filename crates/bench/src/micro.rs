@@ -77,7 +77,7 @@ pub fn scalar_mul(report: &mut BenchReport, opts: &BenchOptions) {
     let mut rng = TestRng::from_seed(BENCH_SEED ^ 1);
     let g = AffinePoint::generator();
     let k = bench_scalar(&mut rng);
-    let table = fourq_curve::generator_table();
+    let table = FourQEngine::shared().generator_table();
     report.push(run("scalar_mul", "variable_base_decomposed", opts, || {
         g.mul(black_box(&k))
     }));
@@ -206,14 +206,12 @@ pub fn batch_ops(report: &mut BenchReport, opts: &BenchOptions) {
     report.push(run("batch_ops", "to_affine_single", opts, || {
         eng.to_affine(black_box(&ext[0]))
     }));
-    let mut rec = per_item(
+    report.push(per_item(
         run("batch_ops", "batch_to_affine_n64_per_point", opts, || {
             eng.batch_to_affine(black_box(&ext))
         }),
         BATCH_N,
-    );
-    rec.threads = eng.threads() as u32;
-    report.push(rec);
+    ));
     report.push(run("batch_ops", "fixed_base_single", opts, || {
         eng.fixed_base_mul(black_box(&ks[0]))
     }));

@@ -4,7 +4,7 @@
 //! The paper's ASIC amortises its one-time costs (precomputed tables, a
 //! fixed schedule) across every scalar multiplication it serves. The
 //! software analogue is [`FourQEngine`]: a context constructed once that
-//! owns the cached fixed-base comb table and the curve constants, and
+//! owns the generator's cached ψ table and the curve constants, and
 //! exposes *batch* operations as the primary API. Batching is where the
 //! throughput is: a single [`Fp2`] inversion costs ~54 `fp2_mul`
 //! equivalents, so `batch_to_affine` (one inversion per batch instead of
@@ -13,10 +13,9 @@
 //! is a thin wrapper over the batch path with `n = 1`.
 
 use crate::affine::AffinePoint;
-use crate::engine::psi_table;
-use crate::extended::{CachedPoint, ExtendedPoint};
+use crate::extended::ExtendedPoint;
 use crate::fixed_base::FixedBaseTable;
-use crate::multi::{batch_normalize_threaded, multi_scalar_mul_threaded};
+use crate::multi::{batch_normalize, multi_scalar_mul_threaded};
 use crate::params::{D, TWO_D};
 use fourq_fp::{Fp2, Scalar};
 
@@ -33,11 +32,11 @@ const MUL_CHUNK: usize = 2;
 
 /// A reusable FourQ computation context.
 ///
-/// Owns the generator comb table (62 doublings + 62 additions per
-/// fixed-base multiplication once built), the generator's 8-entry ψ
-/// table (Algorithm 1, steps 1–2), which [`crate::double_scalar_mul`]
-/// reads whenever one of its points is `G`, and the curve constants `d`
-/// and `2d` used by the cached-point formulas. The four-dimensional
+/// Owns one table for the generator, its 8-entry ψ table (Algorithm 1,
+/// steps 1–2) as a [`FixedBaseTable`]: every `[k]G` runs steps 3–4 on
+/// it, and [`crate::double_scalar_mul`] reads it whenever one of its
+/// points is `G`. It also holds the curve constants `d` and `2d` used by
+/// the cached-point formulas. The four-dimensional
 /// decomposition itself needs no per-engine state: its endomorphisms ψ₇
 /// and ψ₈ and its lattice are compile-time constants (see `DESIGN.md` §3),
 /// and for any other point the images `ψ₇(P)`, `ψ₈(P)`, `ψ₇ψ₈(P)` are
@@ -53,22 +52,18 @@ const MUL_CHUNK: usize = 2;
 #[derive(Clone, Debug)]
 pub struct FourQEngine {
     gen_table: FixedBaseTable,
-    gen_psi: [CachedPoint<Fp2>; 8],
     threads: usize,
 }
 
 impl FourQEngine {
-    /// Builds a fresh engine, precomputing the generator comb table
-    /// (~60–70 point operations) and the generator's ψ table (three
-    /// endomorphism images and 7 additions), both one-time. The thread budget for batch
-    /// operations is resolved once here — `FOURQ_THREADS` if set, else
+    /// Builds a fresh engine, precomputing the generator's ψ table (three
+    /// endomorphism images and 7 additions, one-time). The thread budget
+    /// for batch operations is resolved once here — `FOURQ_THREADS` if set, else
     /// the machine's available parallelism (capped); see
     /// [`fourq_pool::resolved_threads`].
     pub fn new() -> FourQEngine {
-        let g = AffinePoint::generator();
         FourQEngine {
-            gen_table: FixedBaseTable::new(&g),
-            gen_psi: psi_table(&g.x, &g.y, &Fp2::ONE, &TWO_D),
+            gen_table: FixedBaseTable::new(&AffinePoint::generator()),
             threads: fourq_pool::resolved_threads(),
         }
     }
@@ -81,7 +76,6 @@ impl FourQEngine {
     pub fn with_threads(&self, n: usize) -> FourQEngine {
         FourQEngine {
             gen_table: self.gen_table.clone(),
-            gen_psi: self.gen_psi.clone(),
             threads: n.clamp(1, fourq_pool::MAX_THREADS),
         }
     }
@@ -93,22 +87,15 @@ impl FourQEngine {
 
     /// The process-wide shared engine, built on first use. Library
     /// entry points (signatures, key exchange) all route through this so
-    /// the comb table is precomputed exactly once per process.
+    /// the generator's table is precomputed exactly once per process.
     pub fn shared() -> &'static FourQEngine {
         static ENGINE: std::sync::OnceLock<FourQEngine> = std::sync::OnceLock::new();
         ENGINE.get_or_init(FourQEngine::new)
     }
 
-    /// The cached generator comb table.
+    /// The generator's cached ψ table.
     pub fn generator_table(&self) -> &FixedBaseTable {
         &self.gen_table
-    }
-
-    /// The cached 8-entry ψ table of the generator (Algorithm 1, steps
-    /// 1–2), read by [`crate::double_scalar_mul`] whenever one of its
-    /// points is `G`.
-    pub(crate) fn generator_psi_table(&self) -> &[CachedPoint<Fp2>; 8] {
-        &self.gen_psi
     }
 
     /// The curve constant `d`.
@@ -155,15 +142,15 @@ impl FourQEngine {
     // Fixed-base (generator) multiplication
     // ------------------------------------------------------------------
 
-    /// One-shot `[k]G` via the cached comb table — a batch of size 1.
+    /// One-shot `[k]G` on the generator's cached table — a batch of size 1.
     // ct: secret(k)
     pub fn fixed_base_mul(&self, k: &Scalar) -> AffinePoint {
         let out = self.batch_fixed_base_mul(std::slice::from_ref(k));
         out[0]
     }
 
-    /// Computes `[k_i]G` for every scalar with the shared comb table and
-    /// one batch-normalisation inversion. This is the key-generation /
+    /// Computes `[k_i]G` for every scalar on the generator's cached table
+    /// and one batch-normalisation inversion. This is the key-generation /
     /// signing workload shape: many independent secret scalars, one
     /// public base.
     // ct: secret(ks)
@@ -204,7 +191,7 @@ impl FourQEngine {
     /// Panics if any point has `Z = 0` (never produced by the complete
     /// Edwards formulas).
     pub fn batch_to_affine(&self, points: &[ExtendedPoint<Fp2>]) -> Vec<AffinePoint> {
-        batch_normalize_threaded(points, self.threads)
+        batch_normalize(points)
     }
 
     // ------------------------------------------------------------------
@@ -234,10 +221,11 @@ mod tests {
         let eng = FourQEngine::shared();
         let g = AffinePoint::generator();
         let k = Scalar::from_u64(0xfeed_f00d);
-        assert_eq!(eng.scalar_mul(&g, &k), g.mul(&k));
-        assert_eq!(eng.fixed_base_mul(&k), g.mul(&k));
+        let want = g.mul_generic(&k);
+        assert_eq!(eng.scalar_mul(&g, &k), want);
+        assert_eq!(eng.fixed_base_mul(&k), want);
         let e = g.mul_extended(&k);
-        assert_eq!(eng.to_affine(&e), g.mul(&k));
+        assert_eq!(eng.to_affine(&e), want);
     }
 
     #[test]
@@ -254,12 +242,13 @@ mod tests {
     }
 
     #[test]
-    fn batch_fixed_base_matches_table() {
+    fn batch_fixed_base_matches_double_and_add() {
         let eng = FourQEngine::shared();
+        let g = AffinePoint::generator();
         let ks: Vec<Scalar> = (0u64..7).map(|i| Scalar::from_u64(i * i + 1)).collect();
         let batch = eng.batch_fixed_base_mul(&ks);
         for (k, b) in ks.iter().zip(&batch) {
-            assert_eq!(*b, eng.generator_table().mul(k));
+            assert_eq!(*b, g.mul_generic(k));
         }
     }
 

@@ -93,40 +93,10 @@ pub fn scalar_mul_engine<F: EngineSelect>(
 ) -> MulOutput<F> {
     // Steps 1–2: the endomorphism images and the 8-entry table.
     let table = psi_table(x, y, one, two_d);
-
-    // Step 3: the main double-and-add loop (the workload of Table I).
-    // Each digit's table entry comes out of `table_entry`, which considers
-    // all eight slots — the entry that survives is decided by the select
-    // lines, never by an address.
-    let top = DIGITS - 1;
-    let entry = F::table_entry(&table, recoded, top);
-    // Q = s_top · T[v_top], realised by adding the cached entry to the
-    // neutral element in extended coordinates (cached points have no
-    // direct extended form with a consistent Ta·Tb product).
-    let q0 = identity(one);
-    let mut q = q0.add_cached(&entry);
-
-    for i in (0..top).rev() {
-        q = q.double();
-        let e = F::table_entry(&table, recoded, i);
-        q = q.add_cached(&e);
+    // Steps 3–4: the digit loop and the parity correction.
+    MulOutput {
+        point: psi_table_mul(&table, one, recoded, corrected),
     }
-
-    // Step 4: parity correction (subtract P once if k was even). The flag
-    // is the secret scalar's parity bit, so the addition always executes:
-    // the pick is between −P and the cached identity (1, 1, 2Z=2, 0),
-    // which the complete addition formula absorbs without moving Q.
-    let neg_p1 = table[0].neg();
-    let id_cached = CachedPoint {
-        y_plus_x: one.clone(),
-        y_minus_x: one.clone(),
-        z2: one.dbl(),
-        t2d: one.sub(one),
-    };
-    let corr = F::parity_pick(&id_cached, &neg_p1, corrected);
-    q = q.add_cached(&corr);
-
-    MulOutput { point: q }
 }
 
 /// Steps 1–2 of Algorithm 1 for the affine point `(x, y)`: the
@@ -134,8 +104,9 @@ pub fn scalar_mul_engine<F: EngineSelect>(
 /// `T[u] = P + u₀·ψ₇(P) + u₁·ψ₈(P) + u₂·ψ₇ψ₈(P)` in `(X+Y, Y−X, 2Z, 2dT)`
 /// coordinates, built with 7 cached additions. `T[0]` is `P` itself.
 ///
-/// [`scalar_mul_engine`] (and through it the tracer) and
-/// [`crate::double_scalar_mul`] build their tables here.
+/// [`scalar_mul_engine`] (and through it the tracer),
+/// [`crate::FixedBaseTable::new`] and [`crate::double_scalar_mul`] build
+/// their tables here.
 pub(crate) fn psi_table<F: EngineSelect>(x: &F, y: &F, one: &F, two_d: &F) -> [CachedPoint<F>; 8] {
     // Constants first: the tracer registers them before any operation.
     let psi7 = PSI7.lift(|c| F::constant(one, "psi7", c));
@@ -160,6 +131,51 @@ pub(crate) fn psi_table<F: EngineSelect>(x: &F, y: &F, one: &F, two_d: &F) -> [C
     let t6 = t2.add_cached(&c4);
     let t7 = t3.add_cached(&c4);
     [t0, t1, t2, t3, t4, t5, t6, t7].map(|t| t.to_cached(two_d))
+}
+
+/// Steps 3–4 of Algorithm 1 on a table built by [`psi_table`]: the top
+/// digit, 65 double-and-add iterations and the masked parity correction.
+///
+/// [`scalar_mul_engine`] runs it on the table it has just built;
+/// [`crate::FixedBaseTable`] runs it on a table built once per base.
+// ct: secret(recoded, corrected)
+pub(crate) fn psi_table_mul<F: EngineSelect>(
+    table: &[CachedPoint<F>; 8],
+    one: &F,
+    recoded: &Recoded,
+    corrected: Choice,
+) -> ExtendedPoint<F> {
+    // Step 3: the main double-and-add loop (the workload of Table I).
+    // Each digit's table entry comes out of `table_entry`, which considers
+    // all eight slots — the entry that survives is decided by the select
+    // lines, never by an address.
+    let top = DIGITS - 1;
+    let entry = F::table_entry(table, recoded, top);
+    // Q = s_top · T[v_top], realised by adding the cached entry to the
+    // neutral element in extended coordinates (cached points have no
+    // direct extended form with a consistent Ta·Tb product).
+    let q0 = identity(one);
+    let mut q = q0.add_cached(&entry);
+
+    for i in (0..top).rev() {
+        q = q.double();
+        let e = F::table_entry(table, recoded, i);
+        q = q.add_cached(&e);
+    }
+
+    // Step 4: parity correction (subtract P once if k was even). The flag
+    // is the secret scalar's parity bit, so the addition always executes:
+    // the pick is between −P and the cached identity (1, 1, 2Z=2, 0),
+    // which the complete addition formula absorbs without moving Q.
+    let neg_p1 = table[0].neg();
+    let id_cached = CachedPoint {
+        y_plus_x: one.clone(),
+        y_minus_x: one.clone(),
+        z2: one.dbl(),
+        t2d: one.sub(one),
+    };
+    let corr = F::parity_pick(&id_cached, &neg_p1, corrected);
+    q.add_cached(&corr)
 }
 
 /// Constant-time lookup of `signs · T[index]` from the 8-entry table.

@@ -27,6 +27,8 @@
 //!   trace recording, §III-C); [`EngineSelect`] is the only difference
 //!   between the two — masked scans for `Fp2`, recorded multiplexers for
 //!   the tracer;
+//! * [`FixedBaseTable`], the engine's table built once per base: every
+//!   `[k]G` runs only the engine's loop (steps 3–4) on it;
 //! * [`double_scalar_mul`], the verifier's `[a]P + [b]Q`: both scalars
 //!   split four ways on the same ψ tables, one 65-doubling loop.
 //!
@@ -74,11 +76,10 @@ pub use context::FourQEngine;
 pub use decompose::{decompose, recode, Decomposition, Recoded, DIGITS};
 pub use engine::{normalize, scalar_mul_engine, EngineSelect, MulOutput};
 pub use extended::{CachedPoint, ExtendedPoint};
-pub use fixed_base::{generator_table, FixedBaseTable};
+pub use fixed_base::FixedBaseTable;
 pub use glv_consts::{LAMBDA7, LAMBDA8};
 pub use multi::{
-    batch_normalize, batch_normalize_threaded, double_scalar_mul, msm_pippenger,
-    msm_pippenger_threaded, msm_straus, multi_scalar_mul, multi_scalar_mul_threaded,
-    window_scalar_mul, PIPPENGER_THRESHOLD,
+    batch_normalize, double_scalar_mul, msm_pippenger, msm_pippenger_threaded, msm_straus,
+    multi_scalar_mul, multi_scalar_mul_threaded, window_scalar_mul, PIPPENGER_THRESHOLD,
 };
 pub use multicurve::{CurveId, CurveMulError, MultiCurveEngine};

@@ -73,7 +73,7 @@ pub fn double_scalar_mul(a: &Scalar, p: &AffinePoint, b: &Scalar, q: &AffinePoin
 /// otherwise.
 fn psi_table_of(p: &AffinePoint) -> Cow<'static, [CachedPoint<Fp2>; 8]> {
     if *p == AffinePoint::generator() {
-        Cow::Borrowed(FourQEngine::shared().generator_psi_table())
+        Cow::Borrowed(FourQEngine::shared().generator_table().psi_table())
     } else {
         Cow::Owned(psi_table(&p.x, &p.y, &Fp2::ONE, &TWO_D))
     }
@@ -265,26 +265,6 @@ pub fn msm_pippenger_threaded(pairs: &[(Scalar, AffinePoint)], threads: usize) -
 /// Panics if any point has `Z = 0` (the complete Edwards formulas never
 /// produce one).
 pub fn batch_normalize(points: &[ExtendedPoint<Fp2>]) -> Vec<AffinePoint> {
-    batch_normalize_threaded(points, 1)
-}
-
-/// Fixed chunk size of the parallel batch inversion. Per-item work in
-/// the forward/backward passes is a handful of `fp2_mul` (~20 ns each),
-/// so chunks must be large for a chunk to amortise thread spawn cost;
-/// batches at or below one chunk stay on the sequential single-inversion
-/// path (measured crossover; see `DESIGN.md` §10).
-const INVERT_CHUNK: usize = 1024;
-
-/// [`batch_normalize`] with an explicit thread budget: the Montgomery
-/// inversion runs as per-chunk prefix/backward passes
-/// ([`Fp2::prefix_products`] / [`Fp2::backward_invert_chunk`]) in
-/// parallel, merged at the join by a sequential chunk-product tree in
-/// chunk-index order. One real field inversion total, at any thread
-/// count, with bit-identical outputs.
-pub fn batch_normalize_threaded(points: &[ExtendedPoint<Fp2>], threads: usize) -> Vec<AffinePoint> {
-    if points.is_empty() {
-        return Vec::new();
-    }
     let zs: Vec<Fp2> = points
         .iter()
         .map(|p| {
@@ -293,51 +273,14 @@ pub fn batch_normalize_threaded(points: &[ExtendedPoint<Fp2>], threads: usize) -
             p.z
         })
         .collect();
-    let zinvs = batch_invert_threaded(&zs, threads);
-    let pairs_out = fourq_pool::map_chunks(points, INVERT_CHUNK, threads, |j, chunk| {
-        let base = j * INVERT_CHUNK;
-        chunk
-            .iter()
-            .enumerate()
-            .map(|(i, p)| AffinePoint {
-                x: p.x * zinvs[base + i],
-                y: p.y * zinvs[base + i],
-            })
-            .collect::<Vec<AffinePoint>>()
-    });
-    pairs_out.concat()
-}
-
-/// Chunked-parallel [`Fp2::batch_invert`]: forward passes per fixed
-/// [`INVERT_CHUNK`]-index range in parallel, sequential merge of the
-/// chunk products (leads and tail inverses, one real inversion),
-/// backward passes in parallel.
-fn batch_invert_threaded(zs: &[Fp2], threads: usize) -> Vec<Fp2> {
-    if threads <= 1 || zs.len() <= INVERT_CHUNK {
-        return Fp2::batch_invert(zs);
-    }
-    let parts = fourq_pool::map_chunks(zs, INVERT_CHUNK, threads, |_, chunk| {
-        Fp2::prefix_products(chunk)
-    });
-    // Join: chunk-prefix products ("leads") forward, then one inversion
-    // of the total, then chunk-tail inverses backward — both in fixed
-    // chunk order.
-    let mut leads = Vec::with_capacity(parts.len());
-    let mut acc = Fp2::ONE;
-    for (_, product) in &parts {
-        leads.push(acc);
-        acc *= *product;
-    }
-    let mut tails = vec![Fp2::ZERO; parts.len()];
-    let mut inv = acc.inv();
-    for (j, (_, product)) in parts.iter().enumerate().rev() {
-        tails[j] = inv;
-        inv *= *product;
-    }
-    let outs = fourq_pool::map_chunks(zs, INVERT_CHUNK, threads, |j, chunk| {
-        Fp2::backward_invert_chunk(chunk, &parts[j].0, &leads[j], &tails[j])
-    });
-    outs.concat()
+    points
+        .iter()
+        .zip(Fp2::batch_invert(&zs))
+        .map(|(p, zinv)| AffinePoint {
+            x: p.x * zinv,
+            y: p.y * zinv,
+        })
+        .collect()
 }
 
 /// Computes `[k]P` for an arbitrary (not reduced) 256-bit `k` with a

@@ -116,7 +116,7 @@ impl std::error::Error for CurveMulError {}
 /// A scalar-multiplication context over every supported curve.
 ///
 /// Grown out of [`FourQEngine`]: the Fourℚ side keeps its precomputed
-/// comb table and batch-first entry points, while X25519 and P-256 ride
+/// generator table and batch-first entry points, while X25519 and P-256 ride
 /// along as host-arithmetic contexts so `fourq-serve` can answer
 /// mixed-curve traffic from one process. Construction cost beyond
 /// [`FourQEngine`] is negligible (two field contexts).
@@ -128,7 +128,7 @@ pub struct MultiCurveEngine {
 }
 
 impl MultiCurveEngine {
-    /// Builds a fresh engine (precomputes the Fourℚ comb table).
+    /// Builds a fresh engine (precomputes the Fourℚ generator table).
     pub fn new() -> MultiCurveEngine {
         MultiCurveEngine::from_fourq(FourQEngine::new())
     }
@@ -144,7 +144,7 @@ impl MultiCurveEngine {
     }
 
     /// The process-wide shared engine, built on first use (shares the
-    /// comb table with [`FourQEngine::shared`]).
+    /// generator table with [`FourQEngine::shared`]).
     pub fn shared() -> &'static MultiCurveEngine {
         static ENGINE: std::sync::OnceLock<MultiCurveEngine> = std::sync::OnceLock::new();
         ENGINE.get_or_init(|| MultiCurveEngine::from_fourq(FourQEngine::shared().clone()))

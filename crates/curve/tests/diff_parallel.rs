@@ -9,9 +9,7 @@
 //! encodings — so `threads = 8` must reproduce `threads = 1` exactly,
 //! not just up to curve equality.
 
-use fourq_curve::{
-    generator_table, msm_straus, AffinePoint, ExtendedPoint, FourQEngine, PIPPENGER_THRESHOLD,
-};
+use fourq_curve::{msm_straus, AffinePoint, ExtendedPoint, FourQEngine, PIPPENGER_THRESHOLD};
 use fourq_fp::{Fp2, Scalar};
 use fourq_testkit::{diff_check, Arbitrary, TestRng};
 
@@ -42,13 +40,13 @@ fn batch_fixed_base_mul_is_thread_count_invariant() {
     // Edge scalars ride along: 0 and 1 hit the identity/no-op rows.
     ks[0] = Scalar::ZERO;
     ks[1] = Scalar::ONE;
-    let table = generator_table();
-    let reference: Vec<AffinePoint> = ks.iter().map(|k| table.mul(k)).collect();
+    let g = AffinePoint::generator();
+    let reference: Vec<AffinePoint> = ks.iter().map(|k| g.mul_generic(k)).collect();
     diff_check!(|threads| {
         let got = FourQEngine::shared()
             .with_threads(threads)
             .batch_fixed_base_mul(&ks);
-        assert_eq!(got, reference, "batch diverges from the one-shot comb");
+        assert_eq!(got, reference, "batch diverges from double-and-add");
         got
     });
 }
@@ -56,8 +54,9 @@ fn batch_fixed_base_mul_is_thread_count_invariant() {
 #[test]
 fn batch_to_affine_is_thread_count_invariant_above_chunk_size() {
     // A doubling chain makes thousands of distinct projective points
-    // cheap to generate; 2200 points exceeds the 1024-point inversion
-    // chunk, so the chunked prefix-product merge actually splits.
+    // cheap to generate. 2200 points, far above the largest batch the
+    // server flushes (256), run through one Montgomery inversion; each
+    // must equal its own per-point inversion.
     let mut p: ExtendedPoint<Fp2> =
         AffinePoint::generator().mul_extended(&Scalar::from_u64(0xdead_beef));
     let mut points: Vec<ExtendedPoint<Fp2>> = Vec::with_capacity(2200);
@@ -65,10 +64,12 @@ fn batch_to_affine_is_thread_count_invariant_above_chunk_size() {
         p = p.double();
         points.push(p.clone());
     }
+    let eng = FourQEngine::shared();
+    let reference: Vec<AffinePoint> = points.iter().map(|p| eng.to_affine(p)).collect();
     diff_check!(|threads| {
-        FourQEngine::shared()
-            .with_threads(threads)
-            .batch_to_affine(&points)
+        let got = eng.with_threads(threads).batch_to_affine(&points);
+        assert_eq!(got, reference, "batch diverges from per-point inversion");
+        got
     });
 }
 

@@ -145,62 +145,24 @@ impl Fp2 {
     /// output slot is masked back to zero, so zeros invert to zero and the
     /// batch never panics.
     pub fn batch_invert(xs: &[Fp2]) -> Vec<Fp2> {
+        use crate::traits::{CtEq, CtSelect};
         if xs.is_empty() {
             return Vec::new();
         }
-        let (prefix, product) = Fp2::prefix_products(xs);
-        let tail_inv = product.inv();
-        Fp2::backward_invert_chunk(xs, &prefix, &Fp2::ONE, &tail_inv)
-    }
-
-    /// Forward pass of the Montgomery batch inversion over one chunk:
-    /// returns the running prefix products (`prefix[i] = Π_{k<i} x̂_k`,
-    /// with each zero entry masked to one via `ct_select`) and the chunk
-    /// product `Π x̂_k`.
-    ///
-    /// Together with [`Fp2::backward_invert_chunk`] this is the building
-    /// block of the *chunked* batch inversion: independent chunks run the
-    /// forward pass in parallel, the chunk products are merged
-    /// sequentially in chunk order into chunk-prefix (`lead`) and
-    /// chunk-tail-inverse (`tail_inv`) values, and the backward passes
-    /// again run in parallel. Because every [`Fp2`] has a unique canonical
-    /// representation, the chunked result is bit-identical to the
-    /// single-chunk [`Fp2::batch_invert`].
-    pub fn prefix_products(xs: &[Fp2]) -> (Vec<Fp2>, Fp2) {
-        use crate::traits::{CtEq, CtSelect};
+        // Forward: prefix products, each zero masked to one.
         let mut prefix = Vec::with_capacity(xs.len());
         let mut acc = Fp2::ONE;
         for x in xs {
             prefix.push(acc);
-            let safe = Fp2::ct_select(x, &Fp2::ONE, x.ct_eq(&Fp2::ZERO));
-            acc *= safe;
+            acc *= Fp2::ct_select(x, &Fp2::ONE, x.ct_eq(&Fp2::ZERO));
         }
-        (prefix, acc)
-    }
-
-    /// Backward pass of the (possibly chunked) Montgomery batch
-    /// inversion over one chunk.
-    ///
-    /// `prefix` is this chunk's forward output, `lead` the product of all
-    /// *earlier* chunks (`Fp2::ONE` for the first chunk / the unchunked
-    /// case), and `tail_inv` the inverse of the product of everything up
-    /// to and including this chunk. Zero entries yield zero outputs, as
-    /// in [`Fp2::batch_invert`].
-    pub fn backward_invert_chunk(
-        xs: &[Fp2],
-        prefix: &[Fp2],
-        lead: &Fp2,
-        tail_inv: &Fp2,
-    ) -> Vec<Fp2> {
-        use crate::traits::{CtEq, CtSelect};
-        debug_assert_eq!(xs.len(), prefix.len());
-        let mut inv = *tail_inv;
+        // One real inversion of the (nonzero) full product, then backward.
+        let mut inv = acc.inv();
         let mut out = vec![Fp2::ZERO; xs.len()];
         for (i, x) in xs.iter().enumerate().rev() {
             let is_zero = x.ct_eq(&Fp2::ZERO);
-            let xi_inv = inv * (*lead * prefix[i]);
-            let safe = Fp2::ct_select(x, &Fp2::ONE, is_zero);
-            inv *= safe;
+            let xi_inv = inv * prefix[i];
+            inv *= Fp2::ct_select(x, &Fp2::ONE, is_zero);
             out[i] = Fp2::ct_select(&xi_inv, &Fp2::ZERO, is_zero);
         }
         out
@@ -444,42 +406,6 @@ mod tests {
         assert!(Fp2::batch_invert(&[Fp2::ZERO; 4])
             .iter()
             .all(|v| *v == Fp2::ZERO));
-    }
-
-    #[test]
-    fn chunked_batch_invert_merge_is_bit_identical() {
-        // Drive the chunk primitives the way the threaded batch
-        // normalisation does (forward per chunk, sequential merge of
-        // chunk products, backward per chunk) and require byte-equality
-        // with the single-chunk path — including zeros at chunk edges.
-        let mut xs: Vec<Fp2> = (1u128..40).map(|v| el(v * 7919, v * 104729 + 3)).collect();
-        xs[0] = Fp2::ZERO; // zero at a chunk boundary
-        xs[13] = Fp2::ZERO; // zero inside a chunk
-        xs[14] = Fp2::ZERO; // adjacent zero straddling a boundary
-        let reference = Fp2::batch_invert(&xs);
-        for chunk in [1usize, 3, 7, 14, 64] {
-            let parts: Vec<(Vec<Fp2>, Fp2)> = xs.chunks(chunk).map(Fp2::prefix_products).collect();
-            // merge: leads (product of earlier chunks) and tail inverses
-            let mut leads = Vec::with_capacity(parts.len());
-            let mut acc = Fp2::ONE;
-            for (_, c) in &parts {
-                leads.push(acc);
-                acc *= *c;
-            }
-            let mut tails = vec![Fp2::ZERO; parts.len()];
-            let mut inv = acc.inv();
-            for (j, (_, c)) in parts.iter().enumerate().rev() {
-                tails[j] = inv;
-                inv *= *c;
-            }
-            let mut got = Vec::with_capacity(xs.len());
-            for (j, (chunk_xs, (prefix, _))) in xs.chunks(chunk).zip(&parts).enumerate() {
-                got.extend(Fp2::backward_invert_chunk(
-                    chunk_xs, prefix, &leads[j], &tails[j],
-                ));
-            }
-            assert_eq!(got, reference, "chunk size {chunk}");
-        }
     }
 
     #[test]

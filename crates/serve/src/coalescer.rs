@@ -5,7 +5,7 @@
 //! the open window) or the size cap (`max_batch`) is reached, then the
 //! whole window is handed to an executor as one flush. Trading a bounded
 //! wait for batch shape is what lets the `FourQEngine` batch paths
-//! (shared comb table, one normalisation inversion per batch, RLC batch
+//! (cached generator table, one normalisation inversion per batch, RLC batch
 //! verification) amortise their fixed costs — the software counterpart
 //! of the paper's pipelined datapath staying saturated.
 //!

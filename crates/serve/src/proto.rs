@@ -56,7 +56,7 @@ pub const HEADER_LEN: usize = 10;
 pub enum OpKind {
     /// `[k]P` for a client-supplied point.
     ScalarMul = 1,
-    /// `[k]G` through the shared comb table.
+    /// `[k]G` on the shared engine's cached generator table.
     FixedBaseMul = 2,
     /// Schnorr signature under the tenant's key.
     SchnorrSign = 3,

@@ -3,8 +3,8 @@
 //! The serve-many front-end answers signing and key-agreement requests
 //! for many tenants from one process. Each tenant's keys are derived
 //! from the server's root seed and the tenant id, built on first touch
-//! (three fixed-base multiplications through the shared
-//! [`FourQEngine`](fourq_curve::FourQEngine) comb table) and cached
+//! (three fixed-base multiplications on the shared
+//! [`FourQEngine`](fourq_curve::FourQEngine)'s generator table) and cached
 //! behind an `RwLock` so the steady state is a read-lock lookup.
 //!
 //! The derivation is public API ([`tenant_seed`], [`TenantKeys::derive`])

@@ -60,7 +60,7 @@ impl EphemeralSecret {
     }
 
     /// Derives many key pairs at once — the server-side session-setup
-    /// workload. All `[d_i]G` share the comb table and one batch
+    /// workload. All `[d_i]G` share the generator's cached table and one batch
     /// normalisation inversion; results match per-seed
     /// [`EphemeralSecret::from_seed`] exactly.
     pub fn batch_from_seeds(seeds: &[[u8; 32]]) -> Vec<EphemeralSecret> {

@@ -120,7 +120,7 @@ impl KeyPair {
     }
 
     /// Signs many messages, batching the per-signature work: each round
-    /// runs every pending `[k]G` through the shared comb table with one
+    /// runs every pending `[k]G` on the generator's cached table with one
     /// batch normalisation, and every nonce inversion through
     /// [`Scalar::batch_invert`] — one Fermat ladder per round instead of
     /// one per signature.

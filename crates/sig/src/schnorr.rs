@@ -92,7 +92,7 @@ impl KeyPair {
     }
 
     /// Signs many messages, amortising the commitment normalisation: all
-    /// `[r_i]G` run through the shared comb table and a single batch
+    /// `[r_i]G` run on the generator's cached table and a single batch
     /// inversion converts every commitment to affine at once.
     ///
     /// Produces bit-identical signatures to per-message [`KeyPair::sign`]

@@ -105,11 +105,13 @@ impl Arbitrary for Scalar {
 }
 
 /// A uniformly distributed point of the prime-order subgroup, produced as
-/// `[k]G` for a random scalar via the precomputed fixed-base table (fast
+/// `[k]G` for a random scalar on the generator's cached table (fast
 /// enough for property-test case counts).
 impl Arbitrary for AffinePoint {
     fn arbitrary(rng: &mut TestRng) -> AffinePoint {
-        fourq_curve::generator_table().mul(&Scalar::arbitrary(rng))
+        fourq_curve::FourQEngine::shared()
+            .generator_table()
+            .mul(&Scalar::arbitrary(rng))
     }
 }
 

@@ -4,8 +4,9 @@
 //! The decomposition rounds against the lattice of the whole group
 //! `E(F_p²) ≅ Z/8 × (Z/7)² × Z/N`, so torsion and mixed-order points need no
 //! subgroup check and no fallback path. This pins that decision: the
-//! one-shot `AffinePoint::mul`, the batch engine, the compiled kernel and
-//! the verifier's `double_scalar_mul` must each equal plain double-and-add
+//! one-shot `AffinePoint::mul`, a `FixedBaseTable` built on the point, the
+//! batch engine, the compiled kernel and the verifier's
+//! `double_scalar_mul` must each equal plain double-and-add
 //! (`mul_u256_generic`) on points of order 2, 4, 8, 7 and 56, on
 //! mixed-order points `S + T`, and on scalars at the edges of the split;
 //! and `schnorr::verify` and `ecdsa::verify` must give the verdicts that
@@ -13,7 +14,7 @@
 
 use fourq::cpu::shared_kernel;
 use fourq::curve::{
-    decompose, double_scalar_mul, params::ORDER, AffinePoint, CurveId, FourQEngine,
+    decompose, double_scalar_mul, params::ORDER, AffinePoint, CurveId, FixedBaseTable, FourQEngine,
 };
 use fourq::fp::{Scalar, U256};
 use fourq::hash::{Sha256, Sha512};
@@ -112,9 +113,15 @@ fn every_path_is_exact_on_torsion_and_mixed_order_points() {
     let ks = scalars();
     let mut pairs = Vec::new();
     for p in &points {
+        let table = FixedBaseTable::new(p);
         for k in &ks {
             let want = p.mul_u256_generic(&k.to_u256());
             assert_eq!(p.mul(k), want, "AffinePoint::mul, k = {k}, P = {p:?}");
+            assert_eq!(
+                table.mul(k),
+                want,
+                "FixedBaseTable::mul, k = {k}, P = {p:?}"
+            );
             let got = kernel.execute(p, k).expect("kernel executes");
             assert_eq!(got, want, "CompiledKernel::execute, k = {k}, P = {p:?}");
             pairs.push((*k, *p));

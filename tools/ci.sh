@@ -33,6 +33,12 @@ cargo build --release
 step "cargo test -q (tier-1)"
 cargo test -q
 
+# perfbench is a workspace of its own that calls the crates' public API;
+# building it and running its unit tests catches an API change that
+# would otherwise only break a benchmark run.
+step "cargo test perfbench (release)"
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 # The full suite runs twice: pinned sequential and pinned 4-thread. The
 # parallel batch engine promises bit-identical results at every thread
 # count, so both runs must pass identically (the differential tests
