@@ -356,6 +356,57 @@ mod tests {
         }
     }
 
+    /// `(0, 1)` and `(0, −1)` reached by arithmetic may hold `x = 0` as
+    /// the field's second representative `p`, whose raw parity is 1; their
+    /// encodings must still be the canonical bytes with sign bit 0.
+    #[test]
+    fn arithmetic_x_zero_points_encode_canonically() {
+        let mut identity_bytes = [0u8; 32];
+        identity_bytes[0] = 1;
+        let mut order_two_bytes = [0u8; 32];
+        order_two_bytes[..16].copy_from_slice(&(-fourq_fp::Fp::ONE).to_bytes());
+
+        // [k]G + [−k]G, by the affine law and by the projective formulas.
+        let g = AffinePoint::generator();
+        for v in [1u64, 2, 7, 0xdead_beef, u64::MAX] {
+            let k = Scalar::from_u64(v);
+            let sum = g.mul(&k).add(&g.mul(&-k));
+            let cached = g.mul_extended(&-k).to_cached(&TWO_D);
+            let projective = AffinePoint::from_extended(&g.mul_extended(&k).add_cached(&cached));
+            for p in [sum, projective] {
+                assert!(p.is_identity(), "k = {v}");
+                assert_eq!(p.encode(), identity_bytes, "k = {v}");
+            }
+        }
+
+        // [4]T for points T of order 8: [N]R lies in the 392-torsion and
+        // [49] of that in the cyclic 8-part.
+        let mut rng = fourq_testkit::TestRng::from_seed(0x0eb8_7e57);
+        let mut order_eight = 0;
+        for i in 0..64 {
+            let mut bytes = [0u8; 32];
+            rng.fill_bytes(&mut bytes);
+            bytes[15] &= 0x7f;
+            bytes[31] &= 0x7f;
+            let Ok(r) = AffinePoint::decode(&bytes) else {
+                continue;
+            };
+            let t = r
+                .mul_u256_generic(&ORDER)
+                .mul_u256_generic(&U256::from_u64(49));
+            let t4 = t.mul_u256_generic(&U256::from_u64(4));
+            if t4.is_identity() {
+                continue;
+            }
+            order_eight += 1;
+            for p in [t4, t.double().double(), t4.add(&AffinePoint::identity())] {
+                assert!(p.x.is_zero() && p.y == -Fp2::ONE, "point {i}");
+                assert_eq!(p.encode(), order_two_bytes, "point {i}");
+            }
+        }
+        assert!(order_eight >= 4, "too few order-8 points: {order_eight}");
+    }
+
     /// `decode(b) == Ok(P)` holds exactly when `P.encode() == b`. The
     /// Schnorr verifier compares `[s]G + [N−h]A` with `R` by encoding
     /// instead of decoding `R`, and gives the same verdicts only because

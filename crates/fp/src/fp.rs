@@ -2,24 +2,52 @@
 
 use crate::wide::Wide;
 use core::fmt;
+use core::hash::{Hash, Hasher};
 use core::ops::{Add, AddAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 
 /// The Mersenne prime `p = 2^127 - 1` as a `u128`.
 pub const P: u128 = (1u128 << 127) - 1;
 
-/// An element of `F_p`, `p = 2^127 - 1`, stored canonically in `[0, p)`.
+/// An element of `F_p`, `p = 2^127 - 1`, stored as a representative in
+/// `[0, p]`.
 ///
-/// All operations are division-free: products are folded with
-/// `2^127 ≡ 1 (mod p)`, the same trick the paper's multiplier datapath uses
-/// (§II-B-2).
+/// Zero has two representatives, `0` and `p`; every other residue has one.
+/// Arithmetic never makes its result canonical (FourQlib's incomplete
+/// reduction): addition and subtraction are one Mersenne fold each,
+/// `v ↦ (v mod 2^127) + ⌊v / 2^127⌋`, negation is `p - a`, and a product
+/// is one fold of its 254-bit value (§II-B-2). The
+/// value is made canonical in `[0, p)` only where it leaves the type:
+/// [`Fp::to_u128`], [`Fp::to_bytes`], [`Fp::is_zero`], `==`, hashing,
+/// constant-time equality and formatting. Equal elements therefore compare
+/// equal and encode byte-identically whichever representative they hold.
 ///
 /// ```
 /// use fourq_fp::Fp;
 /// let a = Fp::from_u64(7);
 /// assert_eq!(a * a.inv(), Fp::one());
+/// assert_eq!(a - a, Fp::ZERO); // stored as p, canonical on the way out
+/// assert_eq!((a - a).to_bytes(), [0u8; 16]);
 /// ```
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Default)]
+#[derive(Clone, Copy, Default)]
 pub struct Fp(u128);
+
+/// One Mersenne fold, `v ↦ (v mod 2^127) + ⌊v / 2^127⌋ ≡ v (mod p)`.
+///
+/// For `v ≤ 2p` the result is at most `p`; for any `v < 2^128` it is at
+/// most `2^127 = p + 1`.
+#[inline]
+pub(crate) const fn fold(v: u128) -> u128 {
+    (v & P) + (v >> 127)
+}
+
+/// Canonical representative of `r ≤ 2^127`: maps `p` to `0` and `p + 1` to
+/// `1`, and leaves `r < p` alone. Branch-free: `(r + 1) >> 127` is `1`
+/// exactly when `r ≥ p`, and adding it carries into bit 127, which the
+/// mask clears.
+#[inline]
+const fn canon(r: u128) -> u128 {
+    (r + ((r + 1) >> 127)) & P
+}
 
 impl Fp {
     /// The additive identity.
@@ -47,66 +75,58 @@ impl Fp {
 
     /// Builds an element from a `u128`, reducing modulo `p`.
     ///
-    /// Accepts any `u128`; values `≥ p` are folded (`2^127 ≡ 1`) and then
-    /// canonicalised.
+    /// Accepts any `u128` and stores its canonical residue: `v < 2^128 ≡ 2`,
+    /// so one fold brings it to at most `p + 1`, and `canon` finishes.
     #[inline]
     pub const fn from_u128(v: u128) -> Fp {
-        // v < 2^128 = 2*2^127 ≡ 2, so one fold suffices, then a subtract.
-        let folded = (v & P) + (v >> 127);
-        let canon = if folded >= P { folded - P } else { folded };
-        Fp(canon)
+        Fp(canon(fold(v)))
     }
 
     /// The canonical representative in `[0, p)`.
     #[inline]
     pub const fn to_u128(self) -> u128 {
+        canon(self.0)
+    }
+
+    /// The stored representative in `[0, p]`, as it is (for the
+    /// constant-time selection primitives, which mask raw words).
+    #[inline]
+    pub(crate) const fn raw(self) -> u128 {
         self.0
     }
 
-    /// Rebuilds an element from a representative already known to be
-    /// canonical (used by the constant-time selection primitives, which
-    /// mask between two canonical values and must not re-reduce).
+    /// Rebuilds an element from a stored representative `v ≤ p` (used by
+    /// the reductions and by the constant-time selection primitives, which
+    /// mask between two stored words and must not re-reduce).
     #[inline]
     pub(crate) const fn from_raw_canonical(v: u128) -> Fp {
-        debug_assert!(v < P);
+        debug_assert!(v <= P);
         Fp(v)
     }
 
-    /// Whether the element is zero.
+    /// Whether the element is zero (either representative).
     #[inline]
     pub const fn is_zero(self) -> bool {
-        self.0 == 0
+        self.to_u128() == 0
     }
 
-    /// Field addition.
+    /// Field addition: `a + b ≤ 2p`, so one fold lands in `[0, p]`.
     #[inline]
     pub const fn add_const(self, rhs: Fp) -> Fp {
-        // Sum < 2^128; from_u128 folds.
-        Fp::from_u128(self.0 + rhs.0)
+        Fp(fold(self.0 + rhs.0))
     }
 
-    /// Field subtraction.
+    /// Field subtraction: `a + (p - b) ≤ 2p`, so one fold lands in
+    /// `[0, p]`.
     #[inline]
     pub const fn sub_const(self, rhs: Fp) -> Fp {
-        let (diff, borrow) = self.0.overflowing_sub(rhs.0);
-        if borrow {
-            // Add p back. diff wrapped, i.e. diff = self - rhs + 2^128;
-            // adding p modulo 2^128 yields the right representative because
-            // self - rhs + p < p < 2^128.
-            Fp(diff.wrapping_add(P))
-        } else {
-            Fp(diff)
-        }
+        Fp(fold(self.0 + (P - rhs.0)))
     }
 
-    /// Field negation.
+    /// Field negation, `p - a` (zero maps to its other representative).
     #[inline]
     pub const fn neg_const(self) -> Fp {
-        if self.0 == 0 {
-            Fp(0)
-        } else {
-            Fp(P - self.0)
-        }
+        Fp(P - self.0)
     }
 
     /// Full 254-bit product of two elements, unreduced.
@@ -119,16 +139,22 @@ impl Fp {
         Wide::mul_u128(self.0, rhs.0)
     }
 
-    /// Field multiplication (product folded immediately).
+    /// Full 254-bit square, unreduced, from 3 limb products.
     #[inline]
-    pub fn mul_reduced(self, rhs: Fp) -> Fp {
-        self.widening_mul(rhs).reduce()
+    pub(crate) fn widening_square(self) -> Wide {
+        Wide::square_u128(self.0)
     }
 
-    /// Field squaring.
+    /// Field multiplication (the product folded once).
+    #[inline]
+    pub fn mul_reduced(self, rhs: Fp) -> Fp {
+        self.widening_mul(rhs).reduce_product()
+    }
+
+    /// Field squaring (3 limb products, one fold).
     #[inline]
     pub fn square(self) -> Fp {
-        self.mul_reduced(self)
+        self.widening_square().reduce_product()
     }
 
     /// Doubles the element.
@@ -206,10 +232,11 @@ impl Fp {
 
     /// Little-endian 16-byte encoding of the canonical representative.
     pub fn to_bytes(self) -> [u8; 16] {
-        self.0.to_le_bytes()
+        self.to_u128().to_le_bytes()
     }
 
-    /// Parses a little-endian 16-byte encoding, folding modulo `p`.
+    /// Parses a little-endian 16-byte encoding, reducing it to its
+    /// canonical residue modulo `p`.
     pub fn from_bytes(bytes: &[u8; 16]) -> Fp {
         Fp::from_u128(u128::from_le_bytes(*bytes))
     }
@@ -262,19 +289,35 @@ impl Neg for Fp {
     }
 }
 
+/// Equality of residues: both sides are made canonical first, so the two
+/// representatives of zero compare equal.
+impl PartialEq for Fp {
+    #[inline]
+    fn eq(&self, other: &Fp) -> bool {
+        self.to_u128() == other.to_u128()
+    }
+}
+impl Eq for Fp {}
+/// Hashes the canonical representative, consistent with `==`.
+impl Hash for Fp {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.to_u128().hash(state);
+    }
+}
+
 impl fmt::Debug for Fp {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Fp(0x{:032x})", self.0)
+        write!(f, "Fp(0x{:032x})", self.to_u128())
     }
 }
 impl fmt::Display for Fp {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "0x{:032x}", self.0)
+        write!(f, "0x{:032x}", self.to_u128())
     }
 }
 impl fmt::LowerHex for Fp {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        fmt::LowerHex::fmt(&self.0, f)
+        fmt::LowerHex::fmt(&self.to_u128(), f)
     }
 }
 

@@ -72,9 +72,15 @@ impl Fp2 {
 
     /// Field norm `a0² + a1² ∈ F_p` (as an `F_p²` element with zero
     /// imaginary part it equals `self · self.conj()`).
+    ///
+    /// Both squares are summed unreduced in one [`crate::Wide`]
+    /// (at most `2p² < 2^255`) and reduced once.
     #[inline]
     pub fn norm(&self) -> Fp {
-        self.re * self.re + self.im * self.im
+        self.re
+            .widening_square()
+            .add(self.im.widening_square())
+            .reduce()
     }
 
     /// Schoolbook multiplication: 4 `F_p` multiplications, eager reduction.
@@ -93,7 +99,9 @@ impl Fp2 {
     /// Three full-width base-field products are formed (`t0 = x0·y0`,
     /// `t1 = x1·y1`, `t6 = (x0+x1)(y0+y1)`); the real part is the lazily
     /// reduced `t0 - t1`, the imaginary part the lazily reduced
-    /// `t6 - (t0 + t1)`. Only two Mersenne folds happen in total.
+    /// `t6 - (t0 + t1)`. The sums `x0+x1` and `y0+y1` enter the multiplier
+    /// folded into `[0, p]` but not made canonical, so every product stays
+    /// below `2^254`; each output is one two-fold [`crate::Wide::reduce`].
     #[inline]
     pub fn mul_karatsuba(&self, rhs: &Fp2) -> Fp2 {
         let t0 = self.re.widening_mul(rhs.re);
@@ -109,6 +117,8 @@ impl Fp2 {
 
     /// Squaring, using the complex-squaring shortcut:
     /// `(a0+a1i)² = (a0+a1)(a0-a1) + 2a0a1·i` — 2 `F_p` multiplications.
+    /// `a0+a1`, `a0-a1` and `2a0` are each one fold into `[0, p]`, and each
+    /// product is one more.
     #[inline]
     pub fn square(&self) -> Fp2 {
         let t0 = self.re + self.im;
@@ -138,7 +148,7 @@ impl Fp2 {
     /// Montgomery batch inversion: inverts `n` elements with **one** real
     /// field inversion plus `3(n−1)` multiplications — the amortisation
     /// the batch-normalisation pipeline is built on (one `Fp2::inv` costs
-    /// ~54 `fp2_mul`, so the per-element cost collapses for large `n`).
+    /// ~61 `fp2_mul`, so the per-element cost collapses for large `n`).
     ///
     /// Zero entries are handled without data-dependent branches: each zero
     /// is swapped for `1` in the running product via `ct_select` and its

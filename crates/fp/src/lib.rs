@@ -5,9 +5,12 @@
 //! This crate implements, from scratch and without dependencies:
 //!
 //! * [`Fp`] — the base field `F_p` with the Mersenne prime `p = 2^127 - 1`.
-//!   Modular reduction is division-free (a single fold plus conditional
-//!   subtract), mirroring the hardware trick described in §II-B-2 of the
-//!   paper.
+//!   Modular reduction is division-free, mirroring the hardware trick
+//!   described in §II-B-2 of the paper: an addition, a subtraction or a
+//!   product is one fold, `(v mod 2^127) + ⌊v / 2^127⌋`, into `[0, p]`.
+//!   Values stay in `[0, p]` (zero may be stored as `p`) and are made
+//!   canonical only where they leave the type: encoding, comparison,
+//!   hashing and formatting.
 //! * [`Fp2`] — the quadratic extension `F_p² = F_p(i)`, `i² = -1`, with two
 //!   multiplier implementations: the schoolbook 4-multiplication version and
 //!   the Karatsuba + lazy-reduction version of the paper's Algorithm 2

@@ -207,11 +207,13 @@ impl CtEq for u128 {
 impl CtSelect for Fp {
     #[inline]
     fn ct_select(a: &Fp, b: &Fp, c: Choice) -> Fp {
-        Fp::from_raw_canonical(u128::ct_select(&a.to_u128(), &b.to_u128(), c))
+        // Selects the stored words; both are in [0, p], so is the result.
+        Fp::from_raw_canonical(u128::ct_select(&a.raw(), &b.raw(), c))
     }
 }
 
 impl CtEq for Fp {
+    /// Compares canonical representatives, so `0` and `p` are equal.
     #[inline]
     fn ct_eq(&self, other: &Fp) -> Choice {
         self.to_u128().ct_eq(&other.to_u128())

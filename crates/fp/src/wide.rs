@@ -1,17 +1,19 @@
 //! Unreduced 256-bit products for the lazy-reduction technique.
 //!
 //! The paper's `F_p²` multiplier (Algorithm 2) delays modular reduction:
-//! sums and differences of full double-width products are accumulated and a
-//! single Mersenne fold is performed at the end. [`Wide`] is that
+//! sums and differences of full double-width products are accumulated and
+//! reduced once at the end with Mersenne folds. [`Wide`] is that
 //! accumulator.
 
-use crate::fp::{Fp, P};
+use crate::fp::{fold, Fp, P};
 use core::fmt;
 
 /// An unreduced 256-bit value `hi·2^128 + lo`.
 ///
 /// Produced by [`Fp::widening_mul`] and consumed by [`Wide::reduce`], which
-/// performs the division-free Mersenne fold (`2^127 ≡ 1 (mod p)`).
+/// performs the division-free Mersenne fold (`2^127 ≡ 1 (mod p)`). The
+/// operands of a product are stored field elements, at most `p`, so a
+/// product is at most `p² < 2^254`.
 ///
 /// ```
 /// use fourq_fp::{Fp, Wide};
@@ -53,6 +55,25 @@ impl Wide {
         Wide { lo, hi }
     }
 
+    /// Full 256-bit square of a value `< 2^127`, from 3 limb products: the
+    /// cross term `a0·a1` is formed once and doubled.
+    ///
+    /// # Panics
+    ///
+    /// Debug-panics if the operand has bit 127 set.
+    #[inline]
+    pub(crate) fn square_u128(a: u128) -> Wide {
+        debug_assert!(a < (1 << 127));
+        let (a0, a1) = (a as u64 as u128, a >> 64);
+        let ll = a0 * a0;
+        let hh = a1 * a1;
+        // a1 < 2^63, so 2·a0·a1 < 2^128: the doubled cross term fits.
+        let mid = (a0 * a1) << 1;
+        let (lo, carry) = ll.overflowing_add(mid << 64);
+        let hi = hh + (mid >> 64) + carry as u128;
+        Wide { lo, hi }
+    }
+
     /// Accumulator addition.
     ///
     /// # Panics
@@ -86,22 +107,50 @@ impl Wide {
         Wide { lo, hi }
     }
 
-    /// Mersenne reduction of the full 256-bit value to a canonical [`Fp`].
+    /// The 127-bit chunks `a` (bits 0–126) and `b` (bits 127–253), each at
+    /// most `p` and each `≡` its own weight-1 contribution, since
+    /// `2^127 ≡ 1 (mod p)`.
+    #[inline]
+    fn low_chunks(self) -> (u128, u128) {
+        (self.lo & P, ((self.lo >> 127) | (self.hi << 1)) & P)
+    }
+
+    /// Mersenne reduction of any 256-bit value to an [`Fp`] in `[0, p]`.
     ///
     /// Uses `2^127 ≡ 1 (mod p)`; no division is involved, mirroring the
-    /// hardware reduction of the paper (§II-B-2). The 256-bit value is cut
-    /// into 127-bit chunks `a` (bits 0–126), `b` (bits 127–253) and `c`
-    /// (bits 254–255), each `≡` its own weight-1 contribution, so the
-    /// residue is just `a + b + c` folded once — two carry-free adds where
-    /// the previous formulation stacked three fold layers.
+    /// hardware reduction of the paper (§II-B-2). The value is cut into
+    /// 127-bit chunks `a` (bits 0–126), `b` (bits 127–253) and `c`
+    /// (bits 254–255), and the residue is `fold(fold(a + b) + c)`:
+    ///
+    /// * `a, b ≤ p`, so `a + b ≤ 2p` and `fold(a + b) ≤ p`;
+    /// * `c ≤ 3`, so `fold(a + b) + c ≤ p + 3 = 2^127 + 2`, and the second
+    ///   fold lands in `[0, p]`.
+    ///
+    /// The result is not made canonical; `p` may stand for zero (see
+    /// [`Fp`]). The lazy sums of the `F_p²` multiplier reach bit 254
+    /// (`p² + p·2^128` after [`Wide::sub_mod_p`]), so they need both folds.
     #[inline]
     pub fn reduce(self) -> Fp {
-        let a = self.lo & P;
-        let b = ((self.lo >> 127) | (self.hi << 1)) & P;
+        let (a, b) = self.low_chunks();
         let c = self.hi >> 126;
-        // a, b ≤ p, so a + b < 2^128 cannot overflow; from_u128 folds it.
-        // c ≤ 3 < p is already canonical.
-        Fp::from_u128(a + b).add_const(Fp::from_u128(c))
+        let r = fold(a + b);
+        debug_assert!(r <= P && c <= 3);
+        Fp::from_raw_canonical(fold(r + c))
+    }
+
+    /// Reduction of one product of two stored elements, one fold.
+    ///
+    /// Both factors are at most `p`, so the product is below `2^254`: its
+    /// top chunk `c` is zero and `fold(a + b) ≤ p`.
+    ///
+    /// # Panics
+    ///
+    /// Debug-panics if the value reaches `2^254`.
+    #[inline]
+    pub(crate) fn reduce_product(self) -> Fp {
+        debug_assert!(self.hi >> 126 == 0, "Wide::reduce_product: not one product");
+        let (a, b) = self.low_chunks();
+        Fp::from_raw_canonical(fold(a + b))
     }
 
     /// The raw `(lo, hi)` words (for tests and debugging).
@@ -134,6 +183,35 @@ mod tests {
         assert!(hi > 0);
         // a^2 mod p check against Fp path
         assert_eq!(w.reduce(), Fp::from_u128(a) * Fp::from_u128(a));
+    }
+
+    #[test]
+    fn square_matches_mul() {
+        for a in [0, 1, P, P - 1, (1 << 126) + 12345, u64::MAX as u128] {
+            assert_eq!(Wide::square_u128(a), Wide::mul_u128(a, a), "a = {a:#x}");
+        }
+    }
+
+    #[test]
+    fn reduce_stays_in_stored_range() {
+        // a = b = p, c = 0: fold(a + b) is exactly p, which stays stored
+        // as the second representative of zero (p + p·2^127 ≡ 0).
+        let w = Wide {
+            lo: u128::MAX,
+            hi: P >> 1,
+        };
+        assert_eq!(w.reduce().raw(), P);
+        assert_eq!(w.reduce(), Fp::ZERO);
+        // a = b = p, c = 3: fold(a + b) + c = p + 3 needs the second fold.
+        let all_ones = Wide {
+            lo: u128::MAX,
+            hi: u128::MAX,
+        };
+        assert_eq!(all_ones.reduce().raw(), 3);
+        // The largest product, p², reduces with one fold to p.
+        let max_product = Wide::mul_u128(P, P);
+        assert_eq!(max_product.reduce_product().raw(), P);
+        assert_eq!(max_product.reduce_product(), Fp::ZERO);
     }
 
     #[test]

@@ -39,6 +39,14 @@ cargo test -q
 step "cargo test perfbench (release)"
 cargo test --release --offline --manifest-path perfbench/Cargo.toml
 
+# The field's leaf operations (Fp add/sub/neg/mul/square, Fp2 mul/square
+# and the rest) must compile to branch-free code: disassembles one
+# #[inline(never)] wrapper per op, prints its instruction count and fails
+# on any conditional jump. Runs before the workspace suite so it gates
+# even while that suite is red.
+step "leaf-op gate: no conditional jumps in field leaf ops"
+tools/leafops.sh
+
 # The full suite runs twice: pinned sequential and pinned 4-thread. The
 # parallel batch engine promises bit-identical results at every thread
 # count, so both runs must pass identically (the differential tests
