@@ -1,9 +1,14 @@
 //! `serve` — stand-alone fourq-serve server binary.
 //!
 //! ```text
-//! serve [--addr 127.0.0.1:0] [--window-us 500] [--max-batch 256]
+//! serve [--addr 127.0.0.1:0] [--window-us 0] [--max-batch 256]
 //!       [--queue-cap 8192] [--workers 1] [--threads 0] [--tenant-root N]
 //! ```
+//!
+//! Every flag defaults to `ServerConfig::default()`: `--window-us 0` is
+//! work-conserving (a flush leaves as soon as an executor is free), a
+//! positive window lingers that long for a batch to form, and
+//! `--max-batch 1` executes every request alone.
 //!
 //! Binds (port `0` = ephemeral), prints the resolved address on the
 //! first stdout line as `listening on <addr>`, then serves until killed.

@@ -1,22 +1,27 @@
 //! The adaptive batch coalescer — the latency/throughput knob.
 //!
-//! Arriving requests are held in a bounded queue until either the window
-//! deadline expires (`window_us`, measured from the *first* request of
-//! the open window) or the size cap (`max_batch`) is reached, then the
-//! whole window is handed to an executor as one flush. Trading a bounded
-//! wait for batch shape is what lets the `FourQEngine` batch paths
-//! (cached generator table, one normalisation inversion per batch, RLC batch
-//! verification) amortise their fixed costs — the software counterpart
-//! of the paper's pipelined datapath staying saturated.
+//! Arriving requests are held in a bounded queue until an executor takes
+//! them as one flush. Handing a whole queue to an executor is what lets
+//! the `FourQEngine` batch paths (cached generator table, one
+//! normalisation inversion per batch, RLC batch verification) amortise
+//! their fixed costs — the software counterpart of the paper's
+//! pipelined datapath staying saturated.
 //!
 //! Semantics of the knobs:
 //!
-//! * `window_us == 0` — **no coalescing**: every request is flushed
-//!   alone, in arrival order. This is the latency-first configuration
-//!   and the baseline the `--gate-serve` CI tripwire compares against.
-//! * `window_us > 0` — the first request opens a window; the flush
-//!   happens at `first_arrival + window_us`, or immediately once
-//!   `max_batch` requests are waiting.
+//! * `window_us == 0` — **work-conserving** (the default): an idle
+//!   executor takes everything queued, up to `max_batch`, as soon as the
+//!   queue is non-empty. Nothing waits while an executor is free, and a
+//!   flush holds what arrived while the previous flush ran, so flush
+//!   size follows load: one request on an idle server, large batches
+//!   under a backlog.
+//! * `window_us > 0` — **linger**: the first request opens a window; the
+//!   flush happens at `first_arrival + window_us`, or immediately once
+//!   `max_batch` requests are waiting. This trades a bounded wait for
+//!   larger flushes at low load.
+//! * `max_batch == 1` — strict flush-of-one: every request executes
+//!   alone, in arrival order. The no-coalesce baseline the
+//!   `--gate-serve` CI tripwire compares against.
 //! * `queue_cap` — requests beyond this bound are rejected at enqueue
 //!   with an explicit `Busy` signal (the caller answers the client
 //!   without blocking); the queue never grows past it.
@@ -86,8 +91,9 @@ pub enum Enqueue {
 impl<T> Coalescer<T> {
     /// Creates a coalescer.
     ///
-    /// `max_batch` and `queue_cap` are clamped to at least 1; a zero
-    /// `window_us` disables coalescing (flush-of-one semantics).
+    /// `max_batch` and `queue_cap` are clamped to at least 1. A zero
+    /// `window_us` flushes as soon as a request is queued; `max_batch = 1`
+    /// gives flush-of-one.
     pub fn new(window_us: u64, max_batch: usize, queue_cap: usize) -> Coalescer<T> {
         Coalescer {
             state: Mutex::new(State {
@@ -122,12 +128,14 @@ impl<T> Coalescer<T> {
         Enqueue::Accepted
     }
 
-    /// Blocks until a window is ready, then drains and returns it.
+    /// Blocks until a flush is ready, then drains and returns it: up to
+    /// `max_batch` requests, oldest first.
     ///
     /// Returns `None` only after [`Coalescer::close`], once the queue has
     /// fully drained — a returned batch is **never empty**. With
-    /// `window_us == 0` each call yields exactly one request; otherwise
-    /// up to `max_batch` requests that arrived within one window.
+    /// `window_us == 0` a flush is ready as soon as the queue is
+    /// non-empty and takes everything queued; otherwise it is ready when
+    /// the window expires or `max_batch` requests wait.
     pub fn next_flush(&self) -> Option<Vec<T>> {
         let mut st = self.state.lock().expect("coalescer lock");
         loop {
@@ -138,17 +146,14 @@ impl<T> Coalescer<T> {
                 st = self.cv.wait(st).expect("coalescer wait");
                 continue;
             }
-            // A window is open. Flush-of-one when coalescing is off.
-            if self.window.is_zero() {
-                return Some(self.drain(&mut st, 1));
-            }
             if st.queue.len() >= self.max_batch || st.closed {
-                return Some(self.drain(&mut st, self.max_batch));
+                return Some(self.drain(&mut st));
             }
+            // A zero window has always expired: the flush leaves at once.
             let opened = st.window_open.expect("non-empty queue has a window");
             let elapsed = opened.elapsed();
             if elapsed >= self.window {
-                return Some(self.drain(&mut st, self.max_batch));
+                return Some(self.drain(&mut st));
             }
             let (g, _) = self
                 .cv
@@ -158,8 +163,8 @@ impl<T> Coalescer<T> {
         }
     }
 
-    fn drain(&self, st: &mut State<T>, cap: usize) -> Vec<T> {
-        let n = st.queue.len().min(cap);
+    fn drain(&self, st: &mut State<T>) -> Vec<T> {
+        let n = st.queue.len().min(self.max_batch);
         debug_assert!(n > 0, "empty windows are never flushed");
         let batch: Vec<T> = st.queue.drain(..n).collect();
         // Requests left behind (beyond max_batch) start a fresh window
@@ -205,8 +210,8 @@ mod tests {
     use std::sync::Arc;
 
     #[test]
-    fn window_zero_flushes_one_at_a_time() {
-        let c = Coalescer::new(0, 256, 64);
+    fn max_batch_one_flushes_one_at_a_time() {
+        let c = Coalescer::new(0, 1, 64);
         for i in 0..5 {
             assert_eq!(c.enqueue(i), Enqueue::Accepted);
         }
@@ -216,6 +221,28 @@ mod tests {
         let s = c.stats();
         assert_eq!((s.flushes, s.items, s.max_flush), (5, 5, 1));
         assert!((s.mean_flush() - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn window_zero_drains_what_is_queued() {
+        let c = Coalescer::new(0, 256, 64);
+        for i in 0..5 {
+            assert_eq!(c.enqueue(i), Enqueue::Accepted);
+        }
+        assert_eq!(c.next_flush(), Some(vec![0, 1, 2, 3, 4]));
+        assert_eq!(c.depth(), 0);
+
+        // Past max_batch the queue leaves in max_batch-sized flushes,
+        // each ready at once: no deadline is waited out.
+        let c = Coalescer::new(0, 4, 64);
+        for i in 0..10 {
+            assert_eq!(c.enqueue(i), Enqueue::Accepted);
+        }
+        assert_eq!(c.next_flush(), Some(vec![0, 1, 2, 3]));
+        assert_eq!(c.next_flush(), Some(vec![4, 5, 6, 7]));
+        assert_eq!(c.next_flush(), Some(vec![8, 9]));
+        let s = c.stats();
+        assert_eq!((s.flushes, s.items, s.max_flush), (3, 10, 4));
     }
 
     #[test]

@@ -17,7 +17,8 @@
 //! falls back to per-item [`schnorr::verify`] to produce exactly the
 //! verdicts one-shot calls would (an all-valid group short-circuits:
 //! batch accept ⇒ every item accepts). The differential suite pins this
-//! across `window_us ∈ {0, 500}` and thread budgets.
+//! across flush-of-one, the default and a 500 µs window, and across
+//! thread budgets.
 
 use crate::proto::{encode_response, Request, Response, Status};
 use crate::tenant::TenantDirectory;

@@ -16,10 +16,13 @@
 //!   an inline `Stats` probe; hard `MAX_FRAME` bound; incremental
 //!   [`proto::FrameReader`]. An unknown curve id answers the typed
 //!   `UnknownCurve` status and keeps the connection.
-//! * [`coalescer`] — the latency/throughput knob: hold requests up to
-//!   `window_us` (measured from the first arrival) or `max_batch`, then
-//!   flush; bounded queue with explicit `Busy` rejection; `window_us = 0`
-//!   means strict flush-of-one (the honest no-coalesce baseline).
+//! * [`coalescer`] — the latency/throughput knob: by default
+//!   (`window_us = 0`) work-conserving, so an idle executor takes
+//!   everything queued, up to `max_batch`, at once and batches form from
+//!   what queues while the previous flush runs; a positive `window_us`
+//!   lingers that long after the first arrival for a batch to form;
+//!   `max_batch = 1` is strict flush-of-one (the honest no-coalesce
+//!   baseline); bounded queue with explicit `Busy` rejection.
 //! * [`tenant`] — deterministic per-tenant key derivation (domain-
 //!   separated SHA-512) cached behind an `RwLock`; the derivation is
 //!   public so tests reconstruct public keys independently.
@@ -31,14 +34,16 @@
 //!   Fourℚ/X25519/P-256 traffic from a single process.
 //! * [`server`] — the reactor: accept/read/frame/write over non-blocking
 //!   sockets on one thread, executor threads draining the coalescer.
+//!   When idle, the reactor blocks on the executors' responses, so a
+//!   finished flush is written at once; sockets are polled every 100 µs.
 //! * [`client`] — a small blocking client with pipelining, used by the
 //!   `loadgen` binary and the differential tests.
 //!
 //! Every response is a pure function of its request (deterministic
 //! nonces, deterministic tenant keys), so coalescing is observably
 //! transparent: the differential suite asserts bit-identical responses
-//! across `window_us ∈ {0, 500}` and thread counts, against one-shot
-//! library calls.
+//! across flush-of-one, the default and a 500 µs window, at 1 and 4
+//! engine threads, against one-shot library calls.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -36,17 +36,23 @@ use fourq_curve::MultiCurveEngine;
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Tuning knobs for one server instance. Every field is a first-class
 /// latency/throughput control; see the crate docs for the model.
+///
+/// The default is work-conserving: `window_us = 0`, so a flush leaves as
+/// soon as an executor is free, and batches form from the requests that
+/// queue while the previous flush runs.
 #[derive(Clone, Copy, Debug)]
 pub struct ServerConfig {
-    /// Coalescing window in microseconds; `0` disables coalescing
-    /// (every request executes alone).
+    /// Coalescing window in microseconds. `0` (the default) flushes
+    /// whatever is queued as soon as an executor is free; a positive
+    /// window holds the first request that long for others to join it.
     pub window_us: u64,
-    /// Maximum requests per flush.
+    /// Maximum requests per flush; `1` executes every request alone.
     pub max_batch: usize,
     /// Bounded queue depth; requests beyond it are rejected `Busy`.
     pub queue_cap: usize,
@@ -62,7 +68,7 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> ServerConfig {
         ServerConfig {
-            window_us: 500,
+            window_us: 0,
             max_batch: 256,
             queue_cap: 8192,
             exec_workers: 1,
@@ -72,9 +78,10 @@ impl Default for ServerConfig {
     }
 }
 
-/// Idle poll sleep: the reactor parks this long when a pass makes no
-/// progress. Keeps the idle server off the CPU while bounding added
-/// latency well below a coalescing window.
+/// Idle wait: when a pass makes no progress, the reactor blocks this
+/// long on the executors' response channel. A response ends the wait at
+/// once; socket reads and accepts are polled at this period, since `std`
+/// has no readiness API. Keeps the idle server off the CPU.
 const IDLE_POLL: Duration = Duration::from_micros(100);
 
 struct Conn {
@@ -241,18 +248,10 @@ fn reactor_loop(
             }
         }
 
-        // Deliver executor responses to their (still-matching)
-        // connections.
-        while let Ok((tok, bytes)) = resp_rx.try_recv() {
+        // Deliver executor responses to their connections.
+        while let Ok(resp) = resp_rx.try_recv() {
             progressed = true;
-            let slot = (tok & 0xffff_ffff) as usize;
-            let generation = (tok >> 32) as u32;
-            if let Some(Some(conn)) = conns.get_mut(slot) {
-                if conn.generation == generation {
-                    conn.out.extend_from_slice(&bytes);
-                    conn.inflight = conn.inflight.saturating_sub(1);
-                }
-            }
+            deliver(&mut conns, resp);
         }
 
         // Per connection: read bytes, extract frames, dispatch, write.
@@ -331,7 +330,28 @@ fn reactor_loop(
         }
 
         if !progressed {
-            std::thread::sleep(IDLE_POLL);
+            // Wake on the next response, or poll the sockets again after
+            // IDLE_POLL. The response is written on the next pass.
+            match resp_rx.recv_timeout(IDLE_POLL) {
+                Ok(resp) => deliver(&mut conns, resp),
+                Err(RecvTimeoutError::Timeout) => {}
+                // Every executor has exited (shutdown): nothing can wake
+                // the channel any more, so park instead of spinning.
+                Err(RecvTimeoutError::Disconnected) => std::thread::sleep(IDLE_POLL),
+            }
+        }
+    }
+}
+
+/// Appends one executor response to its connection, if the connection
+/// is still the one (same generation) that asked.
+fn deliver(conns: &mut [Option<Conn>], (tok, bytes): (u64, Vec<u8>)) {
+    let slot = (tok & 0xffff_ffff) as usize;
+    let generation = (tok >> 32) as u32;
+    if let Some(Some(conn)) = conns.get_mut(slot) {
+        if conn.generation == generation {
+            conn.out.extend_from_slice(&bytes);
+            conn.inflight = conn.inflight.saturating_sub(1);
         }
     }
 }

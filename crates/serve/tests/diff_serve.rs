@@ -2,13 +2,14 @@
 //! library calls, across engine thread counts and coalescing windows.
 //!
 //! The serving stack promises that batching is *observably transparent*:
-//! whether a request executes alone (`window_us = 0`) or lands in the
+//! whether a request executes alone (`max_batch = 1`) or lands in the
 //! middle of a coalesced flush, and whatever the engine's thread budget,
 //! the response bytes are the same. These tests drive a fixed workload
 //! of all seven op kinds — including mixed-curve `CurveMul` traffic over
 //! Fourℚ, X25519 and P-256 — through real TCP connections under every
-//! configuration in `{1, 4} threads × {0, 500} µs windows` and compare
-//! against locally computed expectations.
+//! configuration in `{1, 4} threads × {flush-of-one, the work-conserving
+//! default, a 500 µs window}` and compare against locally computed
+//! expectations.
 
 use fourq_curve::{params::ORDER, AffinePoint, CurveId, FourQEngine, MultiCurveEngine};
 use fourq_fp::Scalar;
@@ -112,13 +113,8 @@ fn mixed_order_point() -> AffinePoint {
 
 /// Runs the workload through a real server and returns `(status,
 /// payload)` per request, in request order.
-fn serve_workload(threads: usize, window_us: u64) -> Vec<(Status, Vec<u8>)> {
-    let handle = fourq_serve::spawn(ServerConfig {
-        window_us,
-        threads,
-        ..ServerConfig::default()
-    })
-    .expect("spawn server");
+fn serve_workload(cfg: ServerConfig) -> Vec<(Status, Vec<u8>)> {
+    let handle = fourq_serve::spawn(cfg).expect("spawn server");
     let reqs = workload();
     let mut client = Client::connect(handle.addr()).expect("connect");
     for (i, req) in reqs.iter().enumerate() {
@@ -198,12 +194,22 @@ fn expected() -> Vec<(Status, Vec<u8>)> {
 #[test]
 fn served_responses_match_one_shot_across_threads_and_windows() {
     let want = expected();
+    let flush_of_one = ServerConfig {
+        max_batch: 1,
+        ..ServerConfig::default()
+    };
+    let lingering = ServerConfig {
+        window_us: 500,
+        ..ServerConfig::default()
+    };
     for threads in [1usize, 4] {
-        for window_us in [0u64, 500] {
-            let got = serve_workload(threads, window_us);
+        for cfg in [flush_of_one, ServerConfig::default(), lingering] {
+            let cfg = ServerConfig { threads, ..cfg };
+            let got = serve_workload(cfg);
             assert_eq!(
                 got, want,
-                "served responses diverge at threads={threads} window_us={window_us}"
+                "served responses diverge at threads={threads} window_us={} max_batch={}",
+                cfg.window_us, cfg.max_batch
             );
         }
     }
@@ -211,12 +217,9 @@ fn served_responses_match_one_shot_across_threads_and_windows() {
 
 #[test]
 fn size_one_workload_matches_one_shot() {
-    // A single request must flush alone (deadline path) and still match.
-    let handle = fourq_serve::spawn(ServerConfig {
-        window_us: 500,
-        ..ServerConfig::default()
-    })
-    .expect("spawn server");
+    // A single request on an idle default server flushes alone, at once,
+    // and still matches.
+    let handle = fourq_serve::spawn(ServerConfig::default()).expect("spawn server");
     let mut client = Client::connect(handle.addr()).expect("connect");
     let k = Scalar::from_u64(77);
     let resp = client

@@ -1,11 +1,12 @@
 //! End-to-end server behaviour: backpressure, malformed input handling,
 //! connection lifecycle, and the wire stats probe.
 
-use fourq_curve::{CurveId, MultiCurveEngine};
+use fourq_curve::{CurveId, FourQEngine, MultiCurveEngine};
 use fourq_fp::{Scalar, SUBGROUP_ORDER};
-use fourq_serve::proto::{OpKind, Request, Status, MAX_FRAME, PROTO_VERSION};
+use fourq_serve::proto::{encode_request, OpKind, Request, Status, MAX_FRAME, PROTO_VERSION};
 use fourq_serve::{Client, ServerConfig};
 use fourq_sig::schnorr;
+use std::time::Duration;
 
 fn quiet_server(cfg: ServerConfig) -> fourq_serve::ServerHandle {
     fourq_serve::spawn(cfg).expect("spawn server")
@@ -257,4 +258,60 @@ fn shutdown_drains_pending_work() {
     // The request was either flushed before shutdown or drained by it;
     // the coalescer contract says it is never silently dropped.
     assert!(stats.items <= 1);
+}
+
+#[test]
+fn burst_coalesces_with_no_window_on_the_default_config() {
+    // 64 requests in one write: the first flush may leave alone, and the
+    // rest queue while it runs, so batches form with no window at all.
+    let handle = quiet_server(ServerConfig::default());
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let n = 64u64;
+    let burst: Vec<u8> = (1..=n)
+        .flat_map(|i| {
+            encode_request(
+                i,
+                &Request::FixedBaseMul {
+                    scalar: Scalar::from_u64(i),
+                },
+            )
+        })
+        .collect();
+    client.send_raw(&burst).expect("send burst");
+    let eng = FourQEngine::shared();
+    let mut seen = vec![false; n as usize];
+    for _ in 0..n {
+        let resp = client.recv().expect("recv");
+        assert_eq!(resp.status, Status::Ok, "id {}", resp.id);
+        let want = eng.fixed_base_mul(&Scalar::from_u64(resp.id)).encode();
+        assert_eq!(resp.payload, want.to_vec(), "id {}", resp.id);
+        let first = !std::mem::replace(&mut seen[resp.id as usize - 1], true);
+        assert!(first, "duplicate response id {}", resp.id);
+    }
+    let stats = handle.stats();
+    handle.shutdown();
+    assert_eq!(stats.items, n);
+    assert!(stats.flushes < n, "no batch formed: {stats:?}");
+}
+
+#[test]
+fn shutdown_on_the_default_config_returns() {
+    // With the executors gone, the reactor's response channel reports
+    // Disconnected; shutdown must still join every thread.
+    let handle = quiet_server(ServerConfig::default());
+    let mut client = Client::connect(handle.addr()).expect("connect");
+    let resp = client
+        .call(&Request::FixedBaseMul {
+            scalar: Scalar::from_u64(12),
+        })
+        .expect("call");
+    assert_eq!(resp.status, Status::Ok);
+    let (tx, rx) = std::sync::mpsc::channel();
+    let closer = std::thread::spawn(move || {
+        handle.shutdown();
+        let _ = tx.send(());
+    });
+    rx.recv_timeout(Duration::from_secs(30))
+        .expect("shutdown returns");
+    closer.join().expect("shutdown thread");
 }
