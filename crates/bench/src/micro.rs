@@ -16,7 +16,7 @@
 
 use crate::harness::{run, BenchOptions, BenchRecord, BenchReport};
 use fourq_baselines::{p256::P256, x25519::X25519};
-use fourq_curve::{decompose, recode, AffinePoint, FourQEngine};
+use fourq_curve::{decompose, recode, AffinePoint, FourQEngine, PIPPENGER_THRESHOLD};
 use fourq_fp::{Fp, Fp2, Scalar, U256};
 use fourq_sig::{ecdsa, schnorr};
 use fourq_testkit::TestRng;
@@ -185,8 +185,9 @@ pub fn scalar_ops(report: &mut BenchReport, opts: &BenchOptions) {
 }
 
 /// The batch-first curve pipeline: amortized normalisation, batched
-/// fixed-base multiplication, and both MSM algorithms at the acceptance
-/// batch size.
+/// fixed-base multiplication, and [`FourQEngine::msm`] on one thread just
+/// below [`PIPPENGER_THRESHOLD`] (the split loop) and at the acceptance
+/// batch size (Pippenger).
 pub fn batch_ops(report: &mut BenchReport, opts: &BenchOptions) {
     let mut rng = TestRng::from_seed(BENCH_SEED ^ 4);
     let eng = FourQEngine::shared();
@@ -223,18 +224,16 @@ pub fn batch_ops(report: &mut BenchReport, opts: &BenchOptions) {
     );
     rec.threads = eng.threads() as u32;
     report.push(rec);
-    report.push(per_item(
-        run("batch_ops", "msm_pippenger_n64_per_point", opts, || {
-            fourq_curve::msm_pippenger(black_box(&pairs))
-        }),
-        BATCH_N,
-    ));
-    report.push(per_item(
-        run("batch_ops", "msm_straus_n64_per_point", opts, || {
-            fourq_curve::msm_straus(black_box(&pairs))
-        }),
-        BATCH_N,
-    ));
+    let one = eng.with_threads(1);
+    for n in [PIPPENGER_THRESHOLD - 1, BATCH_N] {
+        let pairs = &pairs[..n];
+        report.push(per_item(
+            run("batch_ops", &format!("msm_n{n}_per_point"), opts, || {
+                one.msm(black_box(pairs))
+            }),
+            n,
+        ));
+    }
 }
 
 /// The batch-first signature pipeline at the acceptance batch size:

@@ -142,8 +142,8 @@ impl AffinePoint {
 
     /// Scalar multiplication returning the projective result, normalisation
     /// deferred — the building block of the batch pipeline, where one
-    /// [`crate::batch_normalize`] amortises the `Z⁻¹` inversion over many
-    /// points instead of paying it per call.
+    /// [`crate::FourQEngine::batch_to_affine`] amortises the `Z⁻¹`
+    /// inversion over many points instead of paying it per call.
     // ct: secret(k)
     pub fn mul_extended(&self, k: &Scalar) -> ExtendedPoint<Fp2> {
         if self.is_identity() {

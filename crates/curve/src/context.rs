@@ -8,15 +8,16 @@
 //! exposes *batch* operations as the primary API. Batching is where the
 //! throughput is: a single [`Fp2`] inversion costs ~54 `fp2_mul`
 //! equivalents, so `batch_to_affine` (one inversion per batch instead of
-//! per point) and the bucketed [`FourQEngine::msm`] change the per-op cost
-//! structure rather than micro-tuning single calls. Every one-shot method
-//! is a thin wrapper over the batch path with `n = 1`.
+//! per point) and [`FourQEngine::msm`] (one doubling chain per batch)
+//! change the per-op cost structure rather than micro-tuning single
+//! calls. Every one-shot method is a thin wrapper over the batch path
+//! with `n = 1`.
 
 use crate::affine::AffinePoint;
 use crate::extended::ExtendedPoint;
 use crate::fixed_base::FixedBaseTable;
-use crate::multi::{batch_normalize, multi_scalar_mul_threaded};
-use crate::params::{D, TWO_D};
+use crate::multi::{pippenger, split_msm, PIPPENGER_THRESHOLD};
+use crate::params::TWO_D;
 use fourq_fp::{Fp2, Scalar};
 
 /// Below this batch size the kernel runs sequentially regardless of the
@@ -35,8 +36,8 @@ const MUL_CHUNK: usize = 2;
 /// Owns one table for the generator, its 8-entry ψ table (Algorithm 1,
 /// steps 1–2) as a [`FixedBaseTable`]: every `[k]G` runs steps 3–4 on
 /// it, and [`crate::double_scalar_mul`] reads it whenever one of its
-/// points is `G`. It also holds the curve constants `d` and `2d` used by
-/// the cached-point formulas. The four-dimensional
+/// points is `G`. It also exposes the curve constant `2d` used by the
+/// cached-point formulas. The four-dimensional
 /// decomposition itself needs no per-engine state: its endomorphisms ψ₇
 /// and ψ₈ and its lattice are compile-time constants (see `DESIGN.md` §3),
 /// and for any other point the images `ψ₇(P)`, `ψ₈(P)`, `ψ₇ψ₈(P)` are
@@ -96,11 +97,6 @@ impl FourQEngine {
     /// The generator's cached ψ table.
     pub fn generator_table(&self) -> &FixedBaseTable {
         &self.gen_table
-    }
-
-    /// The curve constant `d`.
-    pub fn curve_d(&self) -> &'static Fp2 {
-        &D
     }
 
     /// The curve constant `2d` (the cached-point coordinate `2dT`).
@@ -184,25 +180,60 @@ impl FourQEngine {
     /// Converts a whole batch with a single field inversion
     /// (Montgomery's trick via [`Fp2::batch_invert`]); the per-point cost
     /// collapses from one ~1.4 µs inversion to three field
-    /// multiplications.
+    /// multiplications. Returns an empty vector for empty input.
     ///
     /// # Panics
     ///
     /// Panics if any point has `Z = 0` (never produced by the complete
     /// Edwards formulas).
     pub fn batch_to_affine(&self, points: &[ExtendedPoint<Fp2>]) -> Vec<AffinePoint> {
-        batch_normalize(points)
+        let zs: Vec<Fp2> = points
+            .iter()
+            .map(|p| {
+                // ct: allow(R5) reason="documented panic on Z = 0; inputs are public verifier points"
+                assert!(!p.z.is_zero(), "projective Z must be nonzero");
+                p.z
+            })
+            .collect();
+        points
+            .iter()
+            .zip(Fp2::batch_invert(&zs))
+            .map(|(p, zinv)| AffinePoint {
+                x: p.x * zinv,
+                y: p.y * zinv,
+            })
+            .collect()
     }
 
     // ------------------------------------------------------------------
     // Multi-scalar multiplication
     // ------------------------------------------------------------------
 
-    /// `Σ [k_i]P_i` with public inputs (verification workloads):
-    /// Straus interleaving for small batches, bucketed Pippenger from
-    /// [`crate::PIPPENGER_THRESHOLD`] points up.
+    /// `Σ [k_i]P_i` with public inputs (verification workloads), the one
+    /// multi-scalar multiplication of the crate.
+    ///
+    /// Below [`PIPPENGER_THRESHOLD`] terms, every scalar is split four
+    /// ways with the endomorphisms of Algorithm 1 and all digit streams
+    /// share one sequential loop of 65 doublings, the loop of
+    /// [`crate::double_scalar_mul`]. From the threshold up, the bucket
+    /// (Pippenger) method runs, its windows spread over the engine's
+    /// threads. Both are exact on every point of `E(F_p²)`, torsion
+    /// included, and the result is bit-identical at every thread count.
+    ///
+    /// ```
+    /// use fourq_curve::{AffinePoint, FourQEngine};
+    /// use fourq_fp::Scalar;
+    /// let g = AffinePoint::generator();
+    /// let pairs = [(Scalar::from_u64(3), g), (Scalar::from_u64(4), g.double())];
+    /// assert_eq!(FourQEngine::shared().msm(&pairs), g.mul(&Scalar::from_u64(11)));
+    /// ```
     pub fn msm(&self, pairs: &[(Scalar, AffinePoint)]) -> AffinePoint {
-        multi_scalar_mul_threaded(pairs, self.threads)
+        // ct: allow(R1) reason="dispatch on the public batch size, not on scalar values"
+        if pairs.len() >= PIPPENGER_THRESHOLD {
+            pippenger(pairs, self.threads)
+        } else {
+            split_msm(pairs)
+        }
     }
 }
 
@@ -263,7 +294,33 @@ mod tests {
     #[test]
     fn engine_constants() {
         let eng = FourQEngine::new();
-        assert_eq!(*eng.two_d(), *eng.curve_d() + *eng.curve_d());
+        assert_eq!(*eng.two_d(), crate::params::D + crate::params::D);
         assert_eq!(eng.generator_table().base(), &AffinePoint::generator());
+    }
+
+    #[test]
+    fn batch_to_affine_matches_individual() {
+        let eng = FourQEngine::shared();
+        let g = AffinePoint::generator();
+        let pts: Vec<ExtendedPoint<Fp2>> = (1u64..9)
+            .map(|i| {
+                let p = g.mul(&Scalar::from_u64(i));
+                let e = ExtendedPoint::from_affine(&p.x, &p.y, &Fp2::ONE);
+                // un-normalise deliberately by doubling (Z ≠ 1)
+                e.double()
+            })
+            .collect();
+        let batch = eng.batch_to_affine(&pts);
+        for (i, b) in batch.iter().enumerate() {
+            let expect = g.mul(&Scalar::from_u64(2 * (i as u64 + 1)));
+            assert_eq!(*b, expect, "i = {i}");
+        }
+    }
+
+    #[test]
+    fn batch_to_affine_single() {
+        let g = AffinePoint::generator();
+        let e = ExtendedPoint::from_affine(&g.x, &g.y, &Fp2::ONE);
+        assert_eq!(FourQEngine::shared().batch_to_affine(&[e])[0], g);
     }
 }

@@ -79,7 +79,8 @@ impl FixedBaseTable {
 
     /// Fixed-base multiplication returning the projective result, so batch
     /// callers (key generation, batch signing) can normalise many outputs
-    /// with a single shared inversion via [`crate::batch_normalize`].
+    /// with a single shared inversion via
+    /// [`crate::FourQEngine::batch_to_affine`].
     // ct: secret(k)
     pub fn mul_extended(&self, k: &Scalar) -> ExtendedPoint<Fp2> {
         let d = decompose(k);

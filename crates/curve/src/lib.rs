@@ -29,8 +29,11 @@
 //!   the tracer;
 //! * [`FixedBaseTable`], the engine's table built once per base: every
 //!   `[k]G` runs only the engine's loop (steps 3–4) on it;
-//! * [`double_scalar_mul`], the verifier's `[a]P + [b]Q`: both scalars
-//!   split four ways on the same ψ tables, one 65-doubling loop.
+//! * [`FourQEngine::msm`], the one multi-scalar multiplication `Σ [kᵢ]Pᵢ`:
+//!   below [`PIPPENGER_THRESHOLD`] terms every scalar splits four ways on
+//!   its point's ψ table and all share one 65-doubling loop (the
+//!   verifier's `[a]P + [b]Q`, [`double_scalar_mul`], is its two-term
+//!   call); from the threshold up, bucketed Pippenger.
 //!
 //! # Decomposition note
 //!
@@ -78,8 +81,5 @@ pub use engine::{normalize, scalar_mul_engine, EngineSelect, MulOutput};
 pub use extended::{CachedPoint, ExtendedPoint};
 pub use fixed_base::FixedBaseTable;
 pub use glv_consts::{LAMBDA7, LAMBDA8};
-pub use multi::{
-    batch_normalize, double_scalar_mul, msm_pippenger, msm_pippenger_threaded, msm_straus,
-    multi_scalar_mul, multi_scalar_mul_threaded, window_scalar_mul, PIPPENGER_THRESHOLD,
-};
+pub use multi::{double_scalar_mul, PIPPENGER_THRESHOLD};
 pub use multicurve::{CurveId, CurveMulError, MultiCurveEngine};

@@ -4,7 +4,9 @@
 //! Runs on the hermetic `fourq-testkit` property runner; every failure
 //! prints a `FOURQ_PROP_SEED` recipe that replays the exact case.
 
-use fourq_curve::{decompose, recode, AffinePoint, DIGITS, LAMBDA7, LAMBDA8};
+use fourq_curve::{
+    decompose, recode, AffinePoint, FourQEngine, DIGITS, LAMBDA7, LAMBDA8, PIPPENGER_THRESHOLD,
+};
 use fourq_fp::{Scalar, U256};
 use fourq_testkit::prop_check;
 
@@ -53,14 +55,6 @@ fn decomposed_mul_matches_generic() {
 }
 
 #[test]
-fn window_mul_matches_pipeline() {
-    prop_check!(cases = 12, |k: Scalar| {
-        let g = AffinePoint::generator();
-        assert_eq!(fourq_curve::window_scalar_mul(&k.to_u256(), &g), g.mul(&k));
-    });
-}
-
-#[test]
 fn addition_is_commutative_and_associative() {
     prop_check!(cases = 12, |rng| {
         let a = rng.range_u64(1, u64::MAX);
@@ -83,14 +77,20 @@ fn encode_decode_roundtrip() {
     });
 }
 
+/// `Σ [kᵢ]Pᵢ` by double-and-add, the MSM reference.
+fn msm_reference(pairs: &[(Scalar, AffinePoint)]) -> AffinePoint {
+    pairs.iter().fold(AffinePoint::identity(), |acc, (k, p)| {
+        acc.add(&p.mul_u256_generic(&k.to_u256()))
+    })
+}
+
 #[test]
 fn msm_matches_repeated_scalar_mul() {
-    // Cross-checks both MSM algorithms (the dispatch covers Straus below
-    // the threshold and Pippenger above it) against the sum of
-    // independent scalar multiplications.
+    // Batch sizes on both sides of the split/Pippenger dispatch, against
+    // the sum of independent double-and-add multiplications.
     prop_check!(cases = 4, |rng| {
         let g = AffinePoint::generator();
-        let n = rng.range_u64(1, 12) as usize;
+        let n = rng.range_u64(1, 2 * PIPPENGER_THRESHOLD as u64) as usize;
         let pairs: Vec<(Scalar, AffinePoint)> = (0..n)
             .map(|_| {
                 let k = Scalar::from_u64(rng.range_u64(0, u64::MAX));
@@ -98,20 +98,15 @@ fn msm_matches_repeated_scalar_mul() {
                 (k, p)
             })
             .collect();
-        let mut expect = AffinePoint::identity();
-        for (k, p) in &pairs {
-            expect = expect.add(&p.mul(k));
-        }
-        assert_eq!(fourq_curve::msm_pippenger(&pairs), expect);
-        assert_eq!(fourq_curve::msm_straus(&pairs), expect);
-        assert_eq!(fourq_curve::multi_scalar_mul(&pairs), expect);
+        let got = FourQEngine::shared().msm(&pairs);
+        assert_eq!(got, msm_reference(&pairs), "n = {n}");
     });
 }
 
 #[test]
 fn batch_to_affine_matches_pointwise() {
     prop_check!(cases = 6, |rng| {
-        let eng = fourq_curve::FourQEngine::shared();
+        let eng = FourQEngine::shared();
         let g = AffinePoint::generator();
         let n = rng.range_u64(1, 9) as usize;
         let ext: Vec<_> = (0..n)
@@ -142,10 +137,9 @@ fn double_scalar_mul_correct() {
 
 #[test]
 fn msm_at_pippenger_threshold_boundary() {
-    // The Straus→Pippenger dispatch flips exactly at PIPPENGER_THRESHOLD;
-    // run the batch sizes straddling it (T−1, T, T+1) and check all three
-    // algorithms agree with the naive sum at each.
-    use fourq_curve::PIPPENGER_THRESHOLD;
+    // The split→Pippenger dispatch flips exactly at PIPPENGER_THRESHOLD;
+    // run the batch sizes straddling it (T−1, T, T+1) against the naive
+    // sum at each.
     prop_check!(cases = 3, |rng| {
         for n in [
             PIPPENGER_THRESHOLD - 1,
@@ -159,12 +153,8 @@ fn msm_at_pippenger_threshold_boundary() {
                     (Scalar::from_u64(rng.range_u64(1, 1 << 20)), p)
                 })
                 .collect();
-            let expect = pairs
-                .iter()
-                .fold(AffinePoint::identity(), |acc, (k, p)| acc.add(&p.mul(k)));
-            assert_eq!(fourq_curve::multi_scalar_mul(&pairs), expect, "n = {n}");
-            assert_eq!(fourq_curve::msm_straus(&pairs), expect, "n = {n}");
-            assert_eq!(fourq_curve::msm_pippenger(&pairs), expect, "n = {n}");
+            let got = FourQEngine::shared().msm(&pairs);
+            assert_eq!(got, msm_reference(&pairs), "n = {n}");
         }
     });
 }

@@ -12,13 +12,17 @@
 //! **Bit-identical to one-shot calls.** Every batch path in the
 //! workspace guarantees results identical to its batch-of-1 form at any
 //! thread count, so a response never depends on which requests happened
-//! to share a window. The only subtlety is batch verification: the RLC
+//! to share a window. The one exception is batch verification: the RLC
 //! check yields a single verdict for the whole group, so a failing group
 //! falls back to per-item [`schnorr::verify`] to produce exactly the
-//! verdicts one-shot calls would (an all-valid group short-circuits:
-//! batch accept ⇒ every item accepts). The differential suite pins this
-//! across flush-of-one, the default and a 500 µs window, and across
-//! thread budgets.
+//! verdicts one-shot calls would, and an accepting group short-circuits.
+//! Batch accept implies every item accepts only when every key and
+//! commitment lies in the order-`N` subgroup. A key or `R` with a torsion
+//! component can pass the batch check and fail [`schnorr::verify`], so
+//! its served verdict can depend on which requests shared the flush
+//! (ROADMAP item 3 plans the fix). The differential suite pins the
+//! subgroup case across flush-of-one, the default and a 500 µs window,
+//! and across thread budgets.
 
 use crate::proto::{encode_response, Request, Response, Status};
 use crate::tenant::TenantDirectory;
@@ -269,10 +273,13 @@ fn run_schnorr_verify(eng: &FourQEngine, group: &[&Pending], out: &mut Vec<Outbo
     }
     let items: Vec<(&schnorr::PublicKey, &[u8], &schnorr::Signature)> =
         triples.iter().map(|(pk, m, s)| (pk, *m, s)).collect();
-    // RLC batch verdict: accept ⇒ every member verifies individually
-    // (soundness error ~2⁻⁶⁴ per the coefficient width). On reject, fall
-    // back to per-item verification so each response matches the
-    // one-shot API exactly.
+    // RLC batch verdict: on subgroup keys and commitments, accept ⇒ every
+    // member verifies individually (soundness error ~2⁻⁶⁴ per the
+    // coefficient width). A torsion component breaks that bound: the
+    // coefficients and the mod-N folds cancel it only by chance, so such
+    // an item can be accepted here and rejected by `schnorr::verify`
+    // (ROADMAP item 3). On reject, fall back to per-item verification so
+    // each response matches the one-shot API exactly.
     let all_good = !items.is_empty() && schnorr::verify_batch_with(eng, &items);
     for (p, slot) in group.iter().zip(&slots) {
         let verdict = match slot {

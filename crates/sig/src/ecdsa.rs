@@ -222,7 +222,8 @@ pub fn verify(public: &AffinePoint, msg: &[u8], sig: &Signature) -> bool {
     let z = message_scalar(msg);
     let u1 = z * w;
     let u2 = sig.r * w;
-    // Step 4: (x₁, y₁) = [u₁]G + [u₂]Q_A (joint Straus–Shamir evaluation).
+    // Step 4: (x₁, y₁) = [u₁]G + [u₂]Q_A (both scalars split four ways,
+    // one shared 65-doubling loop).
     let p = fourq_curve::double_scalar_mul(&u1, &AffinePoint::generator(), &u2, public);
     if p.is_identity() {
         return false;

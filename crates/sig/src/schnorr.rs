@@ -165,14 +165,19 @@ pub fn verify(public: &PublicKey, msg: &[u8], sig: &Signature) -> bool {
 ///
 /// Checks `[−Σ cᵢ·sᵢ]G + Σ [cᵢ]Rᵢ + Σ [cᵢ·hᵢ]Aᵢ == O` as one
 /// `2n + 1`-term multi-scalar multiplication through
-/// [`FourQEngine::msm`] (bucketed Pippenger for real batch sizes), for
-/// deterministic pseudorandom 64-bit coefficients `cᵢ` derived from the
-/// whole batch (so a forger cannot anticipate them). The short `cᵢ` on
-/// the `Rᵢ` terms cost nothing in their empty upper Pippenger windows.
+/// [`FourQEngine::msm`] (the endomorphism-split loop for small batches,
+/// bucketed Pippenger for large ones), for deterministic pseudorandom
+/// 64-bit coefficients `cᵢ` derived from the whole batch (so a forger
+/// cannot anticipate them).
 ///
-/// Returns `false` if any signature in the batch is invalid (callers can
-/// fall back to per-item [`verify`] to locate offenders) or if any `R`
-/// fails to decode.
+/// Returns `false` if any `R` fails to decode. When every key and
+/// commitment lies in the order-`N` subgroup, it also returns `false` if
+/// any signature in the batch is invalid, up to a ~2⁻⁶⁴ chance per
+/// batch; callers can fall back to per-item [`verify`] to locate
+/// offenders. A key or `R` with a torsion component voids that bound: the
+/// `cᵢ` and the mod-`N` folds cancel a torsion component only by chance,
+/// so even a batch of one can accept a signature that [`verify`] rejects,
+/// or reject one it accepts (ROADMAP item 3).
 pub fn verify_batch(items: &[(&PublicKey, &[u8], &Signature)]) -> bool {
     verify_batch_with(FourQEngine::shared(), items)
 }

@@ -5,16 +5,18 @@
 //! `E(F_p²) ≅ Z/8 × (Z/7)² × Z/N`, so torsion and mixed-order points need no
 //! subgroup check and no fallback path. This pins that decision: the
 //! one-shot `AffinePoint::mul`, a `FixedBaseTable` built on the point, the
-//! batch engine, the compiled kernel and the verifier's
-//! `double_scalar_mul` must each equal plain double-and-add
-//! (`mul_u256_generic`) on points of order 2, 4, 8, 7 and 56, on
-//! mixed-order points `S + T`, and on scalars at the edges of the split;
-//! and `schnorr::verify` and `ecdsa::verify` must give the verdicts that
-//! double-and-add and `AffinePoint::decode` give, torsion keys included.
+//! batch engine, the compiled kernel, the verifier's `double_scalar_mul`
+//! and both paths of `FourQEngine::msm` must each equal plain
+//! double-and-add (`mul_u256_generic`) on points of order 2, 4, 8, 7 and
+//! 56, on mixed-order points `S + T`, and on scalars at the edges of the
+//! split; and `schnorr::verify` and `ecdsa::verify` must give the verdicts
+//! that double-and-add and `AffinePoint::decode` give, torsion keys
+//! included.
 
 use fourq::cpu::shared_kernel;
 use fourq::curve::{
     decompose, double_scalar_mul, params::ORDER, AffinePoint, CurveId, FixedBaseTable, FourQEngine,
+    PIPPENGER_THRESHOLD,
 };
 use fourq::fp::{Scalar, U256};
 use fourq::hash::{Sha256, Sha512};
@@ -174,6 +176,52 @@ fn double_scalar_mul_is_exact_on_every_point_pair() {
                     double_scalar_mul(a, p, b, q),
                     want[ip][ia].add(&want[iq][ib]),
                     "a = {a}, b = {b}, P = {p:?}, Q = {q:?}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn msm_is_exact_on_both_sides_of_the_threshold() {
+    let g = AffinePoint::generator();
+    let torsion = torsion();
+    let s = generic(&g, &Scalar::from_u64(0x5ca1_ab1e_f00d));
+    let mut points = vec![g, s, AffinePoint::identity()];
+    points.extend(&torsion);
+    points.extend(torsion.iter().map(|t| s.add(t)));
+    points.extend(curve_points(0xa15e).take(2));
+
+    // Every (k, P) pair once, each with its double-and-add product.
+    let ks = scalars();
+    let terms: Vec<((Scalar, AffinePoint), AffinePoint)> = points
+        .iter()
+        .flat_map(|p| ks.iter().map(move |k| ((*k, *p), generic(p, k))))
+        .collect();
+    let sum = |w: &[((Scalar, AffinePoint), AffinePoint)]| {
+        w.iter()
+            .fold(AffinePoint::identity(), |acc, (_, kp)| acc.add(kp))
+    };
+    let engines = [1, 2].map(|t| FourQEngine::shared().with_threads(t));
+    // T − 1 terms run the split loop, T run Pippenger.
+    for n in [PIPPENGER_THRESHOLD - 1, PIPPENGER_THRESHOLD] {
+        let mut batches: Vec<(Vec<(Scalar, AffinePoint)>, AffinePoint)> = terms
+            .chunks(n)
+            .map(|w| (w.iter().map(|(t, _)| *t).collect(), sum(w)))
+            .collect();
+        // A batch whose sum is the identity: n − 1 terms, then [1](−Σ).
+        let head = &terms[..n - 1];
+        let mut cancel: Vec<_> = head.iter().map(|(t, _)| *t).collect();
+        cancel.push((Scalar::ONE, sum(head).neg()));
+        batches.push((cancel, AffinePoint::identity()));
+        for (batch, want) in &batches {
+            for eng in &engines {
+                assert_eq!(
+                    eng.msm(batch),
+                    *want,
+                    "{} terms, {} threads, {batch:?}",
+                    batch.len(),
+                    eng.threads()
                 );
             }
         }
