@@ -1,5 +1,7 @@
-//! Static microcode verifier — the analysis core behind
-//! `fourq-kernelcheck`.
+//! Static microcode verifier — the first of the two checks every
+//! compiled kernel must pass (the second, [`CompiledKernel::audit`],
+//! executes it against independent software); `fourq-kernelcheck`
+//! prints its metrics.
 //!
 //! [`verify`] runs over a finished [`CompiledKernel`] and proves three
 //! structural properties of the artifact, with typed diagnostics

@@ -16,8 +16,10 @@
 //!
 //! Every stage failure is a typed [`PipelineError`] — the compile path
 //! has no panicking branches — and every compile ends with the full
-//! static verifier and an end-to-end audit executing two scalars against
-//! the software library.
+//! static verifier and [`CompiledKernel::audit`], which executes two
+//! scalars against independent software. Those two checks are what a
+//! compiled kernel must pass; the fault campaign (`fourq-testkit`) runs
+//! the same two on every corrupted kernel.
 //!
 //! The same pipeline serves every curve the tracer knows: it builds
 //! kernels for Fourℚ, X25519 and P-256 from their uniform traces, and
@@ -65,6 +67,17 @@ const SHARED_EFFORT: u32 = 0;
 const REP_SCALAR: [u8; 32] = [
     0x31, 0x22, 0x12, 0x02, 0x19, 0x08, 0x70, 0x6f, 0x5e, 0x4d, 0x3c, 0x2b, 0x1a, 0x09, 0xf8, 0xe7,
     0xd6, 0xc5, 0xb4, 0xa3, 0x92, 0x81, 0x70, 0x6f, 0x5e, 0x4d, 0x2c, 0x1a, 0x7b, 0x29, 0x3f, 0x1d,
+];
+
+/// The scalars every compile audits, on every curve: the representative
+/// one and the unrelated 64-bit constant `0x9e37_79b9_7f4a_7c15`
+/// (little-endian).
+const COMPILE_AUDIT: [[u8; 32]; 2] = [
+    REP_SCALAR,
+    [
+        0x15, 0x7c, 0x4a, 0x7f, 0xb9, 0x79, 0x37, 0x9e, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+        0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+    ],
 ];
 
 /// A typed failure anywhere in the compile pipeline.
@@ -270,60 +283,6 @@ fn record_curve_trace(curve: CurveId) -> Trace {
     }
 }
 
-/// End-to-end compile audit: the kernel must reproduce its curve's
-/// software baseline on the representative inputs and on unrelated ones
-/// before it is handed out.
-///
-/// The Fourℚ kernel is recorded from `scalar_mul_engine`, the code
-/// `AffinePoint::mul` runs, so it is audited against the independent
-/// double-and-add of `AffinePoint::mul_generic` instead: a bug in the
-/// shared engine then fails the compile rather than agreeing with itself.
-fn audit_kernel(kernel: &CompiledKernel) -> Result<(), PipelineError> {
-    match kernel.curve {
-        CurveId::FourQ => {
-            let rep = Scalar::from_le_bytes(&REP_SCALAR);
-            let g = AffinePoint::generator();
-            for k in [rep, Scalar::from_u64(0x9e37_79b9_7f4a_7c15)] {
-                let got = kernel.execute(&g, &k)?;
-                let want = g.mul_generic(&k);
-                if (got.x, got.y) != (want.x, want.y) {
-                    return Err(PipelineError::Diverged);
-                }
-            }
-        }
-        CurveId::X25519 => {
-            let ctx = X25519::new();
-            let mut scalar2 = REP_SCALAR;
-            scalar2[7] ^= 0xa5;
-            // Chain the audits: the second runs on the first's output, so
-            // a non-trivial u-coordinate is exercised too.
-            let mut u = [0u8; 32];
-            u[0] = 9;
-            for s in [REP_SCALAR, scalar2] {
-                let got = kernel.execute_x25519(&s, &u)?;
-                if got != ctx.ladder(&s, &u) {
-                    return Err(PipelineError::Diverged);
-                }
-                u = got;
-            }
-        }
-        CurveId::P256 => {
-            let ctx = p256_ctx();
-            let rep = U256::from_le_bytes(&REP_SCALAR);
-            let g = ctx.generator_affine();
-            let base = encode_p256_point(&g);
-            for k in [rep, U256::from_u64(0x9e37_79b9_7f4a_7c15)] {
-                let got = kernel.execute_p256(&k.to_le_bytes(), &base)?;
-                let want = encode_p256_point(&ctx.scalar_mul_complete(&k, &g));
-                if got != want {
-                    return Err(PipelineError::Diverged);
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
 /// A [`compile_curve_stitched`] kernel with the cycle counts of the
 /// schedules it was chosen from.
 ///
@@ -418,7 +377,7 @@ fn compile_trace(
         }
     };
     let kernel = finish_compile(trace, problem, best, machine, DEFAULT_REGISTER_BUDGET)?;
-    audit_kernel(&kernel)?;
+    kernel.audit(&COMPILE_AUDIT)?;
     Ok(StitchedKernel {
         kernel,
         baseline_cycles,
@@ -550,6 +509,57 @@ impl CompiledKernel {
             stats: self.stats,
             prog,
         })
+    }
+
+    /// Executes each 32-byte little-endian scalar on this kernel and
+    /// compares the result with independent software:
+    ///
+    /// - Fourℚ: `[k]G` against `AffinePoint::mul_generic`. The kernel is
+    ///   recorded from `scalar_mul_engine`, the code `AffinePoint::mul`
+    ///   runs, so a bug in that shared engine fails here instead of
+    ///   agreeing with itself;
+    /// - X25519: the RFC 7748 ladder (`X25519::ladder`), with `u` chained
+    ///   from 9 — each scalar runs on the previous output, so non-trivial
+    ///   u-coordinates are exercised too;
+    /// - P-256: `[k]G` against `P256::scalar_mul_complete`.
+    ///
+    /// Every compile runs it on two fixed scalars after the static
+    /// verifier; the fault campaign runs it on its own scalars to catch
+    /// the faults no structural rule can see (corrupted constants).
+    ///
+    /// # Errors
+    ///
+    /// The first execute error, or [`PipelineError::Diverged`] on the
+    /// first result that differs from the software.
+    pub fn audit(&self, scalars: &[[u8; 32]]) -> Result<(), PipelineError> {
+        let mut u = [0u8; 32];
+        u[0] = 9;
+        for kb in scalars {
+            let agrees = match self.curve {
+                CurveId::FourQ => {
+                    let (g, k) = (AffinePoint::generator(), Scalar::from_le_bytes(kb));
+                    let (got, want) = (self.execute(&g, &k)?, g.mul_generic(&k));
+                    (got.x, got.y) == (want.x, want.y)
+                }
+                CurveId::X25519 => {
+                    let got = self.execute_x25519(kb, &u)?;
+                    let want = X25519::new().ladder(kb, &u);
+                    u = got;
+                    got == want
+                }
+                CurveId::P256 => {
+                    let ctx = p256_ctx();
+                    let g = ctx.generator_affine();
+                    let got = self.execute_p256(kb, &encode_p256_point(&g))?;
+                    let want = ctx.scalar_mul_complete(&U256::from_le_bytes(kb), &g);
+                    got == encode_p256_point(&want)
+                }
+            };
+            if !agrees {
+                return Err(PipelineError::Diverged);
+            }
+        }
+        Ok(())
     }
 
     /// Executes the fixed microcode for `[k]base` and returns the affine
@@ -955,7 +965,8 @@ mod tests {
             assert!(report.is_clean(), "{curve}: {:?}", report.findings.first());
             // It executes like the compiled kernel: both reproduce the
             // software baseline on the compile audit's inputs.
-            audit_kernel(&r).unwrap_or_else(|e| panic!("{curve}: {e}"));
+            r.audit(&COMPILE_AUDIT)
+                .unwrap_or_else(|e| panic!("{curve}: {e}"));
         }
     }
 

@@ -108,16 +108,6 @@ impl U256 {
         (self.0[i / 64] >> (i % 64)) & 1 == 1
     }
 
-    /// Bit `i` as a `0`/`1` word, with no boolean round-trip — the form
-    /// constant-time callers fold straight into mask arithmetic.
-    pub fn bit64(&self, i: usize) -> u64 {
-        if i >= 256 {
-            // public bound on the *position*, not on the value
-            return 0;
-        }
-        (self.0[i / 64] >> (i % 64)) & 1
-    }
-
     /// Number of significant bits.
     pub fn bits(&self) -> u32 {
         for i in (0..4).rev() {

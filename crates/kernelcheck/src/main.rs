@@ -1,39 +1,33 @@
 #![forbid(unsafe_code)]
-//! CLI driver for `fourq-kernelcheck`.
+//! `kernelcheck`: gap metrics and fault campaigns for the shipped kernels.
 //!
 //! ```text
-//! kernelcheck [--curve fourq|x25519|p256|all]
-//!             [--level quick|full|both] [--json FILE]
-//!             [--baseline FILE] [--update-baseline] [--root DIR]
-//!             [--inject N] [--seed S]
+//! kernelcheck [--curve fourq|x25519|p256|all] [--json FILE] [--inject N] [--seed S]
 //! ```
 //!
-//! Compiles (or fetches from the process cache) the scalar-multiplication
-//! kernel of each selected curve for the paper's `MachineConfig`, runs
-//! the static verifier at the requested level(s), optionally runs an
-//! `N`-case single-bit fault-injection campaign per curve, and prints
-//! findings plus the recomputed gap metrics. `--curve` accepts one name,
-//! a comma-separated list, or `all` (the default — every curve the
-//! multi-curve pipeline compiles). Exit status is 0 when every finding
-//! is baselined and every injected fault was detected, 1 on live
-//! findings or an undetected fault, 2 on usage errors.
+//! For each selected curve it takes the process-wide kernel for the
+//! paper's `MachineConfig` (`fourq_cpu::shared_kernel`, whose compile
+//! has already run the full static verifier and `CompiledKernel::audit`),
+//! runs the full verifier once more for its gap metrics and prints them,
+//! and with `--inject N` runs an `N`-case single-bit fault-injection
+//! campaign (`fourq_testkit::fault::run_campaign`, seeded by the decimal
+//! `--seed`, default 64001). `--curve` accepts one name, a
+//! comma-separated list, or `all` (the default). `--json` writes one
+//! object per curve: its `metrics` and, with `--inject`, its
+//! `fault_campaign`. Exit status is 0 when every kernel verifies clean
+//! and every injected fault was detected, 1 otherwise, 2 on usage
+//! errors.
 
+use fourq_cpu::{verify, CheckLevel, GapMetrics};
 use fourq_curve::CurveId;
-use fourq_kernelcheck::{
-    apply_baseline, parse_baseline, run_campaign, to_baseline, to_json, verify, CampaignReport,
-    CheckLevel, CurveSection, KernelDiag, VerifyReport,
-};
 use fourq_sched::MachineConfig;
+use fourq_testkit::fault::{run_campaign, CampaignReport};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-const DEFAULT_BASELINE: &str = "tools/kernelcheck-baseline.txt";
-
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: kernelcheck [--curve fourq|x25519|p256|all] \
-         [--level quick|full|both] [--json FILE] [--baseline FILE] [--update-baseline] \
-         [--root DIR] [--inject N] [--seed S]"
+        "usage: kernelcheck [--curve fourq|x25519|p256|all] [--json FILE] [--inject N] [--seed S]"
     );
     ExitCode::from(2)
 }
@@ -46,22 +40,90 @@ fn parse_curves(spec: &str) -> Option<Vec<CurveId>> {
     spec.split(',').map(CurveId::from_name).collect()
 }
 
-/// Everything checked for one curve, ready for printing and JSON.
+/// What was measured for one curve, ready for printing and JSON.
 struct CurveRun {
     curve: CurveId,
-    reports: Vec<VerifyReport>,
-    live: Vec<KernelDiag>,
-    suppressed: Vec<KernelDiag>,
+    metrics: GapMetrics,
     campaign: Option<CampaignReport>,
+}
+
+/// A JSON object with one `"key": value` line per field; `value` is
+/// already JSON.
+fn json_object(indent: &str, fields: &[(&str, String)]) -> String {
+    let body: Vec<String> = fields
+        .iter()
+        .map(|(k, v)| format!("{indent}  \"{k}\": {v}"))
+        .collect();
+    format!("{{\n{}\n{indent}}}", body.join(",\n"))
+}
+
+/// The machine-readable report: one object per curve checked.
+fn to_json(runs: &[CurveRun]) -> String {
+    let curves: Vec<String> = runs
+        .iter()
+        .map(|r| {
+            let m = &r.metrics;
+            let metrics = json_object(
+                "      ",
+                &[
+                    ("makespan", m.makespan.to_string()),
+                    ("critical_path_bound", m.critical_path_bound.to_string()),
+                    ("issue_bandwidth_bound", m.issue_bandwidth_bound.to_string()),
+                    ("lower_bound", m.lower_bound.to_string()),
+                    (
+                        "schedule_gap_percent",
+                        format!("{:.2}", m.schedule_gap_percent),
+                    ),
+                    ("registers", m.registers.to_string()),
+                    ("register_pressure", m.register_pressure.to_string()),
+                    ("register_gap", m.register_gap.to_string()),
+                    ("tainted_values", m.tainted_values.to_string()),
+                    ("tainted_outputs", m.tainted_outputs.to_string()),
+                    ("mux_count", m.mux_count.to_string()),
+                    ("rom_words", m.rom_words.to_string()),
+                    ("route_entries", m.route_entries.to_string()),
+                ],
+            );
+            let mut fields = vec![
+                ("curve", format!("\"{}\"", r.curve.name())),
+                ("metrics", metrics),
+            ];
+            if let Some(c) = &r.campaign {
+                // Sites are the campaign's own ASCII labels, so Rust's
+                // string escaping is valid JSON for them.
+                let sites: Vec<String> = c
+                    .undetected()
+                    .iter()
+                    .map(|o| format!("{:?}", o.site))
+                    .collect();
+                let campaign = json_object(
+                    "      ",
+                    &[
+                        ("cases", c.outcomes.len().to_string()),
+                        ("static_detections", c.static_detections().to_string()),
+                        ("runtime_detections", c.runtime_detections().to_string()),
+                        ("undetected", sites.len().to_string()),
+                        ("undetected_sites", format!("[{}]", sites.join(", "))),
+                    ],
+                );
+                fields.push(("fault_campaign", campaign));
+            }
+            format!("    {}", json_object("    ", &fields))
+        })
+        .collect();
+    let top = json_object(
+        "",
+        &[
+            ("tool", "\"fourq-kernelcheck\"".to_string()),
+            ("curves", format!("[\n{}\n  ]", curves.join(",\n"))),
+        ],
+    );
+    top + "\n"
 }
 
 fn main() -> ExitCode {
     let mut curves: Vec<CurveId> = CurveId::ALL.to_vec();
-    let mut levels: Vec<CheckLevel> = vec![CheckLevel::Quick, CheckLevel::Full];
     let mut json_path: Option<PathBuf> = None;
-    let mut baseline_path: Option<PathBuf> = None;
-    let mut update_baseline = false;
-    let mut root: Option<PathBuf> = None;
     let mut inject: usize = 0;
     let mut seed: u64 = 0xfa01;
 
@@ -72,23 +134,8 @@ fn main() -> ExitCode {
                 Some(c) => curves = c,
                 None => return usage(),
             },
-            "--level" => match args.next().as_deref() {
-                Some("quick") => levels = vec![CheckLevel::Quick],
-                Some("full") => levels = vec![CheckLevel::Full],
-                Some("both") => levels = vec![CheckLevel::Quick, CheckLevel::Full],
-                _ => return usage(),
-            },
             "--json" => match args.next() {
                 Some(p) => json_path = Some(PathBuf::from(p)),
-                None => return usage(),
-            },
-            "--baseline" => match args.next() {
-                Some(p) => baseline_path = Some(PathBuf::from(p)),
-                None => return usage(),
-            },
-            "--update-baseline" => update_baseline = true,
-            "--root" => match args.next() {
-                Some(p) => root = Some(PathBuf::from(p)),
                 None => return usage(),
             },
             "--inject" => match args.next().and_then(|v| v.parse().ok()) {
@@ -107,23 +154,10 @@ fn main() -> ExitCode {
         }
     }
 
-    // Default root: CARGO_MANIFEST_DIR/../.. (the workspace), else cwd.
-    let root = root.unwrap_or_else(|| {
-        std::env::var("CARGO_MANIFEST_DIR")
-            .map(|d| PathBuf::from(d).join("../.."))
-            .ok()
-            .and_then(|p| p.canonicalize().ok())
-            .unwrap_or_else(|| PathBuf::from("."))
-    });
-
-    let baseline_file = baseline_path.unwrap_or_else(|| root.join(DEFAULT_BASELINE));
-    let baseline = std::fs::read_to_string(&baseline_file)
-        .map(|t| parse_baseline(&t))
-        .unwrap_or_default();
-
     let machine = MachineConfig::paper();
     let mut runs: Vec<CurveRun> = Vec::with_capacity(curves.len());
-    for &curve in &curves {
+    let mut failed = false;
+    for curve in curves {
         let kernel = match fourq_cpu::shared_kernel(curve, &machine) {
             Ok(k) => k,
             Err(e) => {
@@ -131,72 +165,16 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        let reports: Vec<_> = levels.iter().map(|&l| verify(kernel, l)).collect();
-        // The deepest level run carries the authoritative finding set
-        // (the quick pass is a strict subset by construction).
-        let deepest = reports.last().expect("at least one level").clone();
-        let (live, suppressed) = apply_baseline(curve.name(), deepest.findings, &baseline);
-        let campaign = (inject > 0).then(|| run_campaign(kernel, inject, seed));
-        runs.push(CurveRun {
-            curve,
-            reports,
-            live,
-            suppressed,
-            campaign,
-        });
-    }
-
-    if update_baseline {
-        let sections: Vec<(&str, &[KernelDiag])> = runs
-            .iter()
-            .map(|r| {
-                // The authoritative set is live + suppressed, i.e. the
-                // deepest level's findings before baseline subtraction.
-                (
-                    r.curve.name(),
-                    r.reports.last().expect("ran").findings.as_slice(),
-                )
-            })
-            .collect();
-        let text = to_baseline(&sections);
-        let entries: usize = sections.iter().map(|(_, f)| f.len()).sum();
-        if let Err(e) = std::fs::write(&baseline_file, text) {
-            eprintln!("kernelcheck: cannot write {}: {e}", baseline_file.display());
-            return ExitCode::from(2);
+        // The compile refuses any finding, so this only recomputes the
+        // metrics; a finding here means the verifier is not deterministic.
+        let report = verify(kernel, CheckLevel::Full);
+        if !report.is_clean() {
+            for f in &report.findings {
+                println!("{curve}: {}: {}: {f}", f.rule(), f.location());
+            }
+            return ExitCode::FAILURE;
         }
-        println!(
-            "kernelcheck: wrote {} entries to {}",
-            entries,
-            baseline_file.display()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    if let Some(p) = &json_path {
-        let sections: Vec<CurveSection> = runs
-            .iter()
-            .map(|r| CurveSection {
-                curve: r.curve.name(),
-                reports: &r.reports,
-                campaign: r.campaign.as_ref(),
-                live: r.live.len(),
-                suppressed: r.suppressed.len(),
-            })
-            .collect();
-        let json = to_json(&sections);
-        if let Err(e) = std::fs::write(p, json) {
-            eprintln!("kernelcheck: cannot write {}: {e}", p.display());
-            return ExitCode::from(2);
-        }
-    }
-
-    let mut failed = false;
-    for run in &runs {
-        let curve = run.curve.name();
-        for f in &run.live {
-            println!("{curve}: {}: {}: {f}", f.rule(), f.location());
-        }
-        let m = &run.reports.last().expect("ran").metrics;
+        let m = &report.metrics;
         println!(
             "kernelcheck[{curve}]: {} cycles vs lower bound {} \
              (critical path {}, issue bandwidth {}), gap {:.1}%",
@@ -217,8 +195,8 @@ fn main() -> ExitCode {
             m.rom_words,
             m.route_entries
         );
-        failed |= !run.live.is_empty();
-        if let Some(c) = &run.campaign {
+        let campaign = (inject > 0).then(|| run_campaign(kernel, inject, seed));
+        if let Some(c) = &campaign {
             let undetected = c.undetected();
             println!(
                 "kernelcheck[{curve}]: fault campaign: {} cases, {} static, {} runtime, \
@@ -233,13 +211,46 @@ fn main() -> ExitCode {
             }
             failed |= !undetected.is_empty();
         }
+        runs.push(CurveRun {
+            curve,
+            metrics: report.metrics,
+            campaign,
+        });
     }
-    let live: usize = runs.iter().map(|r| r.live.len()).sum();
-    let suppressed: usize = runs.iter().map(|r| r.suppressed.len()).sum();
-    println!("kernelcheck: {live} finding(s), {suppressed} baselined");
+
+    if let Some(p) = &json_path {
+        if let Err(e) = std::fs::write(p, to_json(&runs)) {
+            eprintln!("kernelcheck: cannot write {}: {e}", p.display());
+            return ExitCode::from(2);
+        }
+    }
     if failed {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn json_has_tool_and_counts() {
+        let run = CurveRun {
+            curve: CurveId::FourQ,
+            metrics: GapMetrics {
+                makespan: 7,
+                ..GapMetrics::default()
+            },
+            campaign: None,
+        };
+        let j = to_json(&[run]);
+        assert!(j.contains("\"tool\": \"fourq-kernelcheck\""));
+        assert!(j.contains("\"curve\": \"fourq\""));
+        assert!(j.contains("\"makespan\": 7"));
+        assert!(j.contains("\"schedule_gap_percent\": 0.00"));
+        assert!(!j.contains("fault_campaign"));
+        assert!(j.ends_with("}\n"));
     }
 }

@@ -1,5 +1,5 @@
-//! End-to-end tests of the `kernelcheck` binary: exit codes, JSON
-//! artifact shape, baseline handling.
+//! End-to-end tests of the `kernelcheck` binary: exit codes and the
+//! JSON artifact's shape.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -29,15 +29,15 @@ fn clean_kernel_exits_zero_and_writes_json() {
         String::from_utf8_lossy(&out.stderr)
     );
     let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("0 finding(s)"));
     assert!(stdout.contains("lower bound"));
     let text = std::fs::read_to_string(&json).expect("report written");
     std::fs::remove_file(&json).ok();
     assert!(text.contains("\"tool\": \"fourq-kernelcheck\""));
-    assert!(text.contains("\"finding_count\": 0"));
-    assert!(text.contains("\"level\": \"quick\""));
-    assert!(text.contains("\"level\": \"full\""));
+    // One metrics object per curve, no per-level reports.
+    assert_eq!(text.matches("\"metrics\"").count(), 3);
     assert!(text.contains("\"issue_bandwidth_bound\""));
+    assert!(!text.contains("\"level\""));
+    assert!(!text.contains("fault_campaign"));
 }
 
 #[test]
@@ -67,7 +67,7 @@ fn bad_usage_exits_two() {
     let out = bin().arg("--no-such-flag").output().expect("binary runs");
     assert_eq!(out.status.code(), Some(2));
     let out = bin()
-        .args(["--level", "bogus"])
+        .args(["--level", "full"])
         .output()
         .expect("binary runs");
     assert_eq!(out.status.code(), Some(2));
@@ -127,21 +127,4 @@ fn curve_flag_selects_a_single_kernel() {
     assert!(text.contains("\"curve\": \"x25519\""));
     assert!(!text.contains("\"curve\": \"fourq\""));
     assert!(text.contains("\"undetected\": 0"));
-}
-
-#[test]
-fn baseline_file_suppresses_findings() {
-    // A clean kernel has nothing to suppress; an empty baseline must not
-    // invent findings and a junk baseline entry must be ignored.
-    let baseline = temp_path("baseline.txt");
-    std::fs::write(&baseline, "# nothing\nK-FLOW-ROM|cycle 3\n").unwrap();
-    let out = bin()
-        .arg("--baseline")
-        .arg(&baseline)
-        .output()
-        .expect("binary runs");
-    std::fs::remove_file(&baseline).ok();
-    assert!(out.status.success());
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("0 finding(s), 0 baselined"));
 }

@@ -3,9 +3,8 @@
 //! faults) by the runtime on-curve / software-reference audit.
 
 use fourq_curve::CurveId;
-use fourq_kernelcheck::{run_campaign, Detection};
 use fourq_sched::MachineConfig;
-use fourq_testkit::fault::FaultClass;
+use fourq_testkit::fault::{run_campaign, Detection, FaultClass};
 
 #[test]
 fn sixty_four_fault_campaign_detects_everything() {

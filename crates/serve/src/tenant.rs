@@ -5,7 +5,10 @@
 //! from the server's root seed and the tenant id, built on first touch
 //! (three fixed-base multiplications on the shared
 //! [`FourQEngine`](fourq_curve::FourQEngine)'s generator table) and cached
-//! behind an `RwLock` so the steady state is a read-lock lookup.
+//! behind an `RwLock` so the steady state is a read-lock lookup. The
+//! cache holds at most `MAX_CACHED_TENANTS` entries: a tenant id is any
+//! `u64` a client sends, so past the cap keys are derived per request
+//! instead of kept.
 //!
 //! The derivation is public API ([`tenant_seed`], [`TenantKeys::derive`])
 //! so clients of the same deployment — and the differential tests — can
@@ -19,6 +22,11 @@ use std::sync::{Arc, RwLock};
 
 /// Domain-separation prefix for tenant key derivation.
 const TENANT_DOMAIN: &[u8] = b"fourq-serve-tenant/v1";
+
+/// Most tenants a [`TenantDirectory`] caches. A client that keeps sending
+/// new ids cannot grow the server past it; derivation is deterministic,
+/// so an uncached tenant gets the same keys, only slower.
+const MAX_CACHED_TENANTS: usize = 4096;
 
 /// The 32-byte master seed for one tenant: `SHA-512(domain ‖ root ‖ id)`
 /// truncated to 32 bytes.
@@ -103,6 +111,8 @@ impl TenantDirectory {
     }
 
     /// Resolves a tenant's keys, deriving and caching on first touch.
+    /// Once `MAX_CACHED_TENANTS` are cached, a new tenant's keys are
+    /// derived and returned without being kept.
     pub fn resolve(&self, tenant: u64) -> Arc<TenantKeys> {
         if let Some(k) = self.cache.read().expect("tenant cache").get(&tenant) {
             return Arc::clone(k);
@@ -111,10 +121,13 @@ impl TenantDirectory {
         // a racing deriver just produces the same deterministic keys.
         let keys = Arc::new(TenantKeys::derive(self.root, tenant));
         let mut w = self.cache.write().expect("tenant cache");
+        if w.len() >= MAX_CACHED_TENANTS {
+            return keys;
+        }
         Arc::clone(w.entry(tenant).or_insert(keys))
     }
 
-    /// Number of tenants resolved so far.
+    /// Number of tenants cached (at most `MAX_CACHED_TENANTS`).
     pub fn len(&self) -> usize {
         self.cache.read().expect("tenant cache").len()
     }
@@ -152,6 +165,19 @@ mod tests {
         assert_eq!(dir.len(), 1);
         dir.resolve(6);
         assert_eq!(dir.len(), 2);
+    }
+
+    #[test]
+    fn cache_is_capped_and_overflow_keys_are_still_derived() {
+        let dir = TenantDirectory::new(9);
+        // Cached or not, every tenant resolves to its derived keys.
+        for id in 0..MAX_CACHED_TENANTS as u64 + 3 {
+            let (got, want) = (dir.resolve(id), TenantKeys::derive(9, id));
+            assert_eq!(got.schnorr.public.encoded, want.schnorr.public.encoded);
+            assert_eq!(got.ecdsa.public, want.ecdsa.public);
+            assert_eq!(got.dh.public, want.dh.public);
+        }
+        assert_eq!(dir.len(), MAX_CACHED_TENANTS);
     }
 
     #[test]

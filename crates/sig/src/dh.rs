@@ -94,7 +94,7 @@ impl EphemeralSecret {
     }
 
     /// Computes the shared secret with a peer's public key: the SHA-512 of
-    /// the encoded point `[8·d]P_peer` (cofactor-cleared against
+    /// the encoded point `[392·d]P_peer` (cofactor-cleared against
     /// small-subgroup confinement).
     ///
     /// # Errors
@@ -103,12 +103,9 @@ impl EphemeralSecret {
     /// [`AgreeError::DegenerateShare`] if the result is the identity.
     pub fn agree(&self, peer_public: &[u8; 32]) -> Result<[u8; 64], AgreeError> {
         let peer = AffinePoint::decode(peer_public).map_err(|_| AgreeError::InvalidPeerKey)?;
-        // multiply by 8·d: the cofactor is 392 = 8·49, but the curve's
-        // rational 2-power torsion is cleared by 8; clearing the full 392
-        // is cheapest as one scalar multiplication.
-        let cleared = peer
-            .mul(&self.secret)
-            .mul_u256_generic(&fourq_fp::U256::from_u64(392));
+        // [d]P, then the full cofactor 392 = 8·49 clears every torsion
+        // component of a malicious peer key.
+        let cleared = peer.mul(&self.secret).clear_cofactor();
         if cleared.is_identity() {
             return Err(AgreeError::DegenerateShare);
         }

@@ -18,8 +18,6 @@
 //! [`SotbModel`](crate::SotbModel) to turn cycle counts into SM/s and
 //! watts across a (cores × voltage) sweep.
 
-use std::collections::HashMap;
-
 /// One replicated core: which fixed microprogram it loops and how often
 /// that program touches the shared table ROM.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
@@ -302,15 +300,6 @@ pub fn chips_needed(target_ops_per_sec: f64, per_chip_ops_per_sec: f64) -> u64 {
     assert!(per_chip_ops_per_sec > 0.0, "chip must do work");
     assert!(target_ops_per_sec >= 0.0, "negative load");
     (target_ops_per_sec / per_chip_ops_per_sec).ceil() as u64
-}
-
-/// Per-curve fractional-op totals of a report, keyed by core name.
-pub fn progress_by_name(report: &FleetReport) -> HashMap<String, f64> {
-    let mut map = HashMap::new();
-    for c in &report.cores {
-        *map.entry(c.name.clone()).or_insert(0.0) += c.progress;
-    }
-    map
 }
 
 #[cfg(test)]

@@ -220,25 +220,6 @@ impl SotbModel {
     }
 }
 
-/// Multi-core throughput model for the core-count rows of Table II.
-///
-/// Scalar multiplications are independent, so throughput scales nearly
-/// linearly with the core count until shared I/O saturates; `efficiency`
-/// (0..1] captures that loss (the FourQ-FPGA row \[10\] reports 11 cores at
-/// ~92 % of linear scaling; its latency grows slightly, reported
-/// separately).
-///
-/// ```
-/// use fourq_tech::multicore_throughput;
-/// // 1-core at 6390 op/s, 11 cores at ~92% efficiency ≈ the paper's 6.47e4
-/// let t = multicore_throughput(0.157, 11, 0.92);
-/// assert!((t - 6.47e4).abs() / 6.47e4 < 0.01, "{t}");
-/// ```
-pub fn multicore_throughput(latency_ms: f64, cores: u32, efficiency: f64) -> f64 {
-    assert!(latency_ms > 0.0 && (0.0..=1.0).contains(&efficiency));
-    1000.0 / latency_ms * cores as f64 * efficiency
-}
-
 /// Gate-count (kGE) and area estimate of the processor, following the
 /// block structure of Fig. 1(a).
 ///

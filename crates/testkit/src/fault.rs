@@ -4,9 +4,10 @@
 //! corruption of a [`CompiledKernel`] — control-ROM words, route-table
 //! entries, the register allocation — is caught before execution, and
 //! that the remaining *pure-data* faults (register-file constants) are
-//! caught at runtime by the on-curve / software-reference checks. This
-//! module measures that claim: it flips one bit (or one field) at a
-//! time, reruns detection, and reports per-class coverage.
+//! caught at runtime by [`CompiledKernel::audit`], the compile's own
+//! comparison against independent software. This module measures that
+//! claim: it flips one bit (or one field) at a time, reruns both checks,
+//! and reports per-class coverage.
 //!
 //! Fault classes:
 //!
@@ -22,11 +23,8 @@
 //!   register-file image. Structurally invisible by design: detection
 //!   must come from the runtime audit.
 
-use fourq_baselines::p256::{Affine, P256};
-use fourq_baselines::x25519::X25519;
 use fourq_cpu::{verify, CheckLevel, CompiledKernel};
-use fourq_curve::{AffinePoint, CurveId};
-use fourq_fp::{Fp, Fp2, Scalar, U256};
+use fourq_fp::{Fp, Fp2, U256};
 use fourq_trace::{mont_field, Word};
 
 use crate::TestRng;
@@ -124,7 +122,7 @@ impl CampaignReport {
 /// Detection scalars for the runtime net: a handful of fixed values that
 /// together exercise all digit positions and table entries many times
 /// over, so a surviving data fault has no digit pattern to hide behind.
-/// Raw little-endian bytes, interpreted per curve by [`detect`].
+/// Raw little-endian bytes, as [`CompiledKernel::audit`] takes them.
 fn audit_scalars(rng: &mut TestRng) -> Vec<[u8; 32]> {
     let mut one = [0u8; 32];
     one[0] = 1;
@@ -139,68 +137,17 @@ fn audit_scalars(rng: &mut TestRng) -> Vec<[u8; 32]> {
     v
 }
 
-/// 64-byte little-endian `x ‖ y` encoding of a P-256 affine point
-/// (all-zero = infinity) — the `execute_p256` wire encoding.
-fn p256_bytes(pt: &Affine) -> [u8; 64] {
-    let mut out = [0u8; 64];
-    if let Affine::Point { x, y } = pt {
-        out[..32].copy_from_slice(&x.to_le_bytes());
-        out[32..].copy_from_slice(&y.to_le_bytes());
-    }
-    out
-}
-
-/// Runs the detection pipeline on a corrupted kernel: full static
-/// verification first, then the runtime audit against the curve's
-/// software baseline — the kernel's own curve decides which.
+/// Runs the checks every compiled kernel must pass on a corrupted one:
+/// the full static verifier, then [`CompiledKernel::audit`] on the
+/// campaign's scalars.
 fn detect(kernel: &CompiledKernel, scalars: &[[u8; 32]]) -> Detection {
-    let report = verify(kernel, CheckLevel::Full);
-    if let Some(first) = report.findings.first() {
+    if let Some(first) = verify(kernel, CheckLevel::Full).findings.first() {
         return Detection::Static { rule: first.rule() };
     }
-    for kb in scalars {
-        // ct: allow(R1) reason="audit scalars are fixed public test vectors, not live key material"
-        let diverged = match kernel.curve {
-            CurveId::FourQ => {
-                let g = AffinePoint::generator();
-                let k = Scalar::from_le_bytes(kb);
-                match kernel.execute(&g, &k) {
-                    Err(_) => true,
-                    Ok(got) => {
-                        let want = g.mul(&k);
-                        // ct: allow(R1) reason="correctness audit over public test vectors"
-                        // ct: allow(R4) reason="correctness audit over public test vectors"
-                        (got.x, got.y) != (want.x, want.y)
-                    }
-                }
-            }
-            CurveId::X25519 => {
-                let ctx = X25519::new();
-                let mut base = [0u8; 32];
-                base[0] = 9;
-                match kernel.execute_x25519(kb, &base) {
-                    Err(_) => true,
-                    // ct: allow(R4) reason="correctness audit over public test vectors"
-                    Ok(got) => got != ctx.ladder(kb, &base),
-                }
-            }
-            CurveId::P256 => {
-                let ctx = P256::new();
-                let g = ctx.generator_affine();
-                let k = U256::from_le_bytes(kb);
-                match kernel.execute_p256(kb, &p256_bytes(&g)) {
-                    Err(_) => true,
-                    // ct: allow(R4) reason="correctness audit over public test vectors"
-                    Ok(got) => got != p256_bytes(&ctx.scalar_mul_complete(&k, &g)),
-                }
-            }
-        };
-        if diverged {
-            // ct: allow(R6) reason="early exit reports a detected fault, a public outcome"
-            return Detection::Runtime;
-        }
+    match kernel.audit(scalars) {
+        Ok(()) => Detection::Undetected,
+        Err(_) => Detection::Runtime,
     }
-    Detection::Undetected
 }
 
 fn flip_fp2_bit(v: Fp2, bit: u32) -> Fp2 {
@@ -395,6 +342,7 @@ pub fn run_campaign(kernel: &CompiledKernel, cases: usize, seed: u64) -> Campaig
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fourq_curve::CurveId;
     use fourq_sched::MachineConfig;
 
     #[test]

@@ -688,32 +688,6 @@ impl Trace {
         }
         out
     }
-
-    /// The direct-value dependency list of each operation: operand ids
-    /// that are themselves operations, reached *without* going through a
-    /// mux. Mux-routed operands are deliberately excluded — their
-    /// conservative footprint is [`Trace::mux_reach`], and schedulers
-    /// must treat those as ordering-only edges (see
-    /// `fourq_sched::trace_to_problem`).
-    pub fn op_deps(&self) -> Vec<Vec<usize>> {
-        let base = self.first_op_id();
-        self.nodes
-            .iter()
-            .map(|n| {
-                let mut d = Vec::with_capacity(2);
-                for op in core::iter::once(n.a).chain(n.b) {
-                    if let Operand::Val(id) = op {
-                        if id >= base {
-                            d.push(id - base);
-                        }
-                    }
-                }
-                d.sort_unstable();
-                d.dedup();
-                d
-            })
-            .collect()
-    }
 }
 
 struct TraceBuilder {
@@ -1295,19 +1269,6 @@ mod tests {
         assert_eq!(OpKind::Sqr.unit(), Unit::Multiplier);
         assert_eq!(OpKind::Add.unit(), Unit::AddSub);
         assert_eq!(OpKind::Conj.unit(), Unit::AddSub);
-    }
-
-    #[test]
-    fn deps_skip_inputs() {
-        let t = Tracer::new();
-        let a = t.input("a", Fp2::from(2u64));
-        let b = t.input("b", Fp2::from(3u64));
-        let c = a.mul(&b); // op 0
-        let _d = c.add(&b); // op 1 depends only on op 0
-        let tr = t.finish();
-        let deps = tr.op_deps();
-        assert_eq!(deps[0], Vec::<usize>::new());
-        assert_eq!(deps[1], vec![0]);
     }
 
     #[test]

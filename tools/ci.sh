@@ -65,15 +65,15 @@ mkdir -p target/ci
 step "fourq-ctlint (constant-time taint lint)"
 cargo run --release -q -p fourq-ctlint -- --workspace --json target/ci/ctlint_report.json
 
-step "fourq-kernelcheck: static verify + 64-fault injection smoke, all curves"
-# Verifies the shared kernels of all three curves (Fourℚ, X25519, P-256)
-# for the default MachineConfig at both check levels, then runs the
-# single-bit fault-injection campaign per curve; any live finding or
+step "fourq-kernelcheck: gap metrics + 64-fault injection smoke, all curves"
+# The compile has already verified and audited the shared kernel of each
+# curve (Fourℚ, X25519, P-256) for the default MachineConfig before the
+# report and the single-bit fault-injection campaign run; any
 # undetected fault on any curve fails the build. The campaign injects
 # into cloned kernels, so FOURQ_BENCH_FAST only shrinks unrelated
 # budgets.
 FOURQ_BENCH_FAST=1 cargo run --release -q -p fourq-kernelcheck --bin kernelcheck -- \
-    --curve all --level both --inject 64 --json target/ci/kernelcheck_report.json
+    --curve all --inject 64 --json target/ci/kernelcheck_report.json
 
 step "bench smoke: batch groups + amortisation gate (FOURQ_BENCH_FAST=1)"
 # Runs the batch_* benchmark groups and fails if the measured
