@@ -6,16 +6,22 @@
 //! baseline **algorithms** for real —
 //!
 //! * [`p256`] — full NIST P-256: Montgomery field arithmetic, Jacobian
-//!   point operations, double-and-add scalar multiplication;
+//!   point operations and double-and-add, and the complete-formula ladder
+//!   the kernel records;
 //! * [`x25519`] — the X25519 Montgomery ladder over `2^255 − 19`;
 //!
 //! — and carries the **platform figures** reported by the cited papers as
 //! data ([`models`]), so the Table II harness can print reported rows next
 //! to our simulated FourQ row and derive the paper's headline ratios.
 //!
-//! The generic Montgomery-representation field ([`mont::MontField`]) is
-//! shared by both curves and is property-tested against the
-//! division-based reference in `fourq-fp`.
+//! Each curve's scalar multiplication is written once, generic over the
+//! field handle [`mont::FeLike`]: [`x25519::ladder_program`] and
+//! [`p256::scalar_mul_program`]. The host baselines run them on
+//! [`mont::MontFe`], and `fourq-trace` records the same functions into the
+//! X25519 and P-256 kernels of Table II, as it records Fourℚ's
+//! `scalar_mul_engine`. The generic Montgomery-representation field
+//! ([`mont::MontField`]) is shared by both curves and is property-tested
+//! against the division-based reference in `fourq-fp`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

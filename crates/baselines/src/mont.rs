@@ -5,7 +5,7 @@
 //! paper's Table II rows \[17\]/\[18\] implement in hardware.
 #![allow(clippy::needless_range_loop)] // limb loops are clearer indexed
 
-use fourq_fp::U256;
+use fourq_fp::{Choice, CtSelect, U256};
 
 /// A prime-field context with modulus `p < 2^256`, `p` odd.
 ///
@@ -138,40 +138,52 @@ impl MontField {
         self.add(a, a)
     }
 
-    /// Exponentiation by a plain (non-Montgomery) exponent.
-    pub fn pow(&self, a: U256, e: &U256) -> U256 {
-        let mut acc = self.enter(U256::ONE);
-        let bits = e.bits();
-        for i in (0..bits as usize).rev() {
-            acc = self.sqr(acc);
-            if e.bit(i) {
-                acc = self.mul(acc, a);
-            }
-        }
-        acc
+    /// The Fermat inversion exponent `p − 2` (public: it shapes the
+    /// square-and-multiply program identically for every input).
+    pub fn p_minus_2(&self) -> U256 {
+        self.p.checked_sub(&U256::from_u64(2)).expect("p > 2")
     }
 
-    /// Inversion via Fermat (`p` must be prime).
+    /// Inversion via Fermat (`p` must be prime): [`pow`] on `p − 2`.
     ///
     /// # Panics
     ///
     /// Panics on zero input.
     pub fn inv(&self, a: U256) -> U256 {
         assert!(!a.is_zero(), "inverse of zero");
-        let e = self.p.checked_sub(&U256::from_u64(2)).expect("p > 2");
-        self.pow(a, &e)
+        pow(&MontFe::new(self, a), &self.p_minus_2()).value
     }
 }
 
-/// A field-element *handle*: the minimal operation set the shared curve
-/// formulas ([`crate::x25519::ladder_step`], [`crate::p256::add_complete`],
-/// [`crate::p256::double_complete`]) need.
+/// `base^e` by square-and-multiply on a *public* exponent (a fixed field
+/// constant such as `p − 2`): branching on its bits shapes the program
+/// identically for every `base`, so the same code runs on host integers
+/// and records one fixed microinstruction sequence on a traced handle.
+///
+/// # Panics
+///
+/// Panics on a zero exponent.
+pub fn pow<T: FeLike>(base: &T, e: &U256) -> T {
+    let bits = e.bits() as usize;
+    assert!(bits > 0, "zero exponent has no program");
+    let mut acc = base.clone();
+    for i in (0..bits - 1).rev() {
+        acc = acc.sqr();
+        if e.bit(i) {
+            acc = acc.mul(base);
+        }
+    }
+    acc
+}
+
+/// A field-element *handle*: the minimal operation set the baseline
+/// programs ([`crate::x25519::ladder_program`],
+/// [`crate::p256::scalar_mul_program`]) and their step formulas need.
 ///
 /// Two implementations exist: [`MontFe`] executes on host integers, and
 /// `fourq-trace`'s `TracedFe` records the identical operation stream into a
-/// microinstruction trace. Writing the formulas once against this trait is
-/// what guarantees the compiled kernels and the baseline references compute
-/// the same function — they *are* the same code.
+/// microinstruction trace. Each program is written once against this
+/// trait, so the compiled kernel *is* the host baseline's code, recorded.
 pub trait FeLike: Clone {
     /// Field addition.
     fn add(&self, other: &Self) -> Self;
@@ -181,6 +193,11 @@ pub trait FeLike: Clone {
     fn mul(&self, other: &Self) -> Self;
     /// Field squaring.
     fn sqr(&self) -> Self;
+    /// Returns `b` when `c` is set, `a` otherwise. `step` names the
+    /// select line: a host element masks by `c` and ignores `step`; a
+    /// traced element records a 2-way mux on digit position `step` and
+    /// ignores `c` (the tracer's digit stream carries the same bits).
+    fn select(step: usize, c: Choice, a: &Self, b: &Self) -> Self;
 }
 
 /// Host-side [`FeLike`]: a Montgomery-form element bound to its field.
@@ -211,6 +228,9 @@ impl FeLike for MontFe<'_> {
     }
     fn sqr(&self) -> Self {
         MontFe::new(self.field, self.field.sqr(self.value))
+    }
+    fn select(_step: usize, c: Choice, a: &Self, b: &Self) -> Self {
+        MontFe::new(a.field, U256::ct_select(&a.value, &b.value, c))
     }
 }
 

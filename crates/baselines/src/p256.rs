@@ -8,17 +8,15 @@
 //! homomorphism) in the test suite.
 #![allow(clippy::needless_range_loop)] // limb loops are clearer indexed
 
-use crate::mont::{FeLike, MontFe, MontField};
-use fourq_fp::{Choice, CtSelect, U256};
+use crate::mont::{pow, FeLike, MontFe, MontField};
+use fourq_fp::{Choice, U256};
 
 /// Complete (exception-free) point addition in homogeneous projective
 /// coordinates `(X : Y : Z)` for a short-Weierstrass curve with `a = −3`
 /// — Renes–Costello–Batina 2015, Algorithm 4. `b` is the curve constant.
 ///
-/// Written against [`FeLike`] so the host reference
-/// ([`P256::scalar_mul_complete`]) and the traced kernel of `fourq-trace`
-/// execute the same formula. Cost: 14 multiplications (two of them by
-/// `b`) + 29 additions/subtractions; no doubling/infinity special cases.
+/// Cost: 14 multiplications (two of them by `b`) + 29
+/// additions/subtractions; no doubling/infinity special cases.
 pub fn add_complete<T: FeLike>(p: &[T; 3], q: &[T; 3], b: &T) -> [T; 3] {
     let (x1, y1, z1) = (&p[0], &p[1], &p[2]);
     let (x2, y2, z2) = (&q[0], &q[1], &q[2]);
@@ -111,6 +109,42 @@ pub fn double_complete<T: FeLike>(p: &[T; 3], b: &T) -> [T; 3] {
     [x3, y3, z3]
 }
 
+/// `[k]P` as one uniform program: from the accumulator `r0` (the
+/// homogeneous identity `(0 : 1 : 0)`), each of the 256 iterations runs
+/// [`double_complete`] *and* [`add_complete`] with the base, and select
+/// line `s` (bit `255 − s` of `k`, [`P256::select_bits`]) keeps one
+/// result per coordinate. The affine exit inverts `Z` by [`pow`] on the
+/// public exponent `p − 2` and leaves the Montgomery domain by
+/// multiplying with `rawone` (the raw integer 1). Returns plain `[x, y]`;
+/// a result at infinity (`Z = 0`) exponentiates to `[0, 0]` without a
+/// branch.
+///
+/// [`P256::scalar_mul_complete`] runs it on host integers and
+/// `fourq-trace` records it as the P-256 kernel; the operation sequence
+/// is the same for every `(k, P)`, the identity base included.
+// ct: secret(bits)
+pub fn scalar_mul_program<T: FeLike>(
+    field: &MontField,
+    base: &[T; 3],
+    b: &T,
+    r0: &[T; 3],
+    rawone: &T,
+    bits: &[Choice; 256],
+) -> [T; 2] {
+    let mut r = r0.clone();
+    for (s, &c) in bits.iter().enumerate() {
+        let d = double_complete(&r, b);
+        let t = add_complete(&d, base, b);
+        r = [
+            T::select(s, c, &d[0], &t[0]),
+            T::select(s, c, &d[1], &t[1]),
+            T::select(s, c, &d[2], &t[2]),
+        ];
+    }
+    let zinv = pow(&r[2], &field.p_minus_2());
+    [r[0].mul(&zinv).mul(rawone), r[1].mul(&zinv).mul(rawone)]
+}
+
 /// The P-256 curve context (field, constants, generator).
 #[derive(Clone, Copy, Debug)]
 pub struct P256 {
@@ -151,6 +185,38 @@ pub enum Affine {
     },
 }
 
+/// The field modulus `p = 2^256 − 2^224 + 2^192 + 2^96 − 1`.
+const P: U256 = U256([u64::MAX, 0x0000_0000_ffff_ffff, 0, 0xffff_ffff_0000_0001]);
+
+impl Affine {
+    /// The 64-byte little-endian `x ‖ y` encoding; all-zero encodes the
+    /// point at infinity (`(0, 0)` is not on the curve, so the encoding
+    /// is unambiguous).
+    pub fn to_bytes(&self) -> [u8; 64] {
+        let mut out = [0u8; 64];
+        if let Affine::Point { x, y } = self {
+            out[..32].copy_from_slice(&x.to_le_bytes());
+            out[32..].copy_from_slice(&y.to_le_bytes());
+        }
+        out
+    }
+
+    /// Inverse of [`Affine::to_bytes`]: `None` unless both coordinates
+    /// are canonical (`< p`). The curve equation is the caller's check
+    /// ([`P256::is_on_curve`]).
+    pub fn from_bytes(bytes: &[u8; 64]) -> Option<Affine> {
+        let x = U256::from_le_bytes(bytes[..32].try_into().ok()?);
+        let y = U256::from_le_bytes(bytes[32..].try_into().ok()?);
+        if x.is_zero() && y.is_zero() {
+            Some(Affine::Infinity)
+        } else if x < P && y < P {
+            Some(Affine::Point { x, y })
+        } else {
+            None
+        }
+    }
+}
+
 impl Default for P256 {
     fn default() -> Self {
         Self::new()
@@ -160,9 +226,7 @@ impl Default for P256 {
 impl P256 {
     /// Builds the standard curve context.
     pub fn new() -> P256 {
-        let p = U256::from_hex("ffffffff00000001000000000000000000000000ffffffffffffffffffffffff")
-            .expect("valid modulus");
-        let field = MontField::new(p);
+        let field = MontField::new(P);
         let b = U256::from_hex("5ac635d8aa3a93e7b3ebbd55769886bc651d06b0cc53b0f63bce3c3e27d2604b")
             .expect("valid b");
         let order =
@@ -322,67 +386,48 @@ impl P256 {
         }
     }
 
-    /// Branch-free always-double-and-add scalar multiplication over the
-    /// complete formulas ([`double_complete`] / [`add_complete`]) — the
-    /// exact ladder `fourq-trace` records and the compiled P-256 kernel
-    /// replays. Every one of the 256 iterations doubles *and* adds; bit
-    /// `i` of `k` only selects which result is kept, mirroring the
-    /// kernel's always-compute-and-select muxes.
+    /// Select line `s` of [`scalar_mul_program`]: bit `255 − s` of `k`
+    /// (MSB first).
     // ct: secret(k)
-    pub fn scalar_mul_complete(&self, k: &U256, p: &Affine) -> Affine {
+    pub fn select_bits(k: &U256) -> [Choice; 256] {
+        core::array::from_fn(|s| Choice::from_bit(u64::from(k.bit(255 - s))))
+    }
+
+    /// The homogeneous projective `[X, Y, Z]` of `p` in Montgomery form,
+    /// the base-point inputs of [`scalar_mul_program`]; infinity is
+    /// `(0 : 1 : 0)`, whose addition the complete formulas handle exactly.
+    pub fn enter_point(&self, p: &Affine) -> [U256; 3] {
         let f = &self.field;
-        let (px, py) = match p {
-            // (0 : 1 : 0) is the projective identity; adding it is exact
-            // under the complete formulas, so infinity needs no branch in
-            // the ladder itself.
-            Affine::Infinity => (U256::ZERO, f.enter(U256::ONE)),
-            Affine::Point { x, y } => (f.enter(*x), f.enter(*y)),
-        };
-        let zero = MontFe::new(f, U256::ZERO);
-        let one = MontFe::new(f, f.enter(U256::ONE));
-        let b = MontFe::new(f, self.b);
-        let base = [
-            MontFe::new(f, px),
-            MontFe::new(f, py),
-            if *p == Affine::Infinity { zero } else { one },
-        ];
-        let mut r = [zero, one, zero];
-        for i in (0..256).rev() {
-            r = double_complete(&r, &b);
-            let t = add_complete(&r, &base, &b);
-            // The traced kernel realises this select as three 2-way muxes
-            // keyed on bit i of the digit stream; the host mirrors them
-            // with masked selection so no branch depends on `k`.
-            let keep_add = Choice::from_bit(u64::from(k.bit(i)));
-            for j in 0..3 {
-                r[j].value = U256::ct_select(&r[j].value, &t[j].value, keep_add);
-            }
-        }
-        if r[2].value.is_zero() {
-            return Affine::Infinity;
-        }
-        let zi = f.inv(r[2].value);
-        Affine::Point {
-            x: f.leave(f.mul(r[0].value, zi)),
-            y: f.leave(f.mul(r[1].value, zi)),
+        match p {
+            Affine::Infinity => [U256::ZERO, f.enter(U256::ONE), U256::ZERO],
+            Affine::Point { x, y } => [f.enter(*x), f.enter(*y), f.enter(U256::ONE)],
         }
     }
 
-    /// Multiplier-unit operations (multiplications + squarings) in one
-    /// `bits`-iteration run of the complete-formula ladder, derived from
-    /// the structure the trace actually records: each iteration is one
-    /// [`double_complete`] (10M + 3S) and one [`add_complete`] (14M),
-    /// followed by the Fermat inversion of `Z` on the public exponent
-    /// `p − 2` and the two affine products plus their two
-    /// Montgomery-domain exit multiplications. `fourq-trace` asserts this
-    /// equals the traced kernel's op counts
-    /// (`trace_op_counts_match_baseline_estimate`).
-    pub fn scalar_mul_field_ops(bits: u32) -> u64 {
-        let c = P256::new();
-        let e = c.field.p.checked_sub(&U256::from_u64(2)).expect("p > 2");
-        let popcount: u64 = e.0.iter().map(|w| w.count_ones() as u64).sum();
-        let invert = (u64::from(e.bits()) - 1) + (popcount - 1);
-        u64::from(bits) * (10 + 3 + 14) + invert + 4
+    /// Branch-free always-double-and-add scalar multiplication over the
+    /// complete formulas: [`scalar_mul_program`] on host integers, the
+    /// code the compiled P-256 kernel replays.
+    // ct: secret(k)
+    pub fn scalar_mul_complete(&self, k: &U256, p: &Affine) -> Affine {
+        let f = &self.field;
+        let fe = |v| MontFe::new(f, v);
+        let (zero, one) = (fe(U256::ZERO), fe(f.enter(U256::ONE)));
+        let [x, y] = scalar_mul_program(
+            f,
+            &self.enter_point(p).map(fe),
+            &fe(self.b),
+            &[zero, one, zero],
+            &fe(U256::ONE),
+            &Self::select_bits(k),
+        );
+        if x.value.is_zero() && y.value.is_zero() {
+            Affine::Infinity
+        } else {
+            Affine::Point {
+                x: x.value,
+                y: y.value,
+            }
+        }
     }
 }
 
@@ -461,6 +506,23 @@ mod tests {
             c.to_affine(&c.scalar_mul(&k, &p))
         );
         assert_eq!(c.scalar_mul_complete(&c.order, &ga), Affine::Infinity);
+    }
+
+    #[test]
+    fn point_encoding_roundtrips_and_rejects_non_canonical() {
+        let c = P256::new();
+        assert_eq!(c.field.p, P);
+        let g = c.generator_affine();
+        assert_eq!(Affine::from_bytes(&g.to_bytes()), Some(g));
+        assert_eq!(Affine::Infinity.to_bytes(), [0u8; 64]);
+        assert_eq!(Affine::from_bytes(&[0u8; 64]), Some(Affine::Infinity));
+        // `p` encodes the residue 0 but is not canonical, in either
+        // coordinate.
+        for half in [0..32, 32..64] {
+            let mut bad = g.to_bytes();
+            bad[half].copy_from_slice(&P.to_le_bytes());
+            assert_eq!(Affine::from_bytes(&bad), None);
+        }
     }
 
     #[test]

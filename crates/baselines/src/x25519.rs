@@ -5,13 +5,11 @@
 //! Montgomery ladder over `p = 2^255 − 19` with the standard
 //! constant-time-shaped conditional swaps.
 
-use crate::mont::{FeLike, MontFe, MontField};
-use fourq_fp::{Choice, CtSelect, U256};
+use crate::mont::{pow, FeLike, MontFe, MontField};
+use fourq_fp::{Choice, U256};
 
 /// One Montgomery-ladder step on the working state `(x2, z2, x3, z3)` with
-/// the fixed base `x1` and curve constant `a24`, written against
-/// [`FeLike`] so the host ladder and the traced uniform ladder of
-/// `fourq-trace` run the *same* formula. Returns the updated state.
+/// the fixed base `x1` and curve constant `a24`. Returns the updated state.
 ///
 /// Cost: 6 mul-unit multiplications + 4 squarings + 8 additions per step
 /// (the `a24` product counted as a full multiplication, as the simulated
@@ -31,6 +29,43 @@ pub fn ladder_step<T: FeLike>(x1: &T, a24: &T, x2: &T, z2: &T, x3: &T, z3: &T) -
     let nx2 = aa.mul(&bb);
     let nz2 = e.mul(&aa.add(&a24.mul(&e)));
     (nx2, nz2, nx3, nz3)
+}
+
+/// The whole X25519 function `X25519(k, u)` as one uniform program: 255
+/// [`ladder_step`]s behind the RFC 7748 running conditional swaps, the
+/// final unswap, the Fermat inversion of `z2` by [`pow`] on the public
+/// exponent `p − 2`, and the exit from the Montgomery domain as a
+/// multiplication by `rawone` (the raw integer 1). `swaps` is
+/// [`X25519::swap_bits`] of the scalar; select line `s` drives step `s`.
+///
+/// [`X25519::ladder`] runs it on host integers and `fourq-trace` records
+/// it as the X25519 kernel. The operation sequence is the same for every
+/// `(scalar, u)`: a degenerate `z2 = 0` exponentiates to 0, so the output
+/// is 0 without a branch.
+// ct: secret(swaps)
+pub fn ladder_program<T: FeLike>(
+    field: &MontField,
+    u: &T,
+    a24: &T,
+    one: &T,
+    zero: &T,
+    rawone: &T,
+    swaps: &[Choice; 256],
+) -> T {
+    let (mut x2, mut z2, mut x3, mut z3) = (one.clone(), zero.clone(), u.clone(), one.clone());
+    for (s, &c) in swaps[..255].iter().enumerate() {
+        // The running conditional swap: four 2-way selects sharing one
+        // select line. No value moves on the datapath; the routing does.
+        let x2m = T::select(s, c, &x2, &x3);
+        let x3m = T::select(s, c, &x3, &x2);
+        let z2m = T::select(s, c, &z2, &z3);
+        let z3m = T::select(s, c, &z3, &z2);
+        (x2, z2, x3, z3) = ladder_step(u, a24, &x2m, &z2m, &x3m, &z3m);
+    }
+    let x2 = T::select(255, swaps[255], &x2, &x3);
+    let z2 = T::select(255, swaps[255], &z2, &z3);
+    let zinv = pow(&z2, &field.p_minus_2());
+    x2.mul(&zinv).mul(rawone)
 }
 
 /// The X25519 context.
@@ -77,56 +112,50 @@ impl X25519 {
         U256::from_le_bytes(&s)
     }
 
+    /// The running-swap recoding of the clamped scalar: position `s < 255`
+    /// holds `k_{t+1} XOR k_t` for ladder step `t = 254 − s` (RFC 7748's
+    /// `swap ^= k_t`), position 255 the final unswap `k_0`.
+    // ct: secret(scalar)
+    pub fn swap_bits(scalar: &[u8; 32]) -> [Choice; 256] {
+        let k = Self::clamp(scalar);
+        let mut swaps = [Choice::FALSE; 256];
+        let mut prev = false;
+        for (s, t) in (0..255).rev().enumerate() {
+            let kt = k.bit(t);
+            // Boolean XOR, not `!=`: same truth table, but lowers to a
+            // mask op with no data-dependent comparison on the scalar bits.
+            swaps[s] = Choice::from_bit(u64::from(prev ^ kt));
+            prev = kt;
+        }
+        swaps[255] = Choice::from_bit(u64::from(prev));
+        swaps
+    }
+
+    /// The input u-coordinate in Montgomery form, its top bit masked as
+    /// RFC 7748 requires.
+    pub fn enter_u(&self, u: &[u8; 32]) -> U256 {
+        let mut ub = *u;
+        ub[31] &= 0x7f;
+        self.field.enter(U256::from_le_bytes(&ub))
+    }
+
     /// The X25519 function: `k · u` on the Montgomery curve
-    /// (u-coordinate-only ladder). `k` is clamped per RFC 7748.
+    /// (u-coordinate-only ladder), by [`ladder_program`] on host
+    /// integers. `k` is clamped per RFC 7748.
     // ct: secret(scalar)
     pub fn ladder(&self, scalar: &[u8; 32], u: &[u8; 32]) -> [u8; 32] {
         let f = &self.field;
-        let k = Self::clamp(scalar);
-        // RFC 7748 masks the top bit of u.
-        let mut ub = *u;
-        ub[31] &= 0x7f;
-        let x1 = f.enter(U256::from_le_bytes(&ub));
-
-        let one = f.enter(U256::ONE);
-        let mut x2 = one;
-        let mut z2 = U256::ZERO;
-        let mut x3 = x1;
-        let mut z3 = one;
-        let mut swap = false;
-
-        let x1h = MontFe::new(f, x1);
-        let a24h = MontFe::new(f, self.a24);
-        for t in (0..255).rev() {
-            // The running conditional swap by masked selection: no branch
-            // depends on the scalar bits.
-            let kt = k.bit(t);
-            let c = Choice::from_bit(u64::from(swap ^ kt));
-            (x2, x3) = (U256::ct_select(&x2, &x3, c), U256::ct_select(&x3, &x2, c));
-            (z2, z3) = (U256::ct_select(&z2, &z3, c), U256::ct_select(&z3, &z2, c));
-            swap = kt;
-
-            let (nx2, nz2, nx3, nz3) = ladder_step(
-                &x1h,
-                &a24h,
-                &MontFe::new(f, x2),
-                &MontFe::new(f, z2),
-                &MontFe::new(f, x3),
-                &MontFe::new(f, z3),
-            );
-            x2 = nx2.value;
-            z2 = nz2.value;
-            x3 = nx3.value;
-            z3 = nz3.value;
-        }
-        let c = Choice::from_bit(u64::from(swap));
-        (x2, z2) = (U256::ct_select(&x2, &x3, c), U256::ct_select(&z2, &z3, c));
-        let out = if z2.is_zero() {
-            U256::ZERO
-        } else {
-            f.leave(f.mul(x2, f.inv(z2)))
-        };
-        out.to_le_bytes()
+        let fe = |v| MontFe::new(f, v);
+        let out = ladder_program(
+            f,
+            &fe(self.enter_u(u)),
+            &fe(self.a24),
+            &fe(f.enter(U256::ONE)),
+            &fe(U256::ZERO),
+            &fe(U256::ONE),
+            &Self::swap_bits(scalar),
+        );
+        out.value.to_le_bytes()
     }
 
     /// Diffie–Hellman public key from a secret (`X25519(k, 9)`).
@@ -134,21 +163,6 @@ impl X25519 {
         let mut base = [0u8; 32];
         base[0] = 9;
         self.ladder(secret, &base)
-    }
-
-    /// Multiplier-unit operations (multiplications + squarings) in one
-    /// ladder execution, derived from the structure the trace actually
-    /// records: 255 × [`ladder_step`] (6M + 4S each), the Fermat inversion
-    /// of `z2` by square-and-multiply on the public exponent `p − 2`, and
-    /// the final `x2·z2⁻¹` product plus the Montgomery-domain exit
-    /// multiplication. `fourq-trace` asserts this equals the traced
-    /// kernel's op counts (`trace_op_counts_match_baseline_estimate`).
-    pub fn ladder_field_ops() -> u64 {
-        let x = X25519::new();
-        let e = x.field.p.checked_sub(&U256::from_u64(2)).expect("p > 2");
-        let popcount: u64 = e.0.iter().map(|w| w.count_ones() as u64).sum();
-        let invert = (u64::from(e.bits()) - 1) + (popcount - 1);
-        255 * 10 + invert + 2
     }
 }
 

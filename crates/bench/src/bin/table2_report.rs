@@ -32,9 +32,9 @@
 //! *count*, which is exact.
 
 use fourq_baselines::models::{self, headline, Platform};
-use fourq_baselines::{p256::P256, x25519::X25519};
 use fourq_bench::cell;
 use fourq_bench::table2::{measured_table, MeasuredTable};
+use fourq_curve::CurveId;
 use fourq_sched::MachineConfig;
 
 fn main() {
@@ -101,11 +101,12 @@ fn print_prior_art(table: &MeasuredTable) {
         headline::energy_gain_vs_ecdsa(lo.energy_uj)
     );
 
-    // Algorithmic shape check from our own implementations.
+    // Algorithmic shape check from our own implementations: each count is
+    // the multiplier-unit issues of that curve's compiled kernel.
     println!("\n== algorithmic op-count comparison (our implementations) ==");
     let fourq_mults = fourq.stats.mul_issued;
-    let p256_ops = P256::scalar_mul_field_ops(256);
-    let x25519_ops = X25519::ladder_field_ops();
+    let p256_ops = table.kernel(CurveId::P256).stats.mul_issued;
+    let x25519_ops = table.kernel(CurveId::X25519).stats.mul_issued;
     println!("  FourQ (this work)  : {fourq_mults} F_p^2-mult-unit ops (127-bit lanes, x3 F_p muls each)");
     println!("  NIST P-256 (ours)  : {p256_ops} 256-bit field mults (double-and-add)");
     println!("  Curve25519 (ours)  : {x25519_ops} 255-bit field mults (Montgomery ladder)");

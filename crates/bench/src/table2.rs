@@ -65,13 +65,18 @@ impl MeasuredTable {
         )
     }
 
-    /// The Fourℚ row.
-    pub fn fourq(&self) -> &'static CompiledKernel {
+    /// The row of `curve`.
+    pub fn kernel(&self, curve: CurveId) -> &'static CompiledKernel {
         self.rows
             .iter()
-            .find(|(c, _)| *c == CurveId::FourQ)
-            .expect("FourQ row present")
+            .find(|(c, _)| *c == curve)
+            .expect("every curve has a row")
             .1
+    }
+
+    /// The Fourℚ row.
+    pub fn fourq(&self) -> &'static CompiledKernel {
+        self.kernel(CurveId::FourQ)
     }
 }
 

@@ -17,9 +17,10 @@
 //! Every stage failure is a typed [`PipelineError`] — the compile path
 //! has no panicking branches — and every compile ends with the full
 //! static verifier and [`CompiledKernel::audit`], which executes two
-//! scalars against independent software. Those two checks are what a
-//! compiled kernel must pass; the fault campaign (`fourq-testkit`) runs
-//! the same two on every corrupted kernel.
+//! scalars against software (the audit names each curve's reference).
+//! Those two checks are what a compiled kernel must pass; the fault
+//! campaign (`fourq-testkit`) runs the same two on every corrupted
+//! kernel.
 //!
 //! The same pipeline serves every curve the tracer knows: it builds
 //! kernels for Fourℚ, X25519 and P-256 from their uniform traces, and
@@ -40,9 +41,7 @@ use fourq_sched::{
     lower_bound, schedule, serial_schedule, stitched_exact_schedule, trace_to_problem,
     MachineConfig, Problem, Schedule, ScheduleError, StitchOptions,
 };
-use fourq_trace::{
-    mont_field, DigitStream, OpKind, OpStats, Operand, Trace, TraceError, Unit, Word,
-};
+use fourq_trace::{DigitStream, OpKind, OpStats, Operand, Trace, TraceError, Unit, Word};
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
 
@@ -331,19 +330,14 @@ pub fn compile_curve_stitched(
     compile_trace(record_curve_trace(curve), machine, effort, Some(opts))
 }
 
-/// 64-byte little-endian `x ‖ y` encoding of a P-256 affine point; the
-/// all-zero string encodes the point at infinity (`(0, 0)` is not on the
-/// curve, so the encoding is unambiguous).
-fn encode_p256_point(pt: &Affine) -> [u8; 64] {
-    let mut out = [0u8; 64];
-    if let Affine::Point { x, y } = pt {
-        out[..32].copy_from_slice(&x.to_le_bytes());
-        out[32..].copy_from_slice(&y.to_le_bytes());
-    }
-    out
+/// Process-wide X25519 context for input preparation.
+fn x25519_ctx() -> &'static X25519 {
+    static CTX: OnceLock<X25519> = OnceLock::new();
+    CTX.get_or_init(X25519::new)
 }
 
-/// Process-wide P-256 context for the per-execution on-curve guard.
+/// Process-wide P-256 context for input preparation and the
+/// per-execution on-curve guard.
 fn p256_ctx() -> &'static P256 {
     static CTX: OnceLock<P256> = OnceLock::new();
     CTX.get_or_init(P256::new)
@@ -512,16 +506,21 @@ impl CompiledKernel {
     }
 
     /// Executes each 32-byte little-endian scalar on this kernel and
-    /// compares the result with independent software:
+    /// compares the result with software:
     ///
     /// - Fourℚ: `[k]G` against `AffinePoint::mul_generic`. The kernel is
     ///   recorded from `scalar_mul_engine`, the code `AffinePoint::mul`
     ///   runs, so a bug in that shared engine fails here instead of
     ///   agreeing with itself;
-    /// - X25519: the RFC 7748 ladder (`X25519::ladder`), with `u` chained
-    ///   from 9 — each scalar runs on the previous output, so non-trivial
-    ///   u-coordinates are exercised too;
-    /// - P-256: `[k]G` against `P256::scalar_mul_complete`.
+    /// - X25519: the host ladder (`X25519::ladder`), with `u` chained from
+    ///   9 — each scalar runs on the previous output, so non-trivial
+    ///   u-coordinates are exercised too. The host ladder runs the
+    ///   kernel's own program (`x25519::ladder_program`), so this catches
+    ///   what the compile did to it; the RFC 7748 vectors
+    ///   (`tests/kat.rs`) are the program's independent check;
+    /// - P-256: `[k]G` against the Jacobian double-and-add
+    ///   (`P256::scalar_mul`), not `P256::scalar_mul_complete`, which runs
+    ///   the kernel's own program.
     ///
     /// Every compile runs it on two fixed scalars after the static
     /// verifier; the fault campaign runs it on its own scalars to catch
@@ -543,16 +542,18 @@ impl CompiledKernel {
                 }
                 CurveId::X25519 => {
                     let got = self.execute_x25519(kb, &u)?;
-                    let want = X25519::new().ladder(kb, &u);
+                    let want = x25519_ctx().ladder(kb, &u);
                     u = got;
                     got == want
                 }
                 CurveId::P256 => {
                     let ctx = p256_ctx();
-                    let g = ctx.generator_affine();
-                    let got = self.execute_p256(kb, &encode_p256_point(&g))?;
-                    let want = ctx.scalar_mul_complete(&U256::from_le_bytes(kb), &g);
-                    got == encode_p256_point(&want)
+                    let g = ctx.generator_affine().to_bytes();
+                    let got = self.execute_p256(kb, &g)?;
+                    let k = U256::from_le_bytes(kb);
+                    got == ctx
+                        .to_affine(&ctx.scalar_mul(&k, &ctx.generator()))
+                        .to_bytes()
                 }
             };
             if !agrees {
@@ -610,11 +611,7 @@ impl CompiledKernel {
     ) -> Result<[u8; 32], PipelineError> {
         self.expect_curve(CurveId::X25519)?;
         let digits = fourq_trace::x25519_digit_stream(scalar);
-        let f = mont_field(CurveId::X25519);
-        // RFC 7748 masks the top bit of u (mirrors the trace recording).
-        let mut ub = *u;
-        ub[31] &= 0x7f;
-        let x1 = f.enter(U256::from_le_bytes(&ub));
+        let x1 = x25519_ctx().enter_u(u);
         let outs = self.replay_words(&[("U", Word::Fe(CurveId::X25519, x1))], &digits);
         // The program's Montgomery exit already returned `x` to a plain
         // little-endian integer.
@@ -640,17 +637,17 @@ impl CompiledKernel {
         point: &[u8; 64],
     ) -> Result<[u8; 64], PipelineError> {
         self.expect_curve(CurveId::P256)?;
-        let f = mont_field(CurveId::P256);
-        let k = U256::from_le_bytes(scalar);
-        let digits = fourq_trace::p256_digit_stream(&k);
-        let (px, py, pz) = if point.iter().all(|&b| b == 0) {
-            // Projective identity (0 : 1 : 0), as the trace records it.
-            (U256::ZERO, f.enter(U256::ONE), U256::ZERO)
+        let digits = fourq_trace::p256_digit_stream(&U256::from_le_bytes(scalar));
+        // Unvalidated: any coordinates, reduced mod p on entry.
+        let base = if point.iter().all(|&b| b == 0) {
+            Affine::Infinity
         } else {
-            let x = U256::from_le_bytes(point[..32].try_into().expect("32 bytes"));
-            let y = U256::from_le_bytes(point[32..].try_into().expect("32 bytes"));
-            (f.enter(x), f.enter(y), f.enter(U256::ONE))
+            Affine::Point {
+                x: U256::from_le_bytes(point[..32].try_into().expect("32 bytes")),
+                y: U256::from_le_bytes(point[32..].try_into().expect("32 bytes")),
+            }
         };
+        let [px, py, pz] = p256_ctx().enter_point(&base);
         let outs = self.replay_words(
             &[
                 ("Px", Word::Fe(CurveId::P256, px)),
@@ -669,7 +666,7 @@ impl CompiledKernel {
         if !p256_ctx().is_on_curve(&result) {
             return Err(PipelineError::Diverged);
         }
-        Ok(encode_p256_point(&result))
+        Ok(result.to_bytes())
     }
 
     fn expect_curve(&self, requested: CurveId) -> Result<(), PipelineError> {
@@ -1054,7 +1051,7 @@ mod tests {
         assert_eq!(kernel.curve, CurveId::P256);
         let ctx = P256::new();
         let g = ctx.generator_affine();
-        let gb = encode_p256_point(&g);
+        let gb = g.to_bytes();
         for k in [
             U256::from_u64(1),
             U256::from_u64(2),
@@ -1063,7 +1060,7 @@ mod tests {
             let got = kernel
                 .execute_p256(&k.to_le_bytes(), &gb)
                 .expect("executes");
-            assert_eq!(got, encode_p256_point(&ctx.scalar_mul_complete(&k, &g)));
+            assert_eq!(got, ctx.scalar_mul_complete(&k, &g).to_bytes());
         }
         // Zero scalar flows through the datapath and lands on infinity.
         let zero = kernel.execute_p256(&[0u8; 32], &gb).expect("executes");

@@ -16,9 +16,9 @@
 //! | R5 | panicking op (`unwrap`/`expect`/`assert!`) in fp/curve paths |
 //! | R6 | early `return` under a secret-dependent condition |
 //!
-//! Findings carry `file:line` spans; violations are gated in CI against a
-//! checked-in baseline (`tools/ctlint-baseline.txt`), with audited
-//! exceptions via `// ct: allow(<rule>) reason="..."`.
+//! Findings carry `file:line` spans; CI fails on any finding, and an
+//! audited exception is an inline `// ct: allow(<rule>) reason="..."` at
+//! its line.
 
 pub mod analyze;
 pub mod lexer;

@@ -2,33 +2,26 @@
 //! CLI driver for `fourq-ctlint`.
 //!
 //! ```text
-//! fourq-ctlint [--workspace | PATH...] [--json FILE]
-//!              [--baseline FILE] [--update-baseline] [--root DIR]
+//! fourq-ctlint [--workspace | PATH...] [--json FILE] [--root DIR]
 //! ```
 //!
-//! Exit status is 0 when every finding is covered by the baseline (or an
-//! inline `// ct: allow`), 1 when live findings remain, 2 on usage errors.
+//! Exit status is 0 when no finding remains (an audited exception is an
+//! inline `// ct: allow` at its line), 1 when findings remain, 2 on usage
+//! errors.
 
-use fourq_ctlint::report::{apply_baseline, parse_baseline, to_baseline, to_json};
+use fourq_ctlint::report::to_json;
 use fourq_ctlint::{run, workspace_sources};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-const DEFAULT_BASELINE: &str = "tools/ctlint-baseline.txt";
-
 fn usage() -> ExitCode {
-    eprintln!(
-        "usage: fourq-ctlint [--workspace | PATH...] [--json FILE] \
-         [--baseline FILE] [--update-baseline] [--root DIR]"
-    );
+    eprintln!("usage: fourq-ctlint [--workspace | PATH...] [--json FILE] [--root DIR]");
     ExitCode::from(2)
 }
 
 fn main() -> ExitCode {
     let mut workspace = false;
     let mut json_path: Option<PathBuf> = None;
-    let mut baseline_path: Option<PathBuf> = None;
-    let mut update_baseline = false;
     let mut root: Option<PathBuf> = None;
     let mut paths: Vec<PathBuf> = Vec::new();
 
@@ -40,11 +33,6 @@ fn main() -> ExitCode {
                 Some(p) => json_path = Some(PathBuf::from(p)),
                 None => return usage(),
             },
-            "--baseline" => match args.next() {
-                Some(p) => baseline_path = Some(PathBuf::from(p)),
-                None => return usage(),
-            },
-            "--update-baseline" => update_baseline = true,
             "--root" => match args.next() {
                 Some(p) => root = Some(PathBuf::from(p)),
                 None => return usage(),
@@ -80,44 +68,19 @@ fn main() -> ExitCode {
     }
 
     let findings = run(&root, &files);
-
-    let baseline_file = baseline_path.unwrap_or_else(|| root.join(DEFAULT_BASELINE));
-    if update_baseline {
-        let text = to_baseline(&findings);
-        if let Err(e) = std::fs::write(&baseline_file, text) {
-            eprintln!("ctlint: cannot write {}: {e}", baseline_file.display());
-            return ExitCode::from(2);
-        }
-        println!(
-            "ctlint: wrote {} entries to {}",
-            findings.len(),
-            baseline_file.display()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    let baseline = std::fs::read_to_string(&baseline_file)
-        .map(|t| parse_baseline(&t))
-        .unwrap_or_default();
-    let (live, suppressed) = apply_baseline(findings, &baseline);
-
     if let Some(p) = json_path {
-        if let Err(e) = std::fs::write(&p, to_json(&live, suppressed.len())) {
+        if let Err(e) = std::fs::write(&p, to_json(&findings)) {
             eprintln!("ctlint: cannot write {}: {e}", p.display());
             return ExitCode::from(2);
         }
     }
 
-    for f in &live {
+    for f in &findings {
         println!("{}: {}:{}: {}", f.rule, f.file, f.line, f.message);
         println!("    | {}", f.snippet);
     }
-    println!(
-        "ctlint: {} finding(s), {} baselined",
-        live.len(),
-        suppressed.len()
-    );
-    if live.is_empty() {
+    println!("ctlint: {} finding(s)", findings.len());
+    if findings.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE

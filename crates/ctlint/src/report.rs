@@ -1,12 +1,5 @@
-//! Finding records, the machine-readable JSON report and the baseline
-//! file format.
-//!
-//! Baseline entries are keyed `rule|file|trimmed-source-line` and matched
-//! as a multiset, so they survive line-number churn from unrelated edits:
-//! a finding is "baselined" while the exact offending line still exists in
-//! the same file; touching the line re-surfaces the finding.
+//! Finding records and the machine-readable JSON report.
 
-use std::collections::HashMap;
 use std::fmt::Write as _;
 
 /// One lint finding.
@@ -33,11 +26,6 @@ impl Finding {
             snippet,
         }
     }
-
-    /// The baseline key for this finding.
-    pub fn baseline_key(&self) -> String {
-        format!("{}|{}|{}", self.rule, self.file, self.snippet)
-    }
 }
 
 /// Escapes a string for JSON output.
@@ -59,14 +47,12 @@ fn json_escape(s: &str) -> String {
     out
 }
 
-/// Renders the machine-readable report. `suppressed` counts findings
-/// matched by the baseline; the `findings` array holds the live ones.
-pub fn to_json(findings: &[Finding], suppressed: usize) -> String {
+/// Renders the machine-readable report.
+pub fn to_json(findings: &[Finding]) -> String {
     let mut out = String::new();
     out.push_str("{\n");
     let _ = writeln!(out, "  \"tool\": \"fourq-ctlint\",");
     let _ = writeln!(out, "  \"finding_count\": {},", findings.len());
-    let _ = writeln!(out, "  \"baselined_count\": {},", suppressed);
     out.push_str("  \"findings\": [\n");
     for (i, f) in findings.iter().enumerate() {
         let _ = write!(
@@ -84,95 +70,9 @@ pub fn to_json(findings: &[Finding], suppressed: usize) -> String {
     out
 }
 
-/// Parses a baseline file into a key → count multiset. Lines starting
-/// with `#` and blank lines are ignored.
-pub fn parse_baseline(text: &str) -> HashMap<String, usize> {
-    let mut out = HashMap::new();
-    for line in text.lines() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        *out.entry(line.to_string()).or_insert(0) += 1;
-    }
-    out
-}
-
-/// Splits findings into (live, baselined) against the baseline multiset.
-pub fn apply_baseline(
-    findings: Vec<Finding>,
-    baseline: &HashMap<String, usize>,
-) -> (Vec<Finding>, Vec<Finding>) {
-    let mut budget = baseline.clone();
-    let mut live = Vec::new();
-    let mut suppressed = Vec::new();
-    for f in findings {
-        match budget.get_mut(&f.baseline_key()) {
-            Some(n) if *n > 0 => {
-                *n -= 1;
-                suppressed.push(f);
-            }
-            _ => live.push(f),
-        }
-    }
-    (live, suppressed)
-}
-
-/// Renders findings in baseline format (sorted, with a header).
-pub fn to_baseline(findings: &[Finding]) -> String {
-    let mut keys: Vec<String> = findings.iter().map(|f| f.baseline_key()).collect();
-    keys.sort();
-    let mut out = String::from(
-        "# fourq-ctlint baseline — audited pre-existing findings.\n\
-         # Format: rule|file|trimmed source line. Regenerate with:\n\
-         #   cargo run -p fourq-ctlint -- --workspace --update-baseline\n",
-    );
-    for k in keys {
-        out.push_str(&k);
-        out.push('\n');
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn f(rule: &'static str, file: &str, snippet: &str) -> Finding {
-        Finding {
-            rule,
-            file: file.to_string(),
-            line: 1,
-            message: String::new(),
-            snippet: snippet.to_string(),
-        }
-    }
-
-    #[test]
-    fn baseline_roundtrip() {
-        let findings = vec![
-            f("R5", "a.rs", "assert!(x);"),
-            f("R5", "a.rs", "assert!(x);"),
-        ];
-        let text = to_baseline(&findings);
-        let parsed = parse_baseline(&text);
-        assert_eq!(parsed.get("R5|a.rs|assert!(x);"), Some(&2));
-        let (live, supp) = apply_baseline(findings, &parsed);
-        assert!(live.is_empty());
-        assert_eq!(supp.len(), 2);
-    }
-
-    #[test]
-    fn baseline_budget_is_a_multiset() {
-        let baseline = parse_baseline("R5|a.rs|assert!(x);");
-        let findings = vec![
-            f("R5", "a.rs", "assert!(x);"),
-            f("R5", "a.rs", "assert!(x);"),
-        ];
-        let (live, supp) = apply_baseline(findings, &baseline);
-        assert_eq!(live.len(), 1);
-        assert_eq!(supp.len(), 1);
-    }
 
     #[test]
     fn json_escapes() {
@@ -183,7 +83,7 @@ mod tests {
             message: "say \"no\"".to_string(),
             snippet: "x\ty".to_string(),
         };
-        let j = to_json(&[finding], 0);
+        let j = to_json(&[finding]);
         assert!(j.contains("a\\\\b.rs"));
         assert!(j.contains("say \\\"no\\\""));
         assert!(j.contains("x\\ty"));

@@ -186,7 +186,7 @@ impl MultiCurveEngine {
                 u[0] = 9;
                 u
             }
-            CurveId::P256 => encode_p256(&self.p256.generator_affine()),
+            CurveId::P256 => self.p256.generator_affine().to_bytes().to_vec(),
         }
     }
 
@@ -224,12 +224,13 @@ impl MultiCurveEngine {
                 Ok(self.x25519.ladder(scalar, &u).to_vec())
             }
             CurveId::P256 => {
-                let p = decode_p256(point).ok_or(CurveMulError::BadPoint)?;
-                if !self.p256.is_on_curve(&p) {
-                    return Err(CurveMulError::BadPoint);
-                }
+                let p = <&[u8; 64]>::try_from(point)
+                    .ok()
+                    .and_then(Affine::from_bytes)
+                    .filter(|p| self.p256.is_on_curve(p))
+                    .ok_or(CurveMulError::BadPoint)?;
                 let k = U256::from_le_bytes(scalar);
-                Ok(encode_p256(&self.p256.scalar_mul_complete(&k, &p)))
+                Ok(self.p256.scalar_mul_complete(&k, &p).to_bytes().to_vec())
             }
         }
     }
@@ -253,35 +254,6 @@ impl Default for MultiCurveEngine {
     fn default() -> Self {
         MultiCurveEngine::new()
     }
-}
-
-/// Decodes the 64-byte `x ‖ y` little-endian P-256 wire form; all-zero is
-/// the point at infinity. Coordinates must be canonical (< p).
-fn decode_p256(bytes: &[u8]) -> Option<Affine> {
-    let mut xb = [0u8; 32];
-    let mut yb = [0u8; 32];
-    xb.copy_from_slice(&bytes[..32]);
-    yb.copy_from_slice(&bytes[32..]);
-    let x = U256::from_le_bytes(&xb);
-    let y = U256::from_le_bytes(&yb);
-    if x.is_zero() && y.is_zero() {
-        return Some(Affine::Infinity);
-    }
-    let p = P256::new().field.p;
-    if x >= p || y >= p {
-        return None;
-    }
-    Some(Affine::Point { x, y })
-}
-
-/// Inverse of [`decode_p256`].
-fn encode_p256(pt: &Affine) -> Vec<u8> {
-    let mut out = vec![0u8; 64];
-    if let Affine::Point { x, y } = pt {
-        out[..32].copy_from_slice(&x.to_le_bytes());
-        out[32..].copy_from_slice(&y.to_le_bytes());
-    }
-    out
 }
 
 #[cfg(test)]
@@ -324,11 +296,11 @@ mod tests {
         let eng = MultiCurveEngine::shared();
         let c = eng.p256();
         let g = c.generator_affine();
-        let genc = encode_p256(&g);
+        let genc = g.to_bytes().to_vec();
         let k = [7u8; 32];
         let out = eng.curve_mul(CurveId::P256, &k, &genc).unwrap();
         let expect = c.scalar_mul_complete(&U256::from_le_bytes(&k), &g);
-        assert_eq!(out, encode_p256(&expect));
+        assert_eq!(out, expect.to_bytes());
         // Off-curve point is rejected.
         let mut bad = genc.clone();
         bad[0] ^= 1;

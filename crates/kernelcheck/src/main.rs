@@ -10,8 +10,8 @@
 //! has already run the full static verifier and `CompiledKernel::audit`),
 //! runs the full verifier once more for its gap metrics and prints them,
 //! and with `--inject N` runs an `N`-case single-bit fault-injection
-//! campaign (`fourq_testkit::fault::run_campaign`, seeded by the decimal
-//! `--seed`, default 64001). `--curve` accepts one name, a
+//! campaign (`fourq_testkit::fault::run_campaign`, seeded by `--seed`,
+//! decimal or `0x`-hex, default `0xfa01`). `--curve` accepts one name, a
 //! comma-separated list, or `all` (the default). `--json` writes one
 //! object per curve: its `metrics` and, with `--inject`, its
 //! `fault_campaign`. Exit status is 0 when every kernel verifies clean
@@ -22,6 +22,7 @@ use fourq_cpu::{verify, CheckLevel, GapMetrics};
 use fourq_curve::CurveId;
 use fourq_sched::MachineConfig;
 use fourq_testkit::fault::{run_campaign, CampaignReport};
+use fourq_testkit::prop::parse_seed;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -142,9 +143,12 @@ fn main() -> ExitCode {
                 Some(v) => inject = v,
                 None => return usage(),
             },
-            "--seed" => match args.next().and_then(|v| v.parse().ok()) {
+            "--seed" => match args.next().as_deref().and_then(parse_seed) {
                 Some(v) => seed = v,
-                None => return usage(),
+                None => {
+                    eprintln!("kernelcheck: --seed takes a decimal or 0x-hex u64");
+                    return usage();
+                }
             },
             "--help" | "-h" => {
                 usage();

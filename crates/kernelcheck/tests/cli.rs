@@ -79,6 +79,35 @@ fn bad_usage_exits_two() {
 }
 
 #[test]
+fn seed_accepts_hex_and_rejects_garbage() {
+    let run = |seed: &str| {
+        let json = temp_path(&format!("seed-{seed}.json"));
+        let out = bin()
+            .args(["--inject", "8", "--seed", seed, "--json"])
+            .arg(&json)
+            .output()
+            .expect("binary runs");
+        assert!(
+            out.status.success(),
+            "--seed {seed}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let text = std::fs::read_to_string(&json).expect("report written");
+        std::fs::remove_file(&json).ok();
+        text
+    };
+    // 0xfa01 = 64001, the default seed.
+    assert_eq!(run("0xfa01"), run("64001"));
+    let out = bin().args(["--seed", "zz"]).output().expect("binary runs");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("--seed takes a decimal or 0x-hex u64"),
+        "{stderr}"
+    );
+}
+
+#[test]
 fn default_run_covers_all_three_curves() {
     let json = temp_path("curves.json");
     let out = bin()

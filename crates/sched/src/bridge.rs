@@ -72,12 +72,13 @@ pub fn trace_to_problem(trace: &Trace) -> Problem {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fourq_curve::CurveId;
     use fourq_fp::{Fp2, Fp2Like, Scalar};
     use fourq_trace::{DigitStream, Selector, Tracer};
 
     #[test]
     fn direct_operands_become_data_edges() {
-        let t = Tracer::new();
+        let t = Tracer::default();
         let a = t.input("a", Fp2::from(2u64));
         let b = t.input("b", Fp2::from(3u64));
         let c = a.mul(&b); // job 0: two input reads
@@ -92,11 +93,14 @@ mod tests {
 
     #[test]
     fn mux_operands_become_order_edges() {
-        let t = Tracer::with_digits(DigitStream {
-            indices: vec![],
-            neg: vec![false],
-            corrected: false,
-        });
+        let t = Tracer::new(
+            CurveId::FourQ,
+            DigitStream {
+                indices: vec![],
+                neg: vec![false],
+                corrected: false,
+            },
+        );
         let a = t.input("a", Fp2::from(2u64));
         let x = a.sqr(); // job 0
         let y = a.neg(); // job 1

@@ -26,7 +26,9 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 /// fixed constant: CI runs are reproducible by default.
 pub const DEFAULT_BASE_SEED: u64 = 0x4007_DA7E_2019_0325;
 
-fn parse_seed(s: &str) -> Option<u64> {
+/// Parses a seed written in decimal or as `0x`-prefixed hex (`_`
+/// separators allowed in hex); `None` when it is neither.
+pub fn parse_seed(s: &str) -> Option<u64> {
     let s = s.trim();
     if let Some(hex) = s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
         u64::from_str_radix(&hex.replace('_', ""), 16).ok()

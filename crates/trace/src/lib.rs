@@ -7,7 +7,11 @@
 //! are generic over [`fourq_fp::Fp2Like`]; running them on [`TracedFp2`]
 //! records exactly the same artifact — an SSA list of `F_p²` operations
 //! with their dependencies — while also carrying concrete values so the
-//! recorded program can be functionally cross-checked.
+//! recorded program can be functionally cross-checked. The X25519 and
+//! P-256 programs of `fourq-baselines` are generic over
+//! `fourq_baselines::mont::FeLike` and are recorded the same way, on
+//! [`TracedFe`]: both are one handle type, [`Traced`], over one
+//! [`Tracer`].
 //!
 //! # Example
 //!
@@ -15,7 +19,7 @@
 //! use fourq_trace::{OpKind, Tracer};
 //! use fourq_fp::{Fp2, Fp2Like};
 //!
-//! let tracer = Tracer::new();
+//! let tracer = Tracer::default();
 //! let a = tracer.input("a", Fp2::from(3u64));
 //! let b = tracer.input("b", Fp2::from(5u64));
 //! let c = a.mul(&b).add(&a);
@@ -39,5 +43,5 @@ pub use programs::{
 };
 pub use tracer::{
     mont_field, DigitStream, Mux, Node, NodeId, OpKind, OpStats, Operand, Selector, Trace,
-    TraceError, TracedFe, TracedFp2, Tracer, Unit, Word,
+    TraceError, TraceValue, Traced, TracedFe, TracedFp2, Tracer, Unit, Word,
 };

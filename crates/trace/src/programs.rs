@@ -1,25 +1,30 @@
-//! Canned trace programs: the full scalar multiplication and the Table-I
-//! double-and-add loop body.
+//! Canned trace programs: the full scalar multiplication of every curve
+//! and the Table-I double-and-add loop body.
 //!
-//! The scalar multiplication here is `fourq_curve::scalar_mul_engine`
-//! itself, run on [`crate::TracedFp2`] handles and recorded in *uniform* form:
-//! the engine's secret-dependent choices (table index, digit sign, parity
-//! correction) go through `fourq_curve::EngineSelect`, which the tracer
-//! implements as operand multiplexers with the recoded digits as runtime
-//! inputs, instead of values baked into the SSA. The resulting program is
+//! Each program is the code the host computes with, run on traced
+//! handles: Fourℚ's is `fourq_curve::scalar_mul_engine`, X25519's and
+//! P-256's are `fourq_baselines`' `ladder_program` and
+//! `scalar_mul_program`. The functions here only register the inputs and
+//! constants, call the program and mark its outputs.
+//!
+//! Every program is recorded in *uniform* form. The Fourℚ engine's
+//! secret-dependent choices (table index, digit sign, parity correction)
+//! go through `fourq_curve::EngineSelect` and the baselines' through
+//! `FeLike::select`, which the tracer implements as operand multiplexers
+//! with the recoded digits as runtime inputs, instead of values baked
+//! into the SSA. The resulting program is
 //! identical — op for op, operand for operand — for every (base, scalar)
 //! pair; only the digit stream and the two base-point inputs change
 //! between executions. This is exactly the paper's control-ROM model: one
 //! fixed microcode schedule, select lines driven by the recoded scalar.
 
-use crate::tracer::{mont_field, DigitStream, Selector, Trace, TracedFe, Tracer};
-use fourq_baselines::mont::FeLike;
-use fourq_baselines::p256::{add_complete, double_complete, Affine, P256};
-use fourq_baselines::x25519::{ladder_step, X25519};
+use crate::tracer::{DigitStream, Trace, Tracer};
+use fourq_baselines::p256::{scalar_mul_program, Affine, P256};
+use fourq_baselines::x25519::{ladder_program, X25519};
 use fourq_curve::{
     decompose, normalize, params, recode, scalar_mul_engine, CurveId, ExtendedPoint, Recoded,
 };
-use fourq_fp::{Choice, Fp2, Fp2Like, Scalar, U256};
+use fourq_fp::{Choice, Fp2, Scalar, U256};
 
 /// A recorded scalar multiplication together with its expected result.
 #[derive(Clone, Debug)]
@@ -86,7 +91,7 @@ pub fn trace_scalar_mul_for(point: &fourq_curve::AffinePoint, k: &Scalar) -> Sca
     let d = decompose(k);
     let recoded = recode(&d);
 
-    let tracer = Tracer::with_digits(stream_of(&recoded, d.corrected));
+    let tracer = Tracer::new(CurveId::FourQ, stream_of(&recoded, d.corrected));
     let x = tracer.input("Px", point.x);
     let y = tracer.input("Py", point.y);
     let one = tracer.constant("const_1", Fp2::ONE);
@@ -110,7 +115,8 @@ pub struct X25519Trace {
     /// The recorded microinstruction program (output `x` is the shared
     /// secret as a plain little-endian integer).
     pub trace: Trace,
-    /// The result computed independently by the host baseline ladder.
+    /// The result of the host baseline ladder, the same program on host
+    /// integers.
     pub expected: [u8; 32],
 }
 
@@ -120,119 +126,59 @@ pub struct P256Trace {
     /// The recorded microinstruction program (outputs `x`, `y` are plain
     /// affine coordinates; `(0, 0)` encodes the point at infinity).
     pub trace: Trace,
-    /// The result computed independently by the host baseline ladder.
+    /// The result of the host baseline, the same program on host
+    /// integers.
     pub expected: Affine,
 }
 
-/// Mux select-line inputs for the uniform X25519 ladder.
-///
-/// Position `s < 255` drives the conditional-swap muxes of ladder step
-/// `t = 254 − s` and holds `swap_prev XOR k_t` (the RFC 7748 running-swap
-/// recoding); position 255 drives the final unswap muxes and holds the
-/// residual swap flag `k_0`.
+/// Mux select-line inputs for the uniform X25519 ladder:
+/// [`X25519::swap_bits`] as sign bits. Position `s < 255` drives the
+/// conditional-swap muxes of ladder step `s`, position 255 the final
+/// unswap muxes.
 // ct: secret(scalar)
 pub fn x25519_digit_stream(scalar: &[u8; 32]) -> DigitStream {
-    let k = X25519::clamp(scalar);
-    let mut neg = Vec::with_capacity(256);
-    let mut prev = false;
-    for t in (0..255).rev() {
-        let kt = k.bit(t);
-        // Boolean XOR, not `!=`: same truth table, but lowers to a mask
-        // op with no data-dependent comparison on the scalar bits.
-        neg.push(prev ^ kt);
-        prev = kt;
-    }
-    neg.push(prev);
-    DigitStream {
-        indices: Vec::new(),
-        neg,
-        corrected: false,
-    }
+    sign_stream(&X25519::swap_bits(scalar))
 }
 
-/// Mux select-line inputs for the uniform P-256 ladder: position `s`
-/// drives the keep-double/keep-add muxes of iteration `s` and holds bit
-/// `255 − s` of the scalar (MSB first).
+/// Mux select-line inputs for the uniform P-256 ladder:
+/// [`P256::select_bits`] as sign bits. Position `s` drives the
+/// keep-double/keep-add muxes of iteration `s` and holds bit `255 − s` of
+/// the scalar (MSB first).
 // ct: secret(k)
 pub fn p256_digit_stream(k: &U256) -> DigitStream {
-    DigitStream {
-        indices: Vec::new(),
-        neg: (0..256).map(|s| k.bit(255 - s)).collect(),
-        corrected: false,
-    }
+    sign_stream(&P256::select_bits(k))
 }
 
-/// Square-and-multiply exponentiation over traced handles.
-///
-/// The exponent is *public* (a fixed field constant such as `p − 2`), so
-/// branching on its bits shapes the program identically for every
-/// execution — unlike the scalar, which only ever drives mux select lines.
-fn traced_pow(base: &TracedFe, e: &U256) -> TracedFe {
-    let bits = e.bits() as usize;
-    assert!(bits > 0, "zero exponent has no program");
-    let mut acc = base.clone();
-    for i in (0..bits - 1).rev() {
-        acc = acc.sqr();
-        if e.bit(i) {
-            acc = acc.mul(base);
-        }
+/// One 2-way sign select line per position, as the base-field programs'
+/// `FeLike::select` records them.
+// ct: secret(bits)
+fn sign_stream(bits: &[Choice; 256]) -> DigitStream {
+    // Offline kernel-input preparation, declassified like `stream_of`.
+    DigitStream {
+        indices: Vec::new(),
+        neg: bits.iter().map(|c| c.to_bool_vartime()).collect(),
+        corrected: false,
     }
-    acc
 }
 
 /// Records the X25519 function `X25519(k, u)` as one uniform
-/// microinstruction program on the base-field datapath.
-///
-/// The 255 ladder steps run [`ladder_step`] — the same [`FeLike`] formula
-/// the host baseline executes — with the RFC 7748 conditional swaps
-/// realised as 2-way sign muxes driven by [`x25519_digit_stream`], the
-/// Fermat inversion of `z2` done by square-and-multiply on the public
-/// exponent `p − 2`, and a final multiplication by the lifted raw-`1`
-/// constant (`rawone`) performing the Montgomery-domain exit on the
-/// datapath itself. The recorded program is identical for every
+/// microinstruction program on the base-field datapath: [`ladder_program`]
+/// — the code [`X25519::ladder`] runs — on traced handles, its
+/// conditional swaps recorded as 2-way sign muxes driven by
+/// [`x25519_digit_stream`]. The recorded program is identical for every
 /// `(scalar, u)` pair.
 pub fn trace_x25519_ladder(scalar: &[u8; 32], u: &[u8; 32]) -> X25519Trace {
     let ctx = X25519::new();
-    let f = mont_field(CurveId::X25519);
-    // RFC 7748 masks the top bit of u; both mask and clamp are performed
-    // host-side, like the recoding of a Fourℚ scalar.
-    let mut ub = *u;
-    ub[31] &= 0x7f;
-    let x1v = f.enter(U256::from_le_bytes(&ub));
-
-    let tracer = Tracer::for_curve(CurveId::X25519, x25519_digit_stream(scalar));
-    let x1 = tracer.input_fe("U", x1v);
-    let a24 = tracer.constant_fe("a24", ctx.a24());
-    let one = tracer.constant_fe("one", f.enter(U256::ONE));
-    let zero = tracer.constant_fe("zero", U256::ZERO);
-    let rawone = tracer.constant_fe("rawone", U256::ONE);
-
-    let mut x2 = one.clone();
-    let mut z2 = zero;
-    let mut x3 = x1.clone();
-    let mut z3 = one;
-    for s in 0..255 {
-        // The running conditional swap: four 2-way muxes sharing one
-        // select line. No value is moved — the operand routing changes.
-        let x2m = tracer.mux_fe(Selector::SignNeg(s), &[&x2, &x3]);
-        let x3m = tracer.mux_fe(Selector::SignNeg(s), &[&x3, &x2]);
-        let z2m = tracer.mux_fe(Selector::SignNeg(s), &[&z2, &z3]);
-        let z3m = tracer.mux_fe(Selector::SignNeg(s), &[&z3, &z2]);
-        let (nx2, nz2, nx3, nz3) = ladder_step(&x1, &a24, &x2m, &z2m, &x3m, &z3m);
-        x2 = nx2;
-        z2 = nz2;
-        x3 = nx3;
-        z3 = nz3;
-    }
-    let x2f = tracer.mux_fe(Selector::SignNeg(255), &[&x2, &x3]);
-    let z2f = tracer.mux_fe(Selector::SignNeg(255), &[&z2, &z3]);
-
-    // z2 = 0 (degenerate u) exponentiates to 0, so the output is 0 —
-    // matching the baseline without a branch.
-    let e = f.p.checked_sub(&U256::from_u64(2)).expect("p > 2");
-    let zinv = traced_pow(&z2f, &e);
-    let out = x2f.mul(&zinv).mul(&rawone);
-    tracer.mark_output_fe("x", &out);
+    let f = ctx.field();
+    let swaps = X25519::swap_bits(scalar);
+    let tracer = Tracer::new(CurveId::X25519, sign_stream(&swaps));
+    let x1 = tracer.input("U", ctx.enter_u(u));
+    let a24 = tracer.constant("a24", ctx.a24());
+    let one = tracer.constant("one", f.enter(U256::ONE));
+    let zero = tracer.constant("zero", U256::ZERO);
+    let rawone = tracer.constant("rawone", U256::ONE);
+    let out = ladder_program(f, &x1, &a24, &one, &zero, &rawone, &swaps);
+    tracer.mark_output("x", &out);
     let trace = tracer.finish();
 
     let expected = ctx.ladder(scalar, u);
@@ -241,70 +187,43 @@ pub fn trace_x25519_ladder(scalar: &[u8; 32], u: &[u8; 32]) -> X25519Trace {
 }
 
 /// Records the P-256 scalar multiplication `[k]P` as one uniform
-/// microinstruction program on the base-field datapath.
-///
-/// Every one of the 256 iterations runs [`double_complete`] *and*
-/// [`add_complete`] — the same complete Renes–Costello–Batina formulas the
-/// host baseline ([`P256::scalar_mul_complete`]) executes — with bit
-/// `255 − s` of the scalar selecting which result is kept via three 2-way
-/// muxes. The affine conversion inverts `Z` by square-and-multiply on the
-/// public exponent `p − 2` and exits the Montgomery domain through the
-/// lifted raw-`1` constant. `(0, 0)` encodes the point at infinity. The
-/// recorded program is identical for every `(k, point)` pair, including
-/// the identity (its homogeneous representation `(0 : 1 : 0)` is just a
-/// different `Pz` input value).
+/// microinstruction program on the base-field datapath:
+/// [`scalar_mul_program`] — the code [`P256::scalar_mul_complete`] runs —
+/// on traced handles, bit `255 − s` of the scalar keeping double or add
+/// through three 2-way muxes per iteration. `(0, 0)` encodes the point at
+/// infinity. The recorded program is identical for every `(k, point)`
+/// pair, including the identity (its homogeneous representation
+/// `(0 : 1 : 0)` is just a different `Pz` input value).
 pub fn trace_p256_scalar_mul(k: &U256, point: &Affine) -> P256Trace {
     let ctx = P256::new();
-    let f = mont_field(CurveId::P256);
-    let (pxv, pyv, pzv) = match point {
-        Affine::Infinity => (U256::ZERO, f.enter(U256::ONE), U256::ZERO),
-        Affine::Point { x, y } => (f.enter(*x), f.enter(*y), f.enter(U256::ONE)),
-    };
-
-    let tracer = Tracer::for_curve(CurveId::P256, p256_digit_stream(k));
-    let px = tracer.input_fe("Px", pxv);
-    let py = tracer.input_fe("Py", pyv);
-    let pz = tracer.input_fe("Pz", pzv);
-    let b = tracer.constant_fe("b", ctx.b());
+    let f = &ctx.field;
+    let bits = P256::select_bits(k);
+    let tracer = Tracer::new(CurveId::P256, sign_stream(&bits));
+    let [px, py, pz] = ctx.enter_point(point);
+    let base = [
+        tracer.input("Px", px),
+        tracer.input("Py", py),
+        tracer.input("Pz", pz),
+    ];
+    let b = tracer.constant("b", ctx.b());
     // The accumulator's starting identity gets its own constants: `Rx0`
     // and `Rz0` are both zero, but distinct ids keep the first
     // iteration's op stream congruent with every later one (structural
     // CSE would otherwise merge e.g. `Rx0²` with `Rz0²`).
-    let rx0 = tracer.constant_fe("Rx0", U256::ZERO);
-    let ry0 = tracer.constant_fe("Ry0", f.enter(U256::ONE));
-    let rz0 = tracer.constant_fe("Rz0", U256::ZERO);
-    let rawone = tracer.constant_fe("rawone", U256::ONE);
-
-    let base = [px, py, pz];
-    let mut r = [rx0, ry0, rz0];
-    for s in 0..256 {
-        let d = double_complete(&r, &b);
-        let t = add_complete(&d, &base, &b);
-        r = [
-            tracer.mux_fe(Selector::SignNeg(s), &[&d[0], &t[0]]),
-            tracer.mux_fe(Selector::SignNeg(s), &[&d[1], &t[1]]),
-            tracer.mux_fe(Selector::SignNeg(s), &[&d[2], &t[2]]),
-        ];
-    }
-
-    // Z = 0 (result at infinity) exponentiates to 0, giving the (0, 0)
-    // encoding without a branch.
-    let e = f.p.checked_sub(&U256::from_u64(2)).expect("p > 2");
-    let zinv = traced_pow(&r[2], &e);
-    let x = r[0].mul(&zinv).mul(&rawone);
-    let y = r[1].mul(&zinv).mul(&rawone);
-    tracer.mark_output_fe("x", &x);
-    tracer.mark_output_fe("y", &y);
+    let r0 = [
+        tracer.constant("Rx0", U256::ZERO),
+        tracer.constant("Ry0", f.enter(U256::ONE)),
+        tracer.constant("Rz0", U256::ZERO),
+    ];
+    let rawone = tracer.constant("rawone", U256::ONE);
+    let [x, y] = scalar_mul_program(f, &base, &b, &r0, &rawone, &bits);
+    tracer.mark_output("x", &x);
+    tracer.mark_output("y", &y);
     let trace = tracer.finish();
 
     let expected = ctx.scalar_mul_complete(k, point);
-    debug_assert_eq!(
-        (x.value(), y.value()),
-        match expected {
-            Affine::Infinity => (U256::ZERO, U256::ZERO),
-            Affine::Point { x, y } => (x, y),
-        }
-    );
+    debug_assert_eq!(expected.to_bytes()[..32], x.value().to_le_bytes());
+    debug_assert_eq!(expected.to_bytes()[32..], y.value().to_le_bytes());
     P256Trace { trace, expected }
 }
 
@@ -321,7 +240,7 @@ pub fn trace_double_add_iteration() -> Trace {
     let q = g.mul(&Scalar::from_u64(3));
     let t = g.mul(&Scalar::from_u64(5));
 
-    let tracer = Tracer::new();
+    let tracer = Tracer::default();
     let qx = tracer.input("Qx", q.x);
     let qy = tracer.input("Qy", q.y);
     let qz = tracer.input("Qz", Fp2::ONE);
@@ -520,30 +439,5 @@ mod tests {
         assert_eq!(c.values[xid].as_fe(), U256::ZERO);
         // 256 iterations × 3 keep muxes, all 2-way.
         assert_eq!(a.muxes.len(), 256 * 3);
-    }
-
-    #[test]
-    fn trace_op_counts_match_baseline_estimate() {
-        // The hand-maintained Table-II op estimates in `fourq-baselines`
-        // are *derived* from the recorded structure; this pins them to
-        // the traces so they cannot drift apart.
-        let mut u = [0u8; 32];
-        u[0] = 9;
-        let lt = trace_x25519_ladder(&[0x42u8; 32], &u);
-        let s = lt.trace.stats();
-        assert_eq!(
-            (s.mul + s.sqr) as u64,
-            X25519::ladder_field_ops(),
-            "X25519 traced mul-unit ops vs estimate"
-        );
-
-        let ctx = P256::new();
-        let pt = trace_p256_scalar_mul(&U256::from_u64(0xdead_beef), &ctx.generator_affine());
-        let s = pt.trace.stats();
-        assert_eq!(
-            (s.mul + s.sqr) as u64,
-            P256::scalar_mul_field_ops(256),
-            "P-256 traced mul-unit ops vs estimate"
-        );
     }
 }

@@ -707,150 +707,119 @@ struct TraceBuilder {
     memo: HashMap<(OpKind, Operand, Option<Operand>), NodeId>,
 }
 
-impl Default for TraceBuilder {
-    fn default() -> TraceBuilder {
-        TraceBuilder {
-            curve: CurveId::FourQ,
-            inputs: Vec::new(),
-            runtime_ids: Vec::new(),
-            nodes: Vec::new(),
-            muxes: Vec::new(),
-            outputs: Vec::new(),
-            values: Vec::new(),
-            digits: DigitStream::default(),
-            memo: HashMap::new(),
-        }
+/// The value type a [`Traced`] handle carries — [`Fp2`] for Fourℚ
+/// programs, a Montgomery-form base-field element ([`U256`]) for X25519
+/// and P-256 programs — mapped to and from its trace [`Word`].
+pub trait TraceValue: Copy + fmt::Debug {
+    /// The word of `curve`'s datapath that holds this value.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `curve`'s datapath carries the other kind of word.
+    fn to_word(self, curve: CurveId) -> Word;
+    /// The value `w` holds.
+    fn from_word(w: Word) -> Self;
+}
+
+impl TraceValue for Fp2 {
+    fn to_word(self, curve: CurveId) -> Word {
+        assert!(
+            curve == CurveId::FourQ,
+            "F_p² words require a Fourℚ tracer, not {curve}"
+        );
+        Word::Fp2(self)
+    }
+    fn from_word(w: Word) -> Fp2 {
+        w.as_fp2()
     }
 }
 
-/// Records microinstructions executed through [`TracedFp2`] handles.
+impl TraceValue for U256 {
+    fn to_word(self, curve: CurveId) -> Word {
+        assert!(
+            curve != CurveId::FourQ,
+            "base-field words require an X25519 or P-256 tracer"
+        );
+        Word::Fe(curve, self)
+    }
+    fn from_word(w: Word) -> U256 {
+        w.as_fe()
+    }
+}
+
+/// Records microinstructions executed through [`Traced`] handles.
 ///
-/// Cloneable handle; all clones share the same underlying trace.
-#[derive(Clone, Default)]
+/// Cloneable handle; all clones share the same underlying trace. The
+/// default tracer records a Fourℚ program with no digit stream.
+#[derive(Clone)]
 pub struct Tracer {
     inner: Rc<RefCell<TraceBuilder>>,
 }
 
+impl Default for Tracer {
+    fn default() -> Tracer {
+        Tracer::new(CurveId::FourQ, DigitStream::empty())
+    }
+}
+
 impl Tracer {
-    /// Creates an empty tracer (no digit stream — for programs without
-    /// data-dependent operand routing).
-    pub fn new() -> Tracer {
-        Tracer::default()
-    }
-
-    /// Creates a tracer carrying the representative digit stream that
-    /// selects mux candidates while recording. The stream is stored in
-    /// the finished [`Trace`] so the recording can be audited.
-    pub fn with_digits(digits: DigitStream) -> Tracer {
-        let t = Tracer::default();
-        t.inner.borrow_mut().digits = digits;
-        t
-    }
-
-    /// Creates a tracer for a base-field curve's program: values are
-    /// [`Word::Fe`] elements of `curve`'s Montgomery field, handled
-    /// through [`TracedFe`].
-    ///
-    /// # Panics
-    ///
-    /// Panics for [`CurveId::FourQ`] — Fourℚ programs trace `F_p²`
-    /// formulas through [`Tracer::with_digits`] and [`TracedFp2`].
-    pub fn for_curve(curve: CurveId, digits: DigitStream) -> Tracer {
-        assert!(
-            curve != CurveId::FourQ,
-            "Fourℚ programs use Tracer::with_digits and TracedFp2"
-        );
-        let t = Tracer::default();
-        {
-            let mut b = t.inner.borrow_mut();
-            b.curve = curve;
-            b.digits = digits;
+    /// Creates a tracer for `curve`'s program — [`TracedFp2`] values for
+    /// Fourℚ, [`TracedFe`] values otherwise — carrying the representative
+    /// digit stream that selects mux candidates while recording. The
+    /// stream is stored in the finished [`Trace`] so the recording can be
+    /// audited.
+    pub fn new(curve: CurveId, digits: DigitStream) -> Tracer {
+        Tracer {
+            inner: Rc::new(RefCell::new(TraceBuilder {
+                curve,
+                inputs: Vec::new(),
+                runtime_ids: Vec::new(),
+                nodes: Vec::new(),
+                muxes: Vec::new(),
+                outputs: Vec::new(),
+                values: Vec::new(),
+                digits,
+                memo: HashMap::new(),
+            })),
         }
-        t
-    }
-
-    /// The curve this tracer records for.
-    pub fn curve(&self) -> CurveId {
-        self.inner.borrow().curve
     }
 
     /// Registers a named *runtime* input — rebound on every execution of
     /// a compiled kernel (the base point's coordinates) — and returns its
     /// handle.
-    pub fn input(&self, name: &str, value: Fp2) -> TracedFp2 {
-        let op = self.register_word(name, Word::Fp2(value), true);
-        TracedFp2 {
-            op,
-            value,
-            tracer: self.clone(),
-        }
+    ///
+    /// # Panics
+    ///
+    /// Panics if `value` is not the tracer's word type, or once an
+    /// operation has been recorded.
+    pub fn input<V: TraceValue>(&self, name: &str, value: V) -> Traced<V> {
+        self.register(name, value, true)
     }
 
     /// Registers a named lifted *constant* — baked into the program and
     /// identical for every execution — and returns its handle.
-    pub fn constant(&self, name: &str, value: Fp2) -> TracedFp2 {
-        let op = self.register_word(name, Word::Fp2(value), false);
-        TracedFp2 {
-            op,
-            value,
-            tracer: self.clone(),
-        }
-    }
-
-    /// Registers a named runtime base-field input (Montgomery form).
     ///
     /// # Panics
     ///
-    /// Panics on a Fourℚ tracer (use [`Tracer::input`]).
-    pub fn input_fe(&self, name: &str, value: U256) -> TracedFe {
-        let curve = self.fe_curve();
-        let op = self.register_word(name, Word::Fe(curve, value), true);
-        TracedFe {
-            op,
-            value,
-            curve,
-            tracer: self.clone(),
-        }
+    /// Same conditions as [`Tracer::input`].
+    pub fn constant<V: TraceValue>(&self, name: &str, value: V) -> Traced<V> {
+        self.register(name, value, false)
     }
 
-    /// Registers a named lifted base-field constant (Montgomery form).
-    ///
-    /// # Panics
-    ///
-    /// Panics on a Fourℚ tracer (use [`Tracer::constant`]).
-    pub fn constant_fe(&self, name: &str, value: U256) -> TracedFe {
-        let curve = self.fe_curve();
-        let op = self.register_word(name, Word::Fe(curve, value), false);
-        TracedFe {
-            op,
-            value,
-            curve,
-            tracer: self.clone(),
-        }
-    }
-
-    fn fe_curve(&self) -> CurveId {
-        let curve = self.inner.borrow().curve;
-        assert!(
-            curve != CurveId::FourQ,
-            "base-field handles require a Tracer::for_curve tracer"
-        );
-        curve
-    }
-
-    fn register_word(&self, name: &str, value: Word, runtime: bool) -> Operand {
+    fn register<V: TraceValue>(&self, name: &str, value: V, runtime: bool) -> Traced<V> {
         let mut b = self.inner.borrow_mut();
         assert!(
             b.nodes.is_empty(),
             "inputs must be registered before any operation is recorded"
         );
+        let word = value.to_word(b.curve);
         let id = b.inputs.len();
-        b.inputs.push((name.to_string(), value));
-        b.values.push(value);
+        b.inputs.push((name.to_string(), word));
+        b.values.push(word);
         if runtime {
             b.runtime_ids.push(id);
         }
-        Operand::Val(id)
+        self.handle(Operand::Val(id), value)
     }
 
     /// Records an operand multiplexer over `cands` and returns its
@@ -867,85 +836,30 @@ impl Tracer {
     /// Panics if `cands.len() != sel.arity()`, if any candidate belongs
     /// to a different tracer, or if the representative stream does not
     /// cover the selector's digit position.
-    pub fn mux(&self, sel: Selector, cands: &[&TracedFp2]) -> TracedFp2 {
-        for c in cands {
-            assert!(
-                Rc::ptr_eq(&self.inner, &c.tracer.inner),
-                "operands belong to different tracers"
-            );
-        }
-        let ops: Vec<Operand> = cands.iter().map(|c| c.op).collect();
-        let (op, pick) = self.mux_word(sel, ops);
-        TracedFp2 {
-            op,
-            value: cands[pick].value,
-            tracer: self.clone(),
-        }
-    }
-
-    /// The base-field counterpart of [`Tracer::mux`]: records an operand
-    /// multiplexer over [`TracedFe`] candidates.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`Tracer::mux`].
-    pub fn mux_fe(&self, sel: Selector, cands: &[&TracedFe]) -> TracedFe {
-        for c in cands {
-            assert!(
-                Rc::ptr_eq(&self.inner, &c.tracer.inner),
-                "operands belong to different tracers"
-            );
-        }
-        let curve = self.fe_curve();
-        let ops: Vec<Operand> = cands.iter().map(|c| c.op).collect();
-        let (op, pick) = self.mux_word(sel, ops);
-        TracedFe {
-            op,
-            value: cands[pick].value,
-            curve,
-            tracer: self.clone(),
-        }
-    }
-
-    fn mux_word(&self, sel: Selector, ops: Vec<Operand>) -> (Operand, usize) {
-        assert_eq!(ops.len(), sel.arity(), "mux arity mismatch");
+    pub fn mux<V: TraceValue>(&self, sel: Selector, cands: &[&Traced<V>]) -> Traced<V> {
+        assert_eq!(cands.len(), sel.arity(), "mux arity mismatch");
+        cands.iter().for_each(|c| self.check_owner(c));
         let mut t = self.inner.borrow_mut();
         let pick = sel.select(&t.digits);
-        assert!(pick < ops.len(), "representative digit out of range");
+        assert!(pick < cands.len(), "representative digit out of range");
         let m = t.muxes.len();
-        t.muxes.push(Mux { sel, cands: ops });
-        (Operand::Mux(m), pick)
+        t.muxes.push(Mux {
+            sel,
+            cands: cands.iter().map(|c| c.op).collect(),
+        });
+        self.handle(Operand::Mux(m), cands[pick].value)
     }
 
     /// Marks a value as a named output of the program.
     ///
     /// # Panics
     ///
-    /// Panics if `v` is a raw mux output — route it through an operation
-    /// first (outputs must be concrete register values).
-    pub fn mark_output(&self, name: &str, v: &TracedFp2) {
-        assert!(
-            Rc::ptr_eq(&self.inner, &v.tracer.inner),
-            "output value belongs to a different tracer"
-        );
-        self.mark_output_op(name, v.op);
-    }
-
-    /// Marks a base-field value as a named output of the program.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`Tracer::mark_output`].
-    pub fn mark_output_fe(&self, name: &str, v: &TracedFe) {
-        assert!(
-            Rc::ptr_eq(&self.inner, &v.tracer.inner),
-            "output value belongs to a different tracer"
-        );
-        self.mark_output_op(name, v.op);
-    }
-
-    fn mark_output_op(&self, name: &str, op: Operand) {
-        let Operand::Val(id) = op else {
+    /// Panics if `v` belongs to a different tracer or is a raw mux output
+    /// — route it through an operation first (outputs must be concrete
+    /// register values).
+    pub fn mark_output<V>(&self, name: &str, v: &Traced<V>) {
+        self.check_owner(v);
+        let Operand::Val(id) = v.op else {
             panic!("outputs must be concrete values, not mux routes");
         };
         self.inner.borrow_mut().outputs.push((name.to_string(), id));
@@ -966,84 +880,80 @@ impl Tracer {
         }
     }
 
-    fn record(&self, kind: OpKind, a: &TracedFp2, b: Option<&TracedFp2>, value: Fp2) -> TracedFp2 {
-        assert!(
-            Rc::ptr_eq(&self.inner, &a.tracer.inner),
-            "operands belong to different tracers"
-        );
-        if let Some(b) = b {
-            assert!(
-                Rc::ptr_eq(&self.inner, &b.tracer.inner),
-                "operands belong to different tracers"
-            );
-        }
-        let (op, word) = self.record_word(kind, a.op, b.map(|x| x.op), Word::Fp2(value));
-        TracedFp2 {
-            op,
-            value: word.as_fp2(),
-            tracer: self.clone(),
-        }
-    }
-
-    fn record_fe(&self, kind: OpKind, a: &TracedFe, b: Option<&TracedFe>, value: U256) -> TracedFe {
-        assert!(
-            Rc::ptr_eq(&self.inner, &a.tracer.inner),
-            "operands belong to different tracers"
-        );
-        if let Some(b) = b {
-            assert!(
-                Rc::ptr_eq(&self.inner, &b.tracer.inner),
-                "operands belong to different tracers"
-            );
-            assert_eq!(a.curve, b.curve, "operands belong to different base fields");
-        }
-        let word = Word::Fe(a.curve, value);
-        let (op, word) = self.record_word(kind, a.op, b.map(|x| x.op), word);
-        TracedFe {
-            op,
-            value: word.as_fe(),
-            curve: a.curve,
-            tracer: self.clone(),
-        }
-    }
-
-    fn record_word(
+    /// Records `kind` on `a` (and `b`) — or returns the structurally
+    /// identical op already recorded — computing the value with
+    /// [`Word::eval`], the arithmetic every replay of the trace uses.
+    fn record<V: TraceValue>(
         &self,
         kind: OpKind,
-        a: Operand,
-        b: Option<Operand>,
-        value: Word,
-    ) -> (Operand, Word) {
+        a: &Traced<V>,
+        b: Option<&Traced<V>>,
+    ) -> Traced<V> {
+        self.check_owner(a);
+        b.iter().for_each(|b| self.check_owner(b));
+        let key = (kind, a.op, b.map(|b| b.op));
         let mut t = self.inner.borrow_mut();
-        let key = (kind, a, b);
-        if let Some(&id) = t.memo.get(&key) {
-            return (Operand::Val(id), t.values[id]);
+        let id = match t.memo.get(&key) {
+            Some(&id) => id,
+            None => {
+                let curve = t.curve;
+                let value = Word::eval(
+                    kind,
+                    a.value.to_word(curve),
+                    b.map(|b| b.value.to_word(curve)),
+                );
+                let id = t.inputs.len() + t.nodes.len();
+                t.nodes.push(Node {
+                    kind,
+                    a: key.1,
+                    b: key.2,
+                });
+                t.values.push(value);
+                t.memo.insert(key, id);
+                id
+            }
+        };
+        self.handle(Operand::Val(id), V::from_word(t.values[id]))
+    }
+
+    fn handle<V>(&self, op: Operand, value: V) -> Traced<V> {
+        Traced {
+            op,
+            value,
+            tracer: self.clone(),
         }
-        let id = t.inputs.len() + t.nodes.len();
-        t.nodes.push(Node { kind, a, b });
-        t.values.push(value);
-        t.memo.insert(key, id);
-        (Operand::Val(id), value)
+    }
+
+    fn check_owner<V>(&self, v: &Traced<V>) {
+        assert!(
+            Rc::ptr_eq(&self.inner, &v.tracer.inner),
+            "values belong to different tracers"
+        );
     }
 }
 
-/// An `F_p²` value that records every operation applied to it.
+/// A value that records every operation applied to it, with its concrete
+/// value under the tracer's representative digit stream.
 ///
-/// Implements [`Fp2Like`], so any formula from `fourq-curve` runs on it
-/// unchanged.
+/// [`TracedFp2`] implements [`Fp2Like`], so every formula of
+/// `fourq-curve` runs on it unchanged; [`TracedFe`] implements
+/// [`FeLike`], so the X25519 and P-256 programs of `fourq-baselines` run
+/// on it — the code the host baselines execute is what gets recorded.
 #[derive(Clone)]
-pub struct TracedFp2 {
+pub struct Traced<V> {
     op: Operand,
-    value: Fp2,
+    value: V,
     tracer: Tracer,
 }
 
-impl TracedFp2 {
-    /// The operand this handle denotes (a value id or a mux route).
-    pub fn operand(&self) -> Operand {
-        self.op
-    }
+/// A traced `F_p²` element (Fourℚ programs).
+pub type TracedFp2 = Traced<Fp2>;
 
+/// A traced base-field element in Montgomery form (X25519 and P-256
+/// programs).
+pub type TracedFe = Traced<U256>;
+
+impl<V: Copy> Traced<V> {
     /// The trace id of this value.
     ///
     /// # Panics
@@ -1055,41 +965,37 @@ impl TracedFp2 {
             Operand::Mux(m) => panic!("mux route m{m} has no value id"),
         }
     }
+
+    /// The concrete value under the representative digit stream.
+    pub fn value(&self) -> V {
+        self.value
+    }
 }
 
-impl fmt::Debug for TracedFp2 {
+impl<V: fmt::Debug> fmt::Debug for Traced<V> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "TracedFp2({:?} = {:?})", self.op, self.value)
+        write!(f, "Traced({:?} = {:?})", self.op, self.value)
     }
 }
 
 impl Fp2Like for TracedFp2 {
     fn add(&self, rhs: &Self) -> Self {
-        self.tracer
-            .record(OpKind::Add, self, Some(rhs), self.value + rhs.value)
+        self.tracer.record(OpKind::Add, self, Some(rhs))
     }
     fn sub(&self, rhs: &Self) -> Self {
-        self.tracer
-            .record(OpKind::Sub, self, Some(rhs), self.value - rhs.value)
+        self.tracer.record(OpKind::Sub, self, Some(rhs))
     }
     fn mul(&self, rhs: &Self) -> Self {
-        self.tracer.record(
-            OpKind::Mul,
-            self,
-            Some(rhs),
-            self.value.mul_karatsuba(&rhs.value),
-        )
+        self.tracer.record(OpKind::Mul, self, Some(rhs))
     }
     fn sqr(&self) -> Self {
-        self.tracer
-            .record(OpKind::Sqr, self, None, self.value.square())
+        self.tracer.record(OpKind::Sqr, self, None)
     }
     fn neg(&self) -> Self {
-        self.tracer.record(OpKind::Neg, self, None, -self.value)
+        self.tracer.record(OpKind::Neg, self, None)
     }
     fn conj(&self) -> Self {
-        self.tracer
-            .record(OpKind::Conj, self, None, self.value.conj())
+        self.tracer.record(OpKind::Conj, self, None)
     }
     fn value(&self) -> Fp2 {
         self.value
@@ -1151,82 +1057,23 @@ impl EngineSelect for TracedFp2 {
     }
 }
 
-/// A base-field element (Montgomery form) that records every operation
-/// applied to it — the [`FeLike`] counterpart of [`TracedFp2`].
-///
-/// The shared curve formulas of `fourq-baselines`
-/// ([`fourq_baselines::x25519::ladder_step`],
-/// [`fourq_baselines::p256::add_complete`], …) are generic over `FeLike`,
-/// so the exact code path the host baseline executes is what gets recorded
-/// into the microinstruction trace.
-#[derive(Clone)]
-pub struct TracedFe {
-    op: Operand,
-    value: U256,
-    curve: CurveId,
-    tracer: Tracer,
-}
-
-impl TracedFe {
-    /// The operand this handle denotes (a value id or a mux route).
-    pub fn operand(&self) -> Operand {
-        self.op
-    }
-
-    /// The trace id of this value.
-    ///
-    /// # Panics
-    ///
-    /// Panics for mux-routed handles, which have no single id.
-    pub fn id(&self) -> NodeId {
-        match self.op {
-            Operand::Val(id) => id,
-            Operand::Mux(m) => panic!("mux route m{m} has no value id"),
-        }
-    }
-
-    /// The concrete value (Montgomery form) under the representative
-    /// digit stream.
-    pub fn value(&self) -> U256 {
-        self.value
-    }
-
-    /// The curve whose base field this element lives in.
-    pub fn curve(&self) -> CurveId {
-        self.curve
-    }
-}
-
-impl fmt::Debug for TracedFe {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "TracedFe({}, {:?} = {:?})",
-            self.curve, self.op, self.value
-        )
-    }
-}
-
 impl FeLike for TracedFe {
     fn add(&self, rhs: &Self) -> Self {
-        let f = mont_field(self.curve);
-        self.tracer
-            .record_fe(OpKind::Add, self, Some(rhs), f.add(self.value, rhs.value))
+        self.tracer.record(OpKind::Add, self, Some(rhs))
     }
     fn sub(&self, rhs: &Self) -> Self {
-        let f = mont_field(self.curve);
-        self.tracer
-            .record_fe(OpKind::Sub, self, Some(rhs), f.sub(self.value, rhs.value))
+        self.tracer.record(OpKind::Sub, self, Some(rhs))
     }
     fn mul(&self, rhs: &Self) -> Self {
-        let f = mont_field(self.curve);
-        self.tracer
-            .record_fe(OpKind::Mul, self, Some(rhs), f.mul(self.value, rhs.value))
+        self.tracer.record(OpKind::Mul, self, Some(rhs))
     }
     fn sqr(&self) -> Self {
-        let f = mont_field(self.curve);
-        self.tracer
-            .record_fe(OpKind::Sqr, self, None, f.sqr(self.value))
+        self.tracer.record(OpKind::Sqr, self, None)
+    }
+    /// A 2-way [`Selector::SignNeg`] mux on digit position `step`; `c` is
+    /// not consulted — the tracer's digit stream carries the same bits.
+    fn select(step: usize, _c: Choice, a: &Self, b: &Self) -> Self {
+        a.tracer.mux(Selector::SignNeg(step), &[a, b])
     }
 }
 
@@ -1236,7 +1083,7 @@ mod tests {
 
     #[test]
     fn records_ops_in_order() {
-        let t = Tracer::new();
+        let t = Tracer::default();
         let a = t.input("a", Fp2::from(2u64));
         let b = t.input("b", Fp2::from(3u64));
         let c = a.mul(&b); // id 2
@@ -1254,7 +1101,7 @@ mod tests {
 
     #[test]
     fn cse_deduplicates_identical_ops() {
-        let t = Tracer::new();
+        let t = Tracer::default();
         let a = t.input("a", Fp2::from(2u64));
         let b = t.input("b", Fp2::from(3u64));
         let c1 = a.mul(&b);
@@ -1274,8 +1121,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "different tracers")]
     fn cross_tracer_ops_panic() {
-        let t1 = Tracer::new();
-        let t2 = Tracer::new();
+        let t1 = Tracer::default();
+        let t2 = Tracer::default();
         let a = t1.input("a", Fp2::from(1u64));
         let b = t2.input("b", Fp2::from(2u64));
         let _ = a.add(&b);
@@ -1283,7 +1130,7 @@ mod tests {
 
     #[test]
     fn stats_count() {
-        let t = Tracer::new();
+        let t = Tracer::default();
         let a = t.input("a", Fp2::from(2u64));
         let b = a.sqr();
         let c = b.add(&a);
@@ -1299,7 +1146,7 @@ mod tests {
 
     #[test]
     fn constants_are_not_runtime_inputs() {
-        let t = Tracer::new();
+        let t = Tracer::default();
         let a = t.input("a", Fp2::from(2u64));
         let c = t.constant("c", Fp2::from(7u64));
         let _ = a.mul(&c);
@@ -1315,7 +1162,7 @@ mod tests {
             neg: vec![true],
             corrected: false,
         };
-        let t = Tracer::with_digits(digits.clone());
+        let t = Tracer::new(CurveId::FourQ, digits.clone());
         let a = t.input("a", Fp2::from(10u64));
         let b = t.input("b", Fp2::from(20u64));
         // 2-way sign select; representative digit 0 is negative → picks b.
@@ -1347,7 +1194,7 @@ mod tests {
             neg: vec![false, false],
             corrected: false,
         };
-        let t = Tracer::with_digits(digits);
+        let t = Tracer::new(CurveId::FourQ, digits);
         let a = t.input("a", Fp2::from(1u64));
         let b = t.input("b", Fp2::from(2u64));
         let m0 = t.mux(Selector::SignNeg(0), &[&a, &b]);
@@ -1360,7 +1207,7 @@ mod tests {
 
     #[test]
     fn validate_rejects_malformed_traces() {
-        let t = Tracer::new();
+        let t = Tracer::default();
         let a = t.input("a", Fp2::from(2u64));
         let _ = a.sqr();
         let good = t.finish();
@@ -1425,12 +1272,12 @@ mod tests {
 
     #[test]
     fn fe_words_record_and_self_check() {
-        let t = Tracer::for_curve(CurveId::P256, DigitStream::empty());
+        let t = Tracer::new(CurveId::P256, DigitStream::empty());
         let f = mont_field(CurveId::P256);
-        let a = t.input_fe("a", f.enter(U256::from_u64(7)));
-        let b = t.constant_fe("b", f.enter(U256::from_u64(9)));
+        let a = t.input("a", f.enter(U256::from_u64(7)));
+        let b = t.constant("b", f.enter(U256::from_u64(9)));
         let c = a.mul(&b).add(&a).sqr(); // ((7·9)+7)² = 4900
-        t.mark_output_fe("c", &c);
+        t.mark_output("c", &c);
         let tr = t.finish();
         assert_eq!(tr.curve, CurveId::P256);
         assert_eq!(tr.runtime_ids, vec![0]);
@@ -1448,14 +1295,14 @@ mod tests {
             neg: vec![true],
             corrected: false,
         };
-        let t = Tracer::for_curve(CurveId::X25519, digits);
+        let t = Tracer::new(CurveId::X25519, digits);
         let f = mont_field(CurveId::X25519);
-        let a = t.input_fe("a", f.enter(U256::from_u64(10)));
-        let b = t.input_fe("b", f.enter(U256::from_u64(20)));
-        let m = t.mux_fe(Selector::SignNeg(0), &[&a, &b]);
+        let a = t.input("a", f.enter(U256::from_u64(10)));
+        let b = t.input("b", f.enter(U256::from_u64(20)));
+        let m = t.mux(Selector::SignNeg(0), &[&a, &b]);
         assert_eq!(f.leave(m.value()), U256::from_u64(20));
         let c = m.add(&a);
-        t.mark_output_fe("c", &c);
+        t.mark_output("c", &c);
         let tr = t.finish();
         assert_eq!(tr.nodes.len(), 1);
         assert_eq!(tr.muxes.len(), 1);
@@ -1464,20 +1311,23 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "Tracer::for_curve")]
+    #[should_panic(expected = "base-field words")]
     fn fe_inputs_require_base_field_tracer() {
-        let t = Tracer::new();
-        let _ = t.input_fe("a", U256::ONE);
+        let t = Tracer::default();
+        let _ = t.input("a", U256::ONE);
     }
 
     #[test]
     #[should_panic(expected = "concrete values")]
     fn mux_output_cannot_be_program_output() {
-        let t = Tracer::with_digits(DigitStream {
-            indices: vec![],
-            neg: vec![false],
-            corrected: false,
-        });
+        let t = Tracer::new(
+            CurveId::FourQ,
+            DigitStream {
+                indices: vec![],
+                neg: vec![false],
+                corrected: false,
+            },
+        );
         let a = t.input("a", Fp2::from(1u64));
         let b = t.input("b", Fp2::from(2u64));
         let m = t.mux(Selector::SignNeg(0), &[&a, &b]);
