@@ -11,8 +11,7 @@
 //! | `scalar_ops` | mod-N arithmetic — Montgomery multiplication, windowed and batch inversion |
 //! | `batch_ops` | batch-first curve pipeline — amortized normalisation, fixed-base, MSM |
 //! | `batch_sig` | batch-first signature pipeline — RLC batch verify, batch signing |
-//! | `multi_curve` | Table II on one machine — per-curve compiled kernels through the shared cache |
-//! | `fleet_ops` | multi-core fleet model + capacity planner (`--gate-fleet` scaling tripwire) |
+//! | `parallel_ops` | the parallel batch engine — `batch_scalar_mul` at 1 and 4 threads |
 
 use crate::harness::{run, BenchOptions, BenchRecord, BenchReport};
 use fourq_baselines::{p256::P256, x25519::X25519};
@@ -31,11 +30,6 @@ fn bench_scalar(rng: &mut TestRng) -> Scalar {
     rng.fill_u64(&mut limbs);
     Scalar::from_u256(U256(limbs))
 }
-
-/// ILS effort of the uncached `compile_cold` rows. Kept at the value the
-/// committed `BENCH_fourq.json` rows were measured at; the schedule does
-/// not depend on it.
-const KERNEL_EFFORT: u32 = 2;
 
 /// Batch size for the `batch_*` groups — the ISSUE acceptance size.
 const BATCH_N: usize = 64;
@@ -295,7 +289,7 @@ pub fn batch_sig(report: &mut BenchReport, opts: &BenchOptions) {
 /// over 256 pairs, pinned to 1 and 4 worker threads via
 /// [`FourQEngine::with_threads`]. The two records differ only in their
 /// `threads` field, so the speedup ratio is directly computable from
-/// `BENCH_fourq.json` (and is what `--gate-parallel` checks).
+/// `BENCH_fourq.json`.
 pub fn parallel_ops(report: &mut BenchReport, opts: &BenchOptions) {
     const PAR_N: usize = 256;
     let mut rng = TestRng::from_seed(BENCH_SEED ^ 5);
@@ -322,173 +316,12 @@ pub fn parallel_ops(report: &mut BenchReport, opts: &BenchOptions) {
     }
 }
 
-/// The compile-once/execute-many ASIC kernel pipeline: cold compile cost
-/// (the full trace→schedule→allocate→assemble flow plus the audit), the
-/// warm per-scalar replay through the cached kernel, the full
-/// static-verifier pass (`kernel_verify`), and the batched replay at 1
-/// and 4 threads. `compile_cold / execute_warm` is the cache-amortisation
-/// ratio `--gate-kernel-cache` checks.
-pub fn asic_pipeline(report: &mut BenchReport, opts: &BenchOptions) {
-    use fourq_curve::CurveId;
-    use fourq_sched::MachineConfig;
-
-    const KERNEL_BATCH: usize = 16;
-    let mut rng = TestRng::from_seed(BENCH_SEED ^ 6);
-    let machine = MachineConfig::paper();
-    let g = AffinePoint::generator();
-    let k = bench_scalar(&mut rng);
-    let ks: Vec<Scalar> = (0..KERNEL_BATCH).map(|_| bench_scalar(&mut rng)).collect();
-
-    report.push(run("asic_pipeline", "compile_cold", opts, || {
-        fourq_cpu::compile_curve(CurveId::FourQ, &machine, KERNEL_EFFORT).expect("kernel compiles")
-    }));
-    let kernel = fourq_cpu::shared_kernel(CurveId::FourQ, &machine).expect("kernel compiles");
-    report.push(run("asic_pipeline", "execute_warm", opts, || {
-        kernel.execute(&g, black_box(&k)).expect("kernel executes")
-    }));
-    report.push(run("asic_pipeline", "kernel_verify", opts, || {
-        let r = fourq_cpu::verify(black_box(kernel), fourq_cpu::CheckLevel::Full);
-        assert!(r.is_clean(), "shipped kernel must verify clean");
-        r
-    }));
-    for threads in [1usize, 4] {
-        let name = format!("execute_batch_n{KERNEL_BATCH}_t{threads}_per_sm");
-        let mut rec = per_item(
-            run("asic_pipeline", &name, opts, || {
-                kernel
-                    .execute_batch_with(&g, black_box(&ks), threads)
-                    .expect("kernel executes")
-            }),
-            KERNEL_BATCH,
-        );
-        rec.threads = threads as u32;
-        report.push(rec);
-    }
-}
-
-/// The multi-curve compiled-kernel pipeline on the paper machine: cold
-/// compile and warm cached execute for each curve the tracer knows, all
-/// through the per-`(curve, machine)` shared kernel cache. The
-/// per-curve `compile_cold / execute_warm` pairs are what
-/// `--gate-kernel-cache` checks for cache amortisation beyond Fourℚ.
-pub fn multi_curve(report: &mut BenchReport, opts: &BenchOptions) {
-    use fourq_curve::{CurveId, MultiCurveEngine};
-    use fourq_sched::MachineConfig;
-
-    let machine = MachineConfig::paper();
-    let eng = MultiCurveEngine::shared();
-    let mut rng = TestRng::from_seed(BENCH_SEED ^ 7);
-    for curve in CurveId::ALL {
-        let name = curve.name();
-        report.push(run(
-            "multi_curve",
-            &format!("{name}_compile_cold"),
-            opts,
-            || fourq_cpu::compile_curve(curve, &machine, KERNEL_EFFORT).expect("kernel compiles"),
-        ));
-        let kernel = fourq_cpu::shared_kernel(curve, &machine).expect("kernel compiles");
-        let mut scalar = [0u8; 32];
-        rng.fill_bytes(&mut scalar);
-        let point = eng.generator_encoded(curve);
-        let warm = format!("{name}_execute_warm");
-        match curve {
-            CurveId::FourQ => {
-                let g = AffinePoint::generator();
-                let k = Scalar::from_le_bytes(&scalar);
-                report.push(run("multi_curve", &warm, opts, || {
-                    kernel.execute(&g, black_box(&k)).expect("kernel executes")
-                }));
-            }
-            CurveId::X25519 => {
-                let mut u = [0u8; 32];
-                u.copy_from_slice(&point);
-                report.push(run("multi_curve", &warm, opts, || {
-                    kernel
-                        .execute_x25519(black_box(&scalar), &u)
-                        .expect("kernel executes")
-                }));
-            }
-            CurveId::P256 => {
-                let mut p = [0u8; 64];
-                p.copy_from_slice(&point);
-                report.push(run("multi_curve", &warm, opts, || {
-                    kernel
-                        .execute_p256(black_box(&scalar), &p)
-                        .expect("kernel executes")
-                }));
-            }
-        }
-    }
-}
-
-/// The multi-core fleet model and capacity planner: cycle-accurate
-/// fleet simulation cost at 1 and 4 cores (homogeneous Fourℚ cores on
-/// a 2-port table ROM — the configuration `--gate-fleet` checks the
-/// modeled scaling of), the largest-remainder core assigner, and a
-/// small planner sweep end-to-end (kernels cached, so this times the
-/// fleet + technology arithmetic, not compilation).
-pub fn fleet_ops(report: &mut BenchReport, opts: &BenchOptions) {
-    use crate::capacity::{plan_with_threads, PlanConfig, Workload};
-    use fourq_sched::MachineConfig;
-    use fourq_tech::fleet::{assign_cores, simulate_fleet, CoreSpec, FleetConfig};
-
-    let machine = MachineConfig::paper();
-    let fp = &fourq_cpu::shared_kernel(fourq_curve::CurveId::FourQ, &machine)
-        .expect("kernel compiles")
-        .fingerprint;
-    let core = || CoreSpec {
-        name: "fourq".to_string(),
-        cycles_per_op: fp.cycles,
-        rom_reads_per_op: fp.mux_count as u64,
-    };
-    let horizon = 8 * fp.cycles;
-    for cores in [1usize, 4] {
-        let cfg = FleetConfig {
-            rom_ports: 2,
-            cores: (0..cores).map(|_| core()).collect(),
-        };
-        let name = format!("sim_fourq_{cores}core_2port");
-        report.push(run("fleet_ops", &name, opts, || {
-            simulate_fleet(black_box(&cfg), horizon)
-        }));
-    }
-
-    let demands: Vec<(String, f64)> = [
-        ("fourq", 0.5 * 3223.0),
-        ("x25519", 0.3 * 4075.0),
-        ("p256", 0.2 * 13054.0),
-    ]
-    .iter()
-    .map(|&(n, d)| (n.to_string(), d))
-    .collect();
-    report.push(run("fleet_ops", "assign_cores_reference_16", opts, || {
-        assign_cores(black_box(&demands), 16)
-    }));
-
-    let plan_cfg = PlanConfig {
-        rom_ports: 2,
-        core_counts: vec![1, 4],
-        vdds: vec![0.32, 1.20],
-        workload: Workload::reference(),
-        banked: false,
-    };
-    // Prime the shared kernel cache outside the timed region.
-    let _ = plan_with_threads(&plan_cfg, 1);
-    report.push(run("fleet_ops", "plan_sweep_2x2_warm", opts, || {
-        plan_with_threads(black_box(&plan_cfg), 1)
-    }));
-}
-
 /// A benchmark group: fills a report under the given options.
 type GroupFn = fn(&mut BenchReport, &BenchOptions);
 
-/// Runs every group whose name passes `filter` (empty filter = all).
-///
-/// The filter is a comma-separated list of substrings, OR'd together:
-/// `"scalar_ops,parallel_ops,asic_pipeline"` runs exactly the three
-/// groups the CI regression tripwire compares.
+/// Runs every group whose name contains `filter` (empty filter = all).
 pub fn run_suite(opts: &BenchOptions, filter: &str) -> BenchReport {
-    let groups: [(&str, GroupFn); 12] = [
+    let groups: [(&str, GroupFn); 9] = [
         ("fp2_mul", fp2_mul),
         ("scalar_mul", scalar_mul),
         ("scalar_ops", scalar_ops),
@@ -498,18 +331,10 @@ pub fn run_suite(opts: &BenchOptions, filter: &str) -> BenchReport {
         ("parallel_ops", parallel_ops),
         ("curve_compare", curve_compare),
         ("scheduling", scheduling),
-        ("asic_pipeline", asic_pipeline),
-        ("multi_curve", multi_curve),
-        ("fleet_ops", fleet_ops),
     ];
-    let wanted: Vec<&str> = filter
-        .split(',')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .collect();
     let mut report = BenchReport::default();
     for (name, group) in groups {
-        if wanted.is_empty() || wanted.iter().any(|w| name.contains(w)) {
+        if name.contains(filter) {
             eprintln!("group {name}:");
             group(&mut report, opts);
         }

@@ -78,8 +78,9 @@ pub struct MulOutput<F> {
 ///
 /// Every secret-dependent choice (table index, sign digit, parity flag)
 /// goes through [`EngineSelect`] — masked selection over all candidates
-/// for [`Fp2`], the software counterpart of the fixed 12,301-cycle
-/// schedule that makes the paper's ASIC constant-time; a mux that records
+/// for [`Fp2`], the software counterpart of the fixed schedule that makes
+/// the paper's ASIC constant-time (the compiled kernel whose cycle count
+/// `tests/vectors/fourq_kernel_kat.json` pins); a mux that records
 /// no operation on the tracer, exactly like the hardware's operand-select
 /// lines.
 // ct: secret(recoded, corrected)

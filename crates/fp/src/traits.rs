@@ -14,9 +14,10 @@
 //! (`fourq_curve::EngineSelect`).
 //!
 //! The constant-time layer ([`Choice`], [`CtSelect`], [`CtEq`],
-//! [`CtNegate`]) mirrors the ASIC's fixed 12,301-cycle schedule in software:
-//! the hardware leaks nothing because every scalar multiplication executes
-//! the same operation sequence, and these primitives let the software
+//! [`CtNegate`]) mirrors the ASIC's fixed schedule in software (the
+//! compiled kernel whose cycle count `tests/vectors/fourq_kernel_kat.json`
+//! pins): the hardware leaks nothing because every scalar multiplication
+//! executes the same operation sequence, and these primitives let the software
 //! kernel make its operand *selection* data-independent too. The in-tree
 //! `fourq-ctlint` analyzer enforces their use (see `DESIGN.md` §8).
 

@@ -1,11 +1,13 @@
 //! Cross-crate integration tests: the full trace → schedule → simulate
 //! pipeline against the software library, across machine configurations
-//! and scalars, plus the compile-once/execute-many kernel contract.
+//! and scalars, plus the compile-once/execute-many kernel contract and
+//! the multi-core fleet model's scaling.
 
 use fourq::cpu::{shared_kernel, simulate, CompiledKernel};
 use fourq::curve::{AffinePoint, CurveId};
 use fourq::fp::{Scalar, U256};
 use fourq::sched::{lower_bound, schedule, trace_to_problem, MachineConfig};
+use fourq::tech::fleet::{simulate_fleet, CoreSpec, FleetConfig};
 use fourq::trace::{trace_scalar_mul, trace_scalar_mul_for};
 
 fn full_scalar() -> Scalar {
@@ -148,20 +150,51 @@ fn compiled_kernel_batch_is_thread_count_invariant() {
 #[test]
 fn shared_kernel_is_compiled_once_per_config() {
     let machine = MachineConfig::paper();
-    let a = kernel_on(&machine);
-    let b = kernel_on(&machine);
-    assert!(
-        std::ptr::eq(a, b),
-        "same (curve, machine) must hit the cache"
-    );
+    for curve in CurveId::ALL {
+        let first = shared_kernel(curve, &machine).expect("pipeline compiles");
+        let again = shared_kernel(curve, &machine).expect("pipeline compiles");
+        assert!(
+            std::ptr::eq(first, again),
+            "{}: same (curve, machine) must hit the cache",
+            curve.name()
+        );
+    }
     let narrow = MachineConfig {
         read_ports: 2,
         write_ports: 1,
         ..MachineConfig::paper()
     };
-    let c = kernel_on(&narrow);
-    assert!(!std::ptr::eq(a, c), "distinct configs get distinct kernels");
-    assert_eq!(a.fingerprint, b.fingerprint);
+    assert!(
+        !std::ptr::eq(kernel_on(&machine), kernel_on(&narrow)),
+        "distinct configs get distinct kernels"
+    );
+}
+
+#[test]
+fn four_cores_on_two_rom_ports_double_one_core() {
+    // Homogeneous Fourℚ cores sharing a 2-port table ROM. The fleet model
+    // is deterministic, so port arbitration that costs four cores more
+    // than two cores' worth of throughput fails here on any host.
+    let fp = &kernel_on(&MachineConfig::paper()).fingerprint;
+    let ops_per_cycle = |cores: usize| {
+        let cfg = FleetConfig {
+            rom_ports: 2,
+            cores: (0..cores)
+                .map(|_| CoreSpec {
+                    name: "fourq".to_string(),
+                    cycles_per_op: fp.cycles,
+                    rom_reads_per_op: fp.mux_count as u64,
+                })
+                .collect(),
+        };
+        simulate_fleet(&cfg, 8 * fp.cycles).ops_per_cycle
+    };
+    let (solo, quad) = (ops_per_cycle(1), ops_per_cycle(4));
+    let scaling = quad / solo;
+    assert!(
+        scaling >= 2.0,
+        "4 cores / 2 ROM ports reach {scaling:.2}x one core ({solo:.3e} -> {quad:.3e} ops/cycle)"
+    );
 }
 
 #[test]
