@@ -5,7 +5,7 @@
 //! ```text
 //! cargo run --release -p fourq-bench --bin microbench            # full run
 //! cargo run --release -p fourq-bench --bin microbench -- --filter fp2
-//! cargo run --release -p fourq-bench --bin microbench -- --out /tmp/bench.json
+//! cargo run --release -p fourq-bench --bin microbench -- --out BENCH_fourq.json  # refresh the record
 //! FOURQ_BENCH_FAST=1 cargo run --release -p fourq-bench --bin microbench -- --gate-batch  # CI
 //! ```
 //!
@@ -17,20 +17,22 @@
 //! measured `batch_to_affine` per-point cost exceeds half of a single-point
 //! normalisation — the CI tripwire for the batch pipeline's amortisation.
 //!
-//! By default the JSON lands at the repository root (resolved relative to
-//! this crate's manifest), so successive PRs overwrite the same
-//! `BENCH_fourq.json` and the git history of that file *is* the perf
-//! trajectory.
+//! Without `--out` the JSON lands in the workspace's untracked
+//! `target/BENCH_fourq.json` (resolved relative to this crate's manifest),
+//! so a stray run never overwrites the committed record. Refreshing the
+//! record is explicit, `--out BENCH_fourq.json` at the repository root;
+//! the git history of that file *is* the perf trajectory.
 
 use fourq_bench::harness::{BenchOptions, BenchReport};
 use fourq_bench::micro::run_suite;
 use std::path::PathBuf;
 
 fn default_out() -> PathBuf {
-    // crates/bench/../../BENCH_fourq.json == repo root
+    // crates/bench/../../target == the workspace's build directory
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("..")
         .join("..")
+        .join("target")
         .join("BENCH_fourq.json")
 }
 
@@ -111,6 +113,10 @@ fn main() {
     let reparsed = BenchReport::from_json(&json).expect("emitted JSON parses");
     assert_eq!(reparsed, report, "JSON round-trip drifted");
 
+    if let Err(e) = out.parent().map_or(Ok(()), std::fs::create_dir_all) {
+        eprintln!("cannot create the directory of {}: {e}", out.display());
+        std::process::exit(1);
+    }
     if let Err(e) = std::fs::write(&out, &json) {
         eprintln!("cannot write {}: {e}", out.display());
         std::process::exit(1);

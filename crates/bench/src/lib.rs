@@ -12,7 +12,8 @@
 //!
 //! Micro-benchmarks (formerly Criterion benches) live in the hermetic
 //! [`harness`] + [`micro`] modules, driven by the `microbench` binary,
-//! which writes the repo-root `BENCH_fourq.json` perf-trajectory file.
+//! which refreshes the repo-root `BENCH_fourq.json` perf-trajectory file
+//! when run with `--out BENCH_fourq.json`.
 //!
 //! The library part additionally hosts [`table2`], which builds "our"
 //! rows of Table II from the compiled kernels plus the calibrated

@@ -4,7 +4,7 @@
 //! The paper's ASIC amortises its one-time costs (precomputed tables, a
 //! fixed schedule) across every scalar multiplication it serves. The
 //! software analogue is [`FourQEngine`]: a context constructed once that
-//! owns the generator's cached ψ table and the curve constants, and
+//! owns the generator's precomputed tables and the curve constants, and
 //! exposes *batch* operations as the primary API. Batching is where the
 //! throughput is: a single [`Fp2`] inversion costs ~54 `fp2_mul`
 //! equivalents, so `batch_to_affine` (one inversion per batch instead of
@@ -33,11 +33,12 @@ const MUL_CHUNK: usize = 2;
 
 /// A reusable FourQ computation context.
 ///
-/// Owns one table for the generator, its 8-entry ψ table (Algorithm 1,
-/// steps 1–2) as a [`FixedBaseTable`]: every `[k]G` runs steps 3–4 on
-/// it, and [`crate::double_scalar_mul`] reads it whenever one of its
-/// points is `G`. It also exposes the curve constant `2d` used by the
-/// cached-point formulas. The four-dimensional
+/// Owns the generator's [`FixedBaseTable`], which carries two tables:
+/// the mLSB-set comb that every `[k]G` runs, and the 8-entry ψ table of
+/// Algorithm 1 (steps 1–2) that [`crate::double_scalar_mul`] and every
+/// small MSM read whenever one of their points is `G`, since that stream
+/// shares their 65 doublings. It also exposes the curve constant `2d`
+/// used by the cached-point formulas. The four-dimensional
 /// decomposition itself needs no per-engine state: its endomorphisms ψ₇
 /// and ψ₈ and its lattice are compile-time constants (see `DESIGN.md` §3),
 /// and for any other point the images `ψ₇(P)`, `ψ₈(P)`, `ψ₇ψ₈(P)` are
@@ -57,8 +58,8 @@ pub struct FourQEngine {
 }
 
 impl FourQEngine {
-    /// Builds a fresh engine, precomputing the generator's ψ table (three
-    /// endomorphism images and 7 additions, one-time). The thread budget
+    /// Builds a fresh engine, precomputing the generator's tables once
+    /// ([`FixedBaseTable::new`], ~50–80 µs). The thread budget
     /// for batch operations is resolved once here — `FOURQ_THREADS` if set, else
     /// the machine's available parallelism (capped); see
     /// [`fourq_pool::resolved_threads`].
@@ -94,7 +95,7 @@ impl FourQEngine {
         ENGINE.get_or_init(FourQEngine::new)
     }
 
-    /// The generator's cached ψ table.
+    /// The generator's precomputed tables.
     pub fn generator_table(&self) -> &FixedBaseTable {
         &self.gen_table
     }
@@ -138,15 +139,15 @@ impl FourQEngine {
     // Fixed-base (generator) multiplication
     // ------------------------------------------------------------------
 
-    /// One-shot `[k]G` on the generator's cached table — a batch of size 1.
+    /// One-shot `[k]G` on the generator's comb — a batch of size 1.
     // ct: secret(k)
     pub fn fixed_base_mul(&self, k: &Scalar) -> AffinePoint {
         let out = self.batch_fixed_base_mul(std::slice::from_ref(k));
         out[0]
     }
 
-    /// Computes `[k_i]G` for every scalar on the generator's cached table
-    /// and one batch-normalisation inversion. This is the key-generation /
+    /// Computes `[k_i]G` for every scalar on the generator's comb and one
+    /// batch-normalisation inversion. This is the key-generation /
     /// signing workload shape: many independent secret scalars, one
     /// public base.
     // ct: secret(ks)

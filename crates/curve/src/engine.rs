@@ -10,7 +10,7 @@
 use crate::decompose::{Recoded, DIGITS};
 use crate::extended::{CachedPoint, ExtendedPoint};
 use crate::glv_consts::{PSI7, PSI8};
-use fourq_fp::{ct_eq_u64, Choice, CtSelect, Fp2, Fp2Like};
+use fourq_fp::{ct_eq_u64, Choice, CtNegate, CtSelect, Fp2, Fp2Like};
 
 /// How a field makes the engine's two secret choices: the table entry
 /// `s_i·T[v_i]` of every digit and the final parity pick. [`Fp2`] scans
@@ -44,7 +44,7 @@ impl EngineSelect for Fp2 {
     // ct: secret(recoded)
     #[inline]
     fn table_entry(table: &[CachedPoint<Fp2>; 8], recoded: &Recoded, i: usize) -> CachedPoint<Fp2> {
-        ct_lookup(table, recoded.indices[i], recoded.signs[i])
+        masked_entry(table, recoded, i)
     }
 
     // ct: secret(c)
@@ -137,8 +137,9 @@ pub(crate) fn psi_table<F: EngineSelect>(x: &F, y: &F, one: &F, two_d: &F) -> [C
 /// Steps 3–4 of Algorithm 1 on a table built by [`psi_table`]: the top
 /// digit, 65 double-and-add iterations and the masked parity correction.
 ///
-/// [`scalar_mul_engine`] runs it on the table it has just built;
-/// [`crate::FixedBaseTable`] runs it on a table built once per base.
+/// [`scalar_mul_engine`] runs it on the table it has just built; the
+/// unit tests count it on `G`'s table, the loop that `[k]G` ran before the
+/// fixed-base comb.
 // ct: secret(recoded, corrected)
 pub(crate) fn psi_table_mul<F: EngineSelect>(
     table: &[CachedPoint<F>; 8],
@@ -179,25 +180,37 @@ pub(crate) fn psi_table_mul<F: EngineSelect>(
     q.add_cached(&corr)
 }
 
-/// Constant-time lookup of `signs · T[index]` from the 8-entry table.
+/// `s_i·T[v_i]` by a masked scan: [`EngineSelect::table_entry`] on a
+/// field that computes.
+// ct: secret(recoded)
+pub(crate) fn masked_entry<F: Fp2Like + CtSelect>(
+    table: &[CachedPoint<F>; 8],
+    recoded: &Recoded,
+    i: usize,
+) -> CachedPoint<F> {
+    // sign ∈ {+1, −1}: the top bit of the byte is exactly "sign < 0".
+    let negate = Choice::from_bit(((recoded.signs[i] as u8) >> 7) as u64);
+    ct_lookup(table, recoded.indices[i], negate)
+}
+
+/// Constant-time lookup of `±table[index]`, the crate's one masked scan:
+/// it reads the ψ table's 8 slots and each fixed-base comb table's 16.
 ///
 /// Scans every slot and folds the hit in by masked selection (the
 /// multiplexer network of the paper's datapath), then applies the sign by
-/// always-compute conditional negation. `index` must be `< 8` and `sign`
-/// `±1`; both are secret digits from the recoding.
-// ct: secret(index, sign)
-fn ct_lookup<F: Fp2Like + CtSelect>(
-    table: &[CachedPoint<F>; 8],
+/// always-compute conditional negation. `index` must be `< N`; it and
+/// `negate` are secret digits from a recoding.
+// ct: secret(index, negate)
+pub(crate) fn ct_lookup<T: CtNegate, const N: usize>(
+    table: &[T; N],
     index: u8,
-    sign: i8,
-) -> CachedPoint<F> {
+    negate: Choice,
+) -> T {
     let mut acc = table[0].clone();
     for (u, entry) in table.iter().enumerate().skip(1) {
         let hit = ct_eq_u64(index as u64, u as u64);
-        acc = CachedPoint::ct_select(&acc, entry, hit);
+        acc = T::ct_select(&acc, entry, hit);
     }
-    // sign ∈ {+1, −1}: the top bit of the byte is exactly "sign < 0".
-    let negate = Choice::from_bit(((sign as u8) >> 7) as u64);
     acc.conditional_negate(negate)
 }
 

@@ -6,9 +6,11 @@
 //! FourQ and by the paper's datapath; a doubling costs 7 multiplier-unit
 //! operations (3M + 4S) and an addition with a precomputed point costs 8M —
 //! together the 15 `F_p²` multiplications and 13 additions/subtractions per
-//! loop iteration that the paper schedules in Table I.
+//! loop iteration that the paper schedules in Table I. An addition with an
+//! affine precomputed point ([`AffineCached`], the fixed-base comb's
+//! entries) costs 7M.
 
-use fourq_fp::{Choice, CtSelect, Fp2Like};
+use fourq_fp::{Choice, CtNegate, CtSelect, Fp2Like};
 
 /// A projective point in extended twisted Edwards coordinates.
 ///
@@ -42,6 +44,19 @@ pub struct CachedPoint<F> {
     pub z2: F,
     /// `2dT`.
     pub t2d: F,
+}
+
+/// A precomputed affine point `(y+x, y−x, 2d·x·y)`: a [`CachedPoint`]
+/// with `Z = 1`, one coordinate shorter, added by
+/// [`ExtendedPoint::add_affine`] with one multiplication less.
+#[derive(Clone, Debug)]
+pub(crate) struct AffineCached<F> {
+    /// `y + x`.
+    pub(crate) y_plus_x: F,
+    /// `y − x`.
+    pub(crate) y_minus_x: F,
+    /// `2d·x·y`.
+    pub(crate) xy2d: F,
 }
 
 impl<F: Fp2Like> ExtendedPoint<F> {
@@ -101,6 +116,28 @@ impl<F: Fp2Like> ExtendedPoint<F> {
         }
     }
 
+    /// Addition with an affine precomputed point (mixed addition):
+    /// `7M + 7A`. It is [`ExtendedPoint::add_cached`] with `Z₂ = 1`, so
+    /// `Z₁·2Z₂` is the addition `2Z₁`.
+    pub(crate) fn add_affine(&self, q: &AffineCached<F>) -> Self {
+        let t1 = self.ta.mul(&self.tb);
+        let a = self.y.sub(&self.x).mul(&q.y_minus_x);
+        let b = self.y.add(&self.x).mul(&q.y_plus_x);
+        let c = t1.mul(&q.xy2d);
+        let d = self.z.dbl();
+        let e = b.sub(&a);
+        let h = b.add(&a);
+        let f = d.sub(&c);
+        let g = d.add(&c);
+        ExtendedPoint {
+            x: e.mul(&f),
+            y: g.mul(&h),
+            z: f.mul(&g),
+            ta: e,
+            tb: h,
+        }
+    }
+
     /// Converts to the cached representation; costs 2M + 3A
     /// (`T = Ta·Tb`, then `2dT`).
     pub fn to_cached(&self, two_d: &F) -> CachedPoint<F> {
@@ -140,15 +177,12 @@ impl<F: Fp2Like> CachedPoint<F> {
     }
 }
 
-impl<F: Fp2Like + CtSelect> CachedPoint<F> {
-    /// Constant-time componentwise selection between two cached points:
-    /// returns `a` when `c` is false, `b` when `c` is true.
-    ///
-    /// This is the software form of the table-entry multiplexer in the
-    /// paper's datapath — the engine scans every table slot and lets the
-    /// mask decide which operand survives, so the memory access pattern
-    /// never depends on the secret index.
-    pub fn ct_select(a: &Self, b: &Self, c: Choice) -> Self {
+/// Componentwise masked selection: the software form of the table-entry
+/// multiplexer in the paper's datapath. The engine scans every table slot
+/// and lets the mask decide which operand survives, so the memory access
+/// pattern never depends on the secret index.
+impl<F: Fp2Like + CtSelect> CtSelect for CachedPoint<F> {
+    fn ct_select(a: &Self, b: &Self, c: Choice) -> Self {
         CachedPoint {
             y_plus_x: F::ct_select(&a.y_plus_x, &b.y_plus_x, c),
             y_minus_x: F::ct_select(&a.y_minus_x, &b.y_minus_x, c),
@@ -156,13 +190,32 @@ impl<F: Fp2Like + CtSelect> CachedPoint<F> {
             t2d: F::ct_select(&a.t2d, &b.t2d, c),
         }
     }
+}
 
-    /// Returns `−self` when `c` is true, `self` otherwise, with a fixed
-    /// operation sequence: the negation is always computed and the mask
-    /// selects. Replaces the old branching `with_sign(±1)` helper.
-    #[must_use]
-    pub fn conditional_negate(&self, c: Choice) -> Self {
-        let negated = self.neg();
-        Self::ct_select(self, &negated, c)
+/// `s·T[v]` with `s = −1` as an always-computed negation and a select.
+impl<F: Fp2Like + CtSelect> CtNegate for CachedPoint<F> {
+    fn neg_value(&self) -> Self {
+        self.neg()
+    }
+}
+
+impl<F: Fp2Like + CtSelect> CtSelect for AffineCached<F> {
+    fn ct_select(a: &Self, b: &Self, c: Choice) -> Self {
+        AffineCached {
+            y_plus_x: F::ct_select(&a.y_plus_x, &b.y_plus_x, c),
+            y_minus_x: F::ct_select(&a.y_minus_x, &b.y_minus_x, c),
+            xy2d: F::ct_select(&a.xy2d, &b.xy2d, c),
+        }
+    }
+}
+
+/// Negation: swap `(y+x, y−x)`, negate `2dxy`.
+impl<F: Fp2Like + CtSelect> CtNegate for AffineCached<F> {
+    fn neg_value(&self) -> Self {
+        AffineCached {
+            y_plus_x: self.y_minus_x.clone(),
+            y_minus_x: self.y_plus_x.clone(),
+            xy2d: self.xy2d.neg(),
+        }
     }
 }

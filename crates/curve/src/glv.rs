@@ -155,6 +155,7 @@ impl<F: Fp2Like, const L: usize> Lifted<F, L> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::counted::{record, tally, Counted};
     use crate::decompose::{decompose, DIGITS};
     use crate::engine::normalize;
     use crate::glv_consts::{BASIS, BIAS, ELL, LAMBDA7, LAMBDA8, OFFSET, PSI7, PSI8};
@@ -217,66 +218,21 @@ mod tests {
             })
     }
 
-    thread_local! {
-        /// `[mul, sqr, add/sub/neg, conj]` issued by [`Counted`].
-        static OPS: std::cell::Cell<[usize; 4]> = const { std::cell::Cell::new([0; 4]) };
-    }
-
-    /// An `F_p²` element that counts the datapath operations applied to it.
-    #[derive(Clone)]
-    struct Counted(Fp2);
-
-    impl Counted {
-        fn op(kind: usize, v: Fp2) -> Counted {
-            OPS.with(|c| {
-                let mut n = c.get();
-                n[kind] += 1;
-                c.set(n);
-            });
-            Counted(v)
-        }
-    }
-
-    impl Fp2Like for Counted {
-        fn add(&self, rhs: &Self) -> Self {
-            Counted::op(2, self.0 + rhs.0)
-        }
-        fn sub(&self, rhs: &Self) -> Self {
-            Counted::op(2, self.0 - rhs.0)
-        }
-        fn mul(&self, rhs: &Self) -> Self {
-            Counted::op(0, self.0 * rhs.0)
-        }
-        fn sqr(&self) -> Self {
-            Counted::op(1, self.0.square())
-        }
-        fn neg(&self) -> Self {
-            Counted::op(2, -self.0)
-        }
-        fn conj(&self) -> Self {
-            Counted::op(3, self.0.conj())
-        }
-        fn value(&self) -> Fp2 {
-            self.0
-        }
-    }
-
     /// `[M, S, A, conj]` of one map evaluation.
     fn cost<const L: usize>(
         m: &Endomorphism<L>,
         p: &ExtendedPoint<Counted>,
         affine: bool,
     ) -> [usize; 4] {
-        let lifted = m.lift(Counted);
-        OPS.with(|c| c.set([0; 4]));
-        let _ = lifted.apply(p, &Counted(Fp2::ONE), affine);
-        OPS.with(|c| c.get())
+        let lifted = m.lift(Counted::new);
+        let one = Counted::new(Fp2::ONE);
+        tally(&record(|| lifted.apply(p, &one, affine)).1)
     }
 
     #[test]
     fn map_costs_match_the_setup_budget() {
         let g = AffinePoint::generator();
-        let c = |v: Fp2| Counted(v);
+        let c = Counted::new;
         let p = ExtendedPoint::from_affine(&c(g.x), &c(g.y), &c(Fp2::ONE));
         assert_eq!(cost(&PSI8, &p, true), [18, 1, 14, 2], "ψ₈ from affine");
         assert_eq!(cost(&PSI7, &p, true), [15, 1, 12, 2], "ψ₇ from affine");

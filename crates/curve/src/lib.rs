@@ -27,8 +27,10 @@
 //!   trace recording, §III-C); [`EngineSelect`] is the only difference
 //!   between the two — masked scans for `Fp2`, recorded multiplexers for
 //!   the tracer;
-//! * [`FixedBaseTable`], the engine's table built once per base: every
-//!   `[k]G` runs only the engine's loop (steps 3–4) on it;
+//! * [`FixedBaseTable`], built once per base: every `[k]G` runs an
+//!   mLSB-set comb on it (9 doublings and 51 mixed additions, FourQlib's
+//!   fixed-base method), and it keeps the base's ψ table for the
+//!   verifier;
 //! * [`FourQEngine::msm`], the one multi-scalar multiplication `Σ [kᵢ]Pᵢ`:
 //!   below [`PIPPENGER_THRESHOLD`] terms every scalar splits four ways on
 //!   its point's ψ table and all share one 65-doubling loop (the
@@ -64,6 +66,8 @@
 
 mod affine;
 mod context;
+#[cfg(test)]
+mod counted;
 mod decompose;
 mod engine;
 mod extended;

@@ -73,14 +73,15 @@ fn torsion() -> Vec<AffinePoint> {
 }
 
 /// Scalars at the edges of the split: 0, 1, 2, N−1, N−2, 2^(62j) ± 1 for
-/// j = 1..3, and seeded random ones.
+/// j = 1..3; at the row boundaries of the fixed-base comb, 2^50 ± 1 and
+/// 2^200 ± 1; and seeded random ones.
 fn scalars() -> Vec<Scalar> {
     let mut out: Vec<Scalar> = [0u64, 1, 2].map(Scalar::from_u64).to_vec();
     out.push(-Scalar::ONE);
     out.push(-Scalar::from_u64(2));
-    for j in 1..=3 {
+    for e in [62, 124, 186, 50, 200] {
         let mut limbs = [0u64; 4];
-        limbs[62 * j / 64] = 1 << (62 * j % 64);
+        limbs[e / 64] = 1 << (e % 64);
         let pow = Scalar::from_u256(U256(limbs));
         out.push(pow + Scalar::ONE);
         out.push(pow - Scalar::ONE);
