@@ -1,15 +1,19 @@
-//! One `#[inline(never)]` wrapper per field leaf operation, so the release
-//! binary holds each operation's code as a symbol of its own.
+//! One `#[inline(never)]` wrapper per field leaf operation, and one around
+//! the ψ-table read of Algorithm 1's loop, so the release binary holds each
+//! one's code as a symbol of its own.
 //!
 //! `tools/leafops.sh` builds this binary, disassembles it, prints every
-//! wrapper's instruction count and fails on any conditional jump: the
-//! deterministic, host-independent record of what each `F_p`/`F_p²`
-//! operation costs and of its branch-freedom. The wrappers are found by
+//! wrapper's instruction count and fails on any conditional jump and on
+//! any indirect jump or call: the deterministic, host-independent record
+//! of what each `F_p`/`F_p²` operation costs and of its branch-freedom,
+//! and of the masked table scan staying a scan. The wrappers are found by
 //! their demangled names (`leafops::fp_add`, …), so they carry no
 //! `#[no_mangle]`. Running the binary evaluates each wrapper once on
 //! opaque inputs and checks a few identities between them.
 
-use fourq_fp::{Choice, CtSelect, Fp, Fp2, Wide};
+use fourq_curve::params::TWO_D;
+use fourq_curve::{decompose, recode, AffinePoint, CachedPoint, EngineSelect, Recoded};
+use fourq_fp::{Choice, CtSelect, Fp, Fp2, Scalar, Wide};
 use std::hint::black_box;
 
 #[inline(never)]
@@ -87,6 +91,15 @@ fn wide_reduce(w: Wide) -> Fp {
     w.reduce()
 }
 
+/// `±T[v]` at one digit position of a secret scalar's recoding: a masked
+/// scan of all 8 slots, then a masked negation. The position is a constant
+/// so that no bounds check enters the code; a compiler that turned the
+/// scan into a jump table or a branch per slot would fail the gate.
+#[inline(never)]
+fn psi_table_entry(table: &[CachedPoint<Fp2>; 8], recoded: &Recoded) -> CachedPoint<Fp2> {
+    <Fp2 as EngineSelect>::table_entry(table, recoded, 7)
+}
+
 fn main() {
     // Every argument passes through black_box: a constant argument at a
     // wrapper's only call site would be propagated into its body.
@@ -106,5 +119,23 @@ fn main() {
     assert_eq!(fp2_square(x), fp2_mul(x, black_box(x)));
     assert_eq!(fp2_mul(x, fp2_conj(x)), Fp2::new(x.norm(), Fp::ZERO));
     assert_eq!(fp2_ct_select(x, y, black_box(Choice::TRUE)), y);
-    println!("leafops: 15 wrappers agree; tools/leafops.sh counts their instructions");
+
+    let g = AffinePoint::generator();
+    let table: [CachedPoint<Fp2>; 8] = core::array::from_fn(|u| {
+        g.mul_extended(&Scalar::from_u64(u as u64 + 1))
+            .to_cached(&TWO_D)
+    });
+    let recoded = recode(&decompose(&black_box(Scalar::from_u64(0x0bad_cafe_f00d))));
+    let e = &table[usize::from(recoded.indices[7])];
+    let want = if recoded.signs[7] < 0 {
+        e.neg()
+    } else {
+        e.clone()
+    };
+    let got = psi_table_entry(&table, black_box(&recoded));
+    assert_eq!(
+        [got.y_plus_x, got.y_minus_x, got.z2, got.t2d],
+        [want.y_plus_x, want.y_minus_x, want.z2, want.t2d]
+    );
+    println!("leafops: 16 wrappers agree; tools/leafops.sh counts their instructions");
 }

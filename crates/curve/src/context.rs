@@ -16,7 +16,7 @@
 use crate::affine::AffinePoint;
 use crate::extended::ExtendedPoint;
 use crate::fixed_base::FixedBaseTable;
-use crate::multi::{pippenger, split_msm, PIPPENGER_THRESHOLD};
+use crate::multi;
 use crate::params::TWO_D;
 use fourq_fp::{Fp2, Scalar};
 
@@ -34,15 +34,15 @@ const MUL_CHUNK: usize = 2;
 /// A reusable FourQ computation context.
 ///
 /// Owns the generator's [`FixedBaseTable`], which carries two tables:
-/// the mLSB-set comb that every `[k]G` runs, and the 8-entry ψ table of
-/// Algorithm 1 (steps 1–2) that [`crate::double_scalar_mul`] and every
-/// small MSM read whenever one of their points is `G`, since that stream
-/// shares their 65 doublings. It also exposes the curve constant `2d`
-/// used by the cached-point formulas. The four-dimensional
-/// decomposition itself needs no per-engine state: its endomorphisms ψ₇
-/// and ψ₈ and its lattice are compile-time constants (see `DESIGN.md` §3),
-/// and for any other point the images `ψ₇(P)`, `ψ₈(P)`, `ψ₇ψ₈(P)` are
-/// evaluated per call.
+/// the mLSB-set comb that every `[k]G` runs, and the 128-entry pair table
+/// over Algorithm 1's ψ table that [`crate::double_scalar_mul`] and every
+/// small MSM read, two of `G`'s recoded columns at a time, whenever one of
+/// their points is `G`, since that stream shares their 65 doublings. It
+/// also exposes the curve constant `2d` used by the cached-point formulas.
+/// The four-dimensional decomposition itself needs no per-engine state:
+/// its endomorphisms ψ₇ and ψ₈ and its lattice are compile-time constants
+/// (see `DESIGN.md` §3), and for any other point the images `ψ₇(P)`,
+/// `ψ₈(P)`, `ψ₇ψ₈(P)` are evaluated per call.
 ///
 /// ```
 /// use fourq_curve::{AffinePoint, FourQEngine};
@@ -59,7 +59,7 @@ pub struct FourQEngine {
 
 impl FourQEngine {
     /// Builds a fresh engine, precomputing the generator's tables once
-    /// ([`FixedBaseTable::new`], ~50–80 µs). The thread budget
+    /// ([`FixedBaseTable::new`], ~60–80 µs). The thread budget
     /// for batch operations is resolved once here — `FOURQ_THREADS` if set, else
     /// the machine's available parallelism (capped); see
     /// [`fourq_pool::resolved_threads`].
@@ -213,7 +213,7 @@ impl FourQEngine {
     /// `Σ [k_i]P_i` with public inputs (verification workloads), the one
     /// multi-scalar multiplication of the crate.
     ///
-    /// Below [`PIPPENGER_THRESHOLD`] terms, every scalar is split four
+    /// Below [`crate::PIPPENGER_THRESHOLD`] terms, every scalar is split four
     /// ways with the endomorphisms of Algorithm 1 and all digit streams
     /// share one sequential loop of 65 doublings, the loop of
     /// [`crate::double_scalar_mul`]. From the threshold up, the bucket
@@ -229,12 +229,8 @@ impl FourQEngine {
     /// assert_eq!(FourQEngine::shared().msm(&pairs), g.mul(&Scalar::from_u64(11)));
     /// ```
     pub fn msm(&self, pairs: &[(Scalar, AffinePoint)]) -> AffinePoint {
-        // ct: allow(R1) reason="dispatch on the public batch size, not on scalar values"
-        if pairs.len() >= PIPPENGER_THRESHOLD {
-            pippenger(pairs, self.threads)
-        } else {
-            split_msm(pairs)
-        }
+        let sum: ExtendedPoint<Fp2> = multi::msm(self.gen_table.pairs(), pairs, self.threads);
+        AffinePoint::from_extended(&sum)
     }
 }
 

@@ -6,9 +6,10 @@
 //! scalar. Unlike a timing test, that check cannot pass by luck on a slow
 //! or single-thread host.
 
+use crate::affine::AffinePoint;
 use crate::decompose::Recoded;
 use crate::engine::{masked_entry, EngineSelect};
-use crate::extended::CachedPoint;
+use crate::extended::{CachedPoint, ExtendedPoint};
 use fourq_fp::{Choice, CtSelect, Fp2, Fp2Like};
 use std::cell::RefCell;
 
@@ -34,7 +35,7 @@ thread_local! {
 /// slot a scan read.
 #[derive(Clone)]
 pub(crate) struct Counted {
-    pub(crate) v: Fp2,
+    v: Fp2,
     slot: Option<u8>,
 }
 
@@ -56,6 +57,24 @@ impl Counted {
         LOG.with(|log| log.borrow_mut().push(op));
         Counted::new(v)
     }
+}
+
+/// A value lifted into the counting field, outside any table.
+impl From<Fp2> for Counted {
+    fn from(v: Fp2) -> Counted {
+        Counted::new(v)
+    }
+}
+
+/// The affine point that a counted projective result stands for.
+pub(crate) fn values(p: &ExtendedPoint<Counted>) -> AffinePoint {
+    AffinePoint::from_extended(&ExtendedPoint {
+        x: p.x.v,
+        y: p.y.v,
+        z: p.z.v,
+        ta: p.ta.v,
+        tb: p.tb.v,
+    })
 }
 
 /// Runs `f` and returns its result with the operations it logged.

@@ -162,6 +162,17 @@ impl<F: Fp2Like> ExtendedPoint<F> {
     }
 }
 
+impl<F: Fp2Like> AffineCached<F> {
+    /// Negation: swap `(y+x, y−x)`, negate `2dxy`.
+    pub(crate) fn neg(&self) -> Self {
+        AffineCached {
+            y_plus_x: self.y_minus_x.clone(),
+            y_minus_x: self.y_plus_x.clone(),
+            xy2d: self.xy2d.neg(),
+        }
+    }
+}
+
 impl<F: Fp2Like> CachedPoint<F> {
     /// Negation of a cached point: swap `(Y+X, Y−X)`, negate `2dT`.
     ///
@@ -209,13 +220,9 @@ impl<F: Fp2Like + CtSelect> CtSelect for AffineCached<F> {
     }
 }
 
-/// Negation: swap `(y+x, y−x)`, negate `2dxy`.
+/// Negation as an always-computed value and a select.
 impl<F: Fp2Like + CtSelect> CtNegate for AffineCached<F> {
     fn neg_value(&self) -> Self {
-        AffineCached {
-            y_plus_x: self.y_minus_x.clone(),
-            y_minus_x: self.y_plus_x.clone(),
-            xy2d: self.xy2d.neg(),
-        }
+        self.neg()
     }
 }

@@ -1,8 +1,9 @@
-//! Fixed-base scalar multiplication: an mLSB-set comb beside the ψ table.
+//! Fixed-base tables: an mLSB-set comb and a pair table of one base point.
 //!
 //! Signature generation and key generation always multiply the *same*
-//! base point, so a [`FixedBaseTable`] precomputes whatever depends only
-//! on the base. It holds two tables.
+//! base point, and verification adds a multiple of it to every check, so
+//! a [`FixedBaseTable`] precomputes whatever depends only on the base. It
+//! holds two tables.
 //!
 //! * **The comb**, which every `[k]B` runs: the modified-LSB-set comb of
 //!   Faz-Hernández, Longa and Sánchez (CT-RSA 2014), FourQlib's fixed-base
@@ -13,15 +14,17 @@
 //!   mixed additions: 9 doublings and 51 mixed additions with the parity
 //!   correction, 420 `F_p²` multiplications and squarings against the ψ
 //!   loop's 991.
-//! * **The ψ table** of Algorithm 1 (steps 1–2), which the verifying side
-//!   reads: [`crate::double_scalar_mul`] and every small MSM take `G`'s
-//!   from the one [`FixedBaseTable`] held by [`crate::FourQEngine`]. Their
-//!   `G` stream shares its 65 doublings with the other points' streams,
-//!   which a comb cannot share.
+//! * **The pair table**, which the verifying side reads:
+//!   `E[16·h + 8·r + l] = [2]T[h] + (−1)^r·T[l]` over Algorithm 1's 8-entry
+//!   ψ table `T` of the base, 128 affine entries. [`crate::double_scalar_mul`]
+//!   and every small MSM run 65 doublings for their other points' ψ
+//!   streams, which a comb cannot share; `B`'s stream reads two of its
+//!   recoded columns at once from this table, so it adds 33 mixed
+//!   additions instead of 66 cached ones (`multi::split_msm`).
 
 use crate::affine::AffinePoint;
 use crate::engine::{ct_lookup, identity, psi_table};
-use crate::extended::{AffineCached, CachedPoint, ExtendedPoint};
+use crate::extended::{AffineCached, ExtendedPoint};
 use crate::params::TWO_D;
 use fourq_fp::{Choice, CtNegate, CtSelect, Fp2, Fp2Like, Scalar, U256};
 
@@ -36,9 +39,17 @@ const E: usize = 10;
 const D: usize = V * E;
 /// Entries per comb table: one per value of a column's index bits.
 const SLOTS: usize = 1 << (W - 1);
+/// Entries of the pair table: two ψ-table indices and a relative sign.
+pub(crate) const PAIRS: usize = 8 * 2 * 8;
+/// The pair-table entry that is the base itself: `[2]T[0] − T[0]`.
+pub(crate) const BASE_ENTRY: usize = 8;
+
+/// A base point's pair table in affine cached form, or that table lifted
+/// into a counting field.
+pub(crate) type PairTable<F> = [AffineCached<F>; PAIRS];
 
 /// A base point's precomputed tables: the comb that every `[k]B` runs and
-/// Algorithm 1's 8-entry ψ table, which verification reads for `G`.
+/// the 128-entry pair table, which verification reads for `G`.
 ///
 /// One multiplication costs the recoding, 9 doublings and 51 mixed
 /// additions (one per column and block, plus the parity correction), with
@@ -56,16 +67,18 @@ pub struct FixedBaseTable {
     /// `comb[m][u] = 2^(E·m)·(1 + Σ_r u_r·2^(D·(r+1)))·B` in affine cached
     /// form, `u_r` the bits of `u`.
     comb: [[AffineCached<Fp2>; SLOTS]; V],
-    /// `T[u] = B + u₀·ψ₇(B) + u₁·ψ₈(B) + u₂·ψ₇ψ₈(B)` in cached form.
-    table: [CachedPoint<Fp2>; 8],
+    /// `pairs[16·h + 8·r + l] = [2]T[h] + (−1)^r·T[l]` in affine cached
+    /// form, with `T[u] = B + u₀·ψ₇(B) + u₁·ψ₈(B) + u₂·ψ₇ψ₈(B)`.
+    pairs: PairTable<Fp2>,
     /// The base point (kept for identity checks and documentation).
     base: AffinePoint,
 }
 
 impl FixedBaseTable {
     /// Builds both tables of `base`, one-time: the comb from one chain of
-    /// 240 doublings, 75 cached additions and one batch inversion; the ψ
-    /// table from three endomorphism images and 7 cached additions.
+    /// 240 doublings, 75 cached additions and one batch inversion; the
+    /// pair table from Algorithm 1's ψ table, 8 doublings, 136 cached
+    /// additions and one batch inversion.
     ///
     /// # Panics
     ///
@@ -75,7 +88,7 @@ impl FixedBaseTable {
         assert!(!base.is_identity(), "fixed-base table of the identity");
         FixedBaseTable {
             comb: comb_table(base),
-            table: psi_table(&base.x, &base.y, &Fp2::ONE, &TWO_D),
+            pairs: pair_table(base),
             base: *base,
         }
     }
@@ -85,10 +98,10 @@ impl FixedBaseTable {
         &self.base
     }
 
-    /// The cached 8-entry ψ table, read by [`crate::double_scalar_mul`]
-    /// when one of its points is this table's base.
-    pub(crate) fn psi_table(&self) -> &[CachedPoint<Fp2>; 8] {
-        &self.table
+    /// The pair table, read by [`crate::double_scalar_mul`] and every
+    /// small MSM for the stream of this table's base.
+    pub(crate) fn pairs(&self) -> &PairTable<Fp2> {
+        &self.pairs
     }
 
     /// Fixed-base multiplication `[k]B`.
@@ -121,7 +134,7 @@ fn comb_table(base: &AffinePoint) -> [[AffineCached<Fp2>; SLOTS]; V] {
         let last = powers[powers.len() - 1].clone();
         powers.push((0..E).fold(last, |p, _| p.double()));
     }
-    let cached: Vec<CachedPoint<Fp2>> = powers.iter().map(|p| p.to_cached(&TWO_D)).collect();
+    let cached: Vec<_> = powers.iter().map(|p| p.to_cached(&TWO_D)).collect();
     let mut points: Vec<ExtendedPoint<Fp2>> = Vec::with_capacity(V * SLOTS);
     for (m, first) in powers.iter().take(V).enumerate() {
         points.push(first.clone());
@@ -132,10 +145,34 @@ fn comb_table(base: &AffinePoint) -> [[AffineCached<Fp2>; SLOTS]; V] {
             points.push(sum);
         }
     }
+    let entries = to_affine_cached(&points);
+    core::array::from_fn(|m| core::array::from_fn(|u| entries[m * SLOTS + u].clone()))
+}
+
+/// The pair table of `base`: `E[16·h + 8·r + l] = [2]T[h] + (−1)^r·T[l]`
+/// over Algorithm 1's ψ table `T`, each `[2]T[h]` from one addition to the
+/// identity and one doubling, each entry one cached addition, then one
+/// shared inversion to affine.
+fn pair_table(base: &AffinePoint) -> PairTable<Fp2> {
+    let t = psi_table(&base.x, &base.y, &Fp2::ONE, &TWO_D);
+    let mut points = Vec::with_capacity(PAIRS);
+    for high in &t {
+        let twice = identity(&Fp2::ONE).add_cached(high).double();
+        points.extend(t.iter().map(|low| twice.add_cached(low)));
+        points.extend(t.iter().map(|low| twice.add_cached(&low.neg())));
+    }
+    let entries = to_affine_cached(&points);
+    core::array::from_fn(|i| entries[i].clone())
+}
+
+/// `points` as affine `(y+x, y−x, 2dxy)` entries, with one shared
+/// inversion.
+fn to_affine_cached(points: &[ExtendedPoint<Fp2>]) -> Vec<AffineCached<Fp2>> {
     let zinv = Fp2::batch_invert(&points.iter().map(|p| p.z).collect::<Vec<_>>());
-    core::array::from_fn(|m| {
-        core::array::from_fn(|u| {
-            let (p, zinv) = (&points[m * SLOTS + u], zinv[m * SLOTS + u]);
+    points
+        .iter()
+        .zip(zinv)
+        .map(|(p, zinv)| {
             let (x, y) = (p.x * zinv, p.y * zinv);
             AffineCached {
                 y_plus_x: y + x,
@@ -143,7 +180,7 @@ fn comb_table(base: &AffinePoint) -> [[AffineCached<Fp2>; SLOTS]; V] {
                 xy2d: x * y * TWO_D,
             }
         })
-    })
+        .collect()
 }
 
 /// The mLSB-set digits of an odd `k′`: column `j` stands for
@@ -235,9 +272,10 @@ fn comb_mul<F: Fp2Like + CtSelect>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::counted::{record, tally, Counted, Op};
+    use crate::counted::{record, tally, values, Counted, Op};
     use crate::decompose::{decompose, recode};
     use crate::engine::psi_table_mul;
+    use crate::glv_consts::{LAMBDA7, LAMBDA8};
 
     /// `2^e` for `e < 256`.
     fn pow2(e: usize) -> U256 {
@@ -348,14 +386,7 @@ mod tests {
         for k in &ks {
             let (digits, corrected) = comb_recode(k);
             let (q, log) = record(|| comb_mul(&comb, &one, &digits, corrected));
-            let q = ExtendedPoint {
-                x: q.x.v,
-                y: q.y.v,
-                z: q.z.v,
-                ta: q.ta.v,
-                tb: q.tb.v,
-            };
-            assert_eq!(AffinePoint::from_extended(&q), g.mul_generic(k), "k = {k}");
+            assert_eq!(values(&q), g.mul_generic(k), "k = {k}");
             logs.push(log);
         }
         let log = &logs[0];
@@ -389,17 +420,45 @@ mod tests {
 
         // Algorithm 1's loop on G's ψ table: 65 doublings and 67 cached
         // additions, 991 mul/sqr.
-        let psi = t.psi_table().clone().map(|c| CachedPoint {
-            y_plus_x: Counted::new(c.y_plus_x),
-            y_minus_x: Counted::new(c.y_minus_x),
-            z2: Counted::new(c.z2),
-            t2d: Counted::new(c.t2d),
-        });
+        let c = Counted::new;
+        let psi = psi_table(&c(g.x), &c(g.y), &one, &c(TWO_D));
         let d = decompose(&ks[3]);
         let r = recode(&d);
         let (_, log) = record(|| psi_table_mul(&psi, &one, &r, d.corrected));
         let [mul, sqr, ..] = tally(&log);
         assert_eq!(mul + sqr, 991);
+    }
+
+    #[test]
+    fn pair_table_entries_are_their_multiples_of_the_base() {
+        let g = AffinePoint::generator();
+        let t = FixedBaseTable::new(&g);
+        // T[u] = [1 + u₀·λ₇ + u₁·λ₈ + u₂·λ₇λ₈]G: ψ₇ and ψ₈ act as λ₇ and
+        // λ₈ on G's order-N subgroup.
+        let (l7, l8) = (Scalar::from_u256(LAMBDA7), Scalar::from_u256(LAMBDA8));
+        let psi = |u: usize| {
+            [l7, l8, l7 * l8]
+                .iter()
+                .enumerate()
+                .filter(|&(b, _)| u >> b & 1 == 1)
+                .fold(Scalar::ONE, |sum, (_, l)| sum + *l)
+        };
+        for h in 0..8 {
+            for r in 0..2 {
+                for l in 0..8 {
+                    let low = if r == 1 { -psi(l) } else { psi(l) };
+                    let p = g.mul_u256_generic(&(psi(h) + psi(h) + low).to_u256());
+                    let e = &t.pairs()[16 * h + 8 * r + l];
+                    let want = (p.y + p.x, p.y - p.x, p.x * p.y * TWO_D);
+                    assert!(
+                        (e.y_plus_x, e.y_minus_x, e.xy2d) == want,
+                        "entry (h, r, l) = ({h}, {r}, {l})"
+                    );
+                }
+            }
+        }
+        let base = &t.pairs()[BASE_ENTRY];
+        assert!((base.y_plus_x, base.y_minus_x) == (g.y + g.x, g.y - g.x));
     }
 
     #[test]

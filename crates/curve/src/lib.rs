@@ -29,13 +29,14 @@
 //!   the tracer;
 //! * [`FixedBaseTable`], built once per base: every `[k]G` runs an
 //!   mLSB-set comb on it (9 doublings and 51 mixed additions, FourQlib's
-//!   fixed-base method), and it keeps the base's ψ table for the
-//!   verifier;
+//!   fixed-base method), and the verifier reads its pair table, 128
+//!   entries `[2]T[h] ± T[l]` over the base's ψ table `T`;
 //! * [`FourQEngine::msm`], the one multi-scalar multiplication `Σ [kᵢ]Pᵢ`:
-//!   below [`PIPPENGER_THRESHOLD`] terms every scalar splits four ways on
-//!   its point's ψ table and all share one 65-doubling loop (the
-//!   verifier's `[a]P + [b]Q`, [`double_scalar_mul`], is its two-term
-//!   call); from the threshold up, bucketed Pippenger.
+//!   below [`PIPPENGER_THRESHOLD`] terms every scalar splits four ways and
+//!   all share one 65-doubling loop, each point but `G` reading its ψ
+//!   table once per doubling and `G` the pair table once per two (the verifier's
+//!   `[a]P + [b]Q`, [`double_scalar_mul`], is its two-term call); from the
+//!   threshold up, bucketed Pippenger.
 //!
 //! # Decomposition note
 //!

@@ -5,7 +5,7 @@
 //!         [--pipeline 32] [--window-us 0] [--max-batch 256]
 //!         [--threads 0] [--workers 1] [--addr HOST:PORT]
 //!         [--out BENCH_serve.json]
-//!         [--assert-coalesced] [--assert-zero-errors] [--gate-serve]
+//!         [--assert-coalesced] [--assert-zero-errors]
 //! ```
 //!
 //! By default the server is spawned in-process on an ephemeral loopback
@@ -21,13 +21,6 @@
 //! carrying `threads` and `hw_threads`. `--assert-coalesced` fails the
 //! process unless the server's mean flush size exceeds 1;
 //! `--assert-zero-errors` fails on any non-`Ok` response.
-//!
-//! `--gate-serve` ignores traffic flags and runs the CI coalescing
-//! tripwire: closed-loop Schnorr-verify throughput of the server as
-//! configured (by default `ServerConfig::default()`) must be at least 2×
-//! that of strict flush-of-one (`max_batch = 1`). The ratio comes from
-//! RLC batch verification amortising its fixed costs, not from extra
-//! cores, so the gate fails at any hardware thread count.
 
 use fourq_curve::{CurveId, MultiCurveEngine};
 use fourq_fp::Scalar;
@@ -53,7 +46,6 @@ struct Opts {
     out: Option<String>,
     assert_coalesced: bool,
     assert_zero_errors: bool,
-    gate_serve: bool,
 }
 
 impl Default for Opts {
@@ -73,7 +65,6 @@ impl Default for Opts {
             out: None,
             assert_coalesced: false,
             assert_zero_errors: false,
-            gate_serve: false,
         }
     }
 }
@@ -84,7 +75,7 @@ fn usage() -> ! {
          \x20              [--pipeline N] [--window-us N] [--max-batch N]\n\
          \x20              [--threads N] [--workers N] [--addr HOST:PORT]\n\
          \x20              [--out PATH] [--assert-coalesced]\n\
-         \x20              [--assert-zero-errors] [--gate-serve]"
+         \x20              [--assert-zero-errors]"
     );
     std::process::exit(2);
 }
@@ -120,7 +111,6 @@ fn parse_opts() -> Opts {
             "--out" => o.out = Some(val("--out")),
             "--assert-coalesced" => o.assert_coalesced = true,
             "--assert-zero-errors" => o.assert_zero_errors = true,
-            "--gate-serve" => o.gate_serve = true,
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("unknown flag: {other}");
@@ -474,51 +464,8 @@ fn server_config(o: &Opts) -> ServerConfig {
     }
 }
 
-/// CI coalescing tripwire: closed-loop Schnorr-verify throughput of the
-/// configured server vs strict flush-of-one.
-fn gate_serve(o: &Opts) -> i32 {
-    let run = |cfg: ServerConfig| -> f64 {
-        let handle = fourq_serve::spawn(cfg).expect("spawn gate server");
-        let mut go = Opts {
-            requests: o.requests,
-            rate: 0,
-            mixed: false,
-            ..Opts::default()
-        };
-        go.conns = o.conns;
-        go.pipeline = o.pipeline.max(64);
-        let r = run_traffic(handle.addr(), &go).expect("gate traffic");
-        handle.shutdown();
-        assert_eq!(r.ok, go.requests, "gate traffic saw non-Ok responses");
-        r.ok as f64 / r.elapsed.as_secs_f64()
-    };
-
-    let coalesced_cfg = server_config(o);
-    let base = run(ServerConfig {
-        max_batch: 1,
-        ..coalesced_cfg
-    });
-    let coalesced = run(coalesced_cfg);
-    let ratio = coalesced / base;
-    let hw = hw_threads();
-    println!(
-        "gate-serve: verify ops/sec flush-of-one={base:.0} coalesced={coalesced:.0} ratio={ratio:.2} (hw_threads={hw})"
-    );
-    if ratio < 2.0 {
-        eprintln!("gate-serve: FAIL ratio {ratio:.2} < 2.0 at hw_threads {hw}");
-        1
-    } else {
-        println!("gate-serve: OK ratio {ratio:.2} >= 2.0");
-        0
-    }
-}
-
 fn main() {
     let o = parse_opts();
-
-    if o.gate_serve {
-        std::process::exit(gate_serve(&o));
-    }
 
     // Resolve the target: external server or in-process spawn.
     let mut spawned = None;

@@ -20,8 +20,9 @@
 //!   `max_batch` requests are waiting. This trades a bounded wait for
 //!   larger flushes at low load.
 //! * `max_batch == 1` — strict flush-of-one: every request executes
-//!   alone, in arrival order. The no-coalesce baseline the
-//!   `--gate-serve` CI tripwire compares against.
+//!   alone, in arrival order. The no-coalesce baseline: a Schnorr-verify
+//!   flush of one costs at least 2× per signature what a flush of 64
+//!   does, counted in `F_p²` products by a `fourq-curve` unit test.
 //! * `queue_cap` — requests beyond this bound are rejected at enqueue
 //!   with an explicit `Busy` signal (the caller answers the client
 //!   without blocking); the queue never grows past it.

@@ -1,10 +1,11 @@
 //! A Schnorr-style signature scheme over FourQ (SchnorrQ-flavoured).
 //!
-//! Signing costs one fixed-base scalar multiplication. Verification costs
-//! one joint double-scalar multiplication `[s]G + [N−h]A`, a single
-//! 65-doubling loop over the endomorphism split of both scalars, and a
-//! compare of its encoding with `R` — the operation mix of the paper's
-//! ITS workload (§II-A).
+//! Signing costs one fixed-base scalar multiplication on the generator's
+//! comb. Verification costs one joint double-scalar multiplication
+//! `[s]G + [N−h]A`, a single 65-doubling loop over the endomorphism split
+//! of both scalars (`A`'s digits read its ψ table once per doubling, `G`'s
+//! the engine's pair table once per two), and a compare of its encoding
+//! with `R` — the operation mix of the paper's ITS workload (§II-A).
 
 use fourq_curve::{AffinePoint, FourQEngine};
 use fourq_fp::{CtSelect, Scalar};

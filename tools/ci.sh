@@ -131,13 +131,4 @@ kill "$serve_pid" 2>/dev/null || true
 trap - EXIT
 rm -f "$serve_log"
 
-step "serve-gate: coalescing throughput tripwire"
-# Schnorr-verify throughput on ServerConfig::default() must be >=2x the
-# strict flush-of-one (max_batch=1) baseline. The ratio comes from RLC
-# batch verification, not from cores, so the gate fails on any host.
-# On a 2-vCPU host it read 2.6-3.5x at default threads (8 runs) and
-# 1.9-2.8x at --threads 1, below 2x in 2 of 16 runs: a flush of one runs
-# the endomorphism-split MSM, which narrowed the ratio.
-cargo run --release -q -p fourq-serve --bin loadgen -- --gate-serve --requests 2000
-
 step "OK"
