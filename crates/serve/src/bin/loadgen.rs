@@ -3,22 +3,24 @@
 //! ```text
 //! loadgen [--requests 2000] [--rate 0] [--mixed] [--conns 4]
 //!         [--pipeline 32] [--window-us 0] [--max-batch 256]
-//!         [--threads 0] [--workers 1] [--addr HOST:PORT]
-//!         [--out BENCH_serve.json]
+//!         [--addr HOST:PORT] [--out BENCH_serve.json]
 //!         [--assert-coalesced] [--assert-zero-errors]
 //! ```
 //!
 //! By default the server is spawned in-process on an ephemeral loopback
 //! port (all traffic still crosses real TCP sockets), configured as
-//! `ServerConfig::default()` apart from the flags given; `--addr` targets
-//! an external server instead. `--rate 0` runs closed-loop with
-//! `--pipeline` requests in flight per connection; a positive rate runs
-//! open-loop (requests are launched on a fixed schedule regardless of
-//! completions, so queueing delay shows up in the latency tail).
+//! `ServerConfig::default()` apart from the flags given, with one
+//! executor per thread of `FOURQ_THREADS` (else the host's parallelism,
+//! capped at 8); `--addr` targets an external server instead. `--rate 0`
+//! runs closed-loop with `--pipeline` requests in flight per connection;
+//! a positive rate runs open-loop (requests are launched on a fixed
+//! schedule regardless of completions, so queueing delay shows up in the
+//! latency tail).
 //!
 //! Per op kind the run records completed ops/sec and p50/p99/p999
 //! latency, written to `--out` as a `fourq-serve-bench/v1` JSON document
-//! carrying `threads` and `hw_threads`. `--assert-coalesced` fails the
+//! carrying `threads` (the executor count, read from the same
+//! `FOURQ_THREADS`) and `hw_threads`. `--assert-coalesced` fails the
 //! process unless the server's mean flush size exceeds 1;
 //! `--assert-zero-errors` fails on any non-`Ok` response.
 
@@ -40,8 +42,6 @@ struct Opts {
     pipeline: usize,
     window_us: u64,
     max_batch: usize,
-    threads: usize,
-    workers: usize,
     addr: Option<String>,
     out: Option<String>,
     assert_coalesced: bool,
@@ -59,8 +59,6 @@ impl Default for Opts {
             pipeline: 32,
             window_us: server.window_us,
             max_batch: server.max_batch,
-            threads: server.threads,
-            workers: server.exec_workers,
             addr: None,
             out: None,
             assert_coalesced: false,
@@ -73,9 +71,9 @@ fn usage() -> ! {
     eprintln!(
         "usage: loadgen [--requests N] [--rate RPS] [--mixed] [--conns N]\n\
          \x20              [--pipeline N] [--window-us N] [--max-batch N]\n\
-         \x20              [--threads N] [--workers N] [--addr HOST:PORT]\n\
-         \x20              [--out PATH] [--assert-coalesced]\n\
-         \x20              [--assert-zero-errors]"
+         \x20              [--addr HOST:PORT] [--out PATH] [--assert-coalesced]\n\
+         \x20              [--assert-zero-errors]\n\
+         executors: FOURQ_THREADS, else the host's parallelism (capped at 8)"
     );
     std::process::exit(2);
 }
@@ -105,8 +103,6 @@ fn parse_opts() -> Opts {
             "--pipeline" => o.pipeline = parse::<usize>(&val("--pipeline")).max(1),
             "--window-us" => o.window_us = parse(&val("--window-us")),
             "--max-batch" => o.max_batch = parse(&val("--max-batch")),
-            "--threads" => o.threads = parse(&val("--threads")),
-            "--workers" => o.workers = parse(&val("--workers")),
             "--addr" => o.addr = Some(val("--addr")),
             "--out" => o.out = Some(val("--out")),
             "--assert-coalesced" => o.assert_coalesced = true,
@@ -397,14 +393,6 @@ fn hw_threads() -> usize {
     std::thread::available_parallelism().map_or(0, |n| n.get())
 }
 
-fn resolved_threads(o: &Opts) -> usize {
-    if o.threads == 0 {
-        fourq_pool::resolved_threads()
-    } else {
-        o.threads
-    }
-}
-
 fn bench_json(o: &Opts, r: &RunResult, stats: &fourq_serve::proto::WireStats) -> String {
     let unix = std::time::SystemTime::now()
         .duration_since(std::time::UNIX_EPOCH)
@@ -414,7 +402,10 @@ fn bench_json(o: &Opts, r: &RunResult, stats: &fourq_serve::proto::WireStats) ->
     s.push_str("{\n");
     s.push_str("  \"schema\": \"fourq-serve-bench/v1\",\n");
     s.push_str(&format!("  \"unix_time\": {unix},\n"));
-    s.push_str(&format!("  \"threads\": {},\n", resolved_threads(o)));
+    s.push_str(&format!(
+        "  \"threads\": {},\n",
+        fourq_pool::resolved_threads()
+    ));
     s.push_str(&format!("  \"hw_threads\": {},\n", hw_threads()));
     s.push_str(&format!("  \"window_us\": {},\n", o.window_us));
     s.push_str(&format!("  \"max_batch\": {},\n", o.max_batch));
@@ -458,8 +449,6 @@ fn server_config(o: &Opts) -> ServerConfig {
     ServerConfig {
         window_us: o.window_us,
         max_batch: o.max_batch,
-        exec_workers: o.workers,
-        threads: o.threads,
         ..ServerConfig::default()
     }
 }

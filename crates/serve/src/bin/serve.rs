@@ -2,13 +2,15 @@
 //!
 //! ```text
 //! serve [--addr 127.0.0.1:0] [--window-us 0] [--max-batch 256]
-//!       [--queue-cap 8192] [--workers 1] [--threads 0] [--tenant-root N]
+//!       [--queue-cap 8192] [--tenant-root N]
 //! ```
 //!
 //! Every flag defaults to `ServerConfig::default()`: `--window-us 0` is
 //! work-conserving (a flush leaves as soon as an executor is free), a
 //! positive window lingers that long for a batch to form, and
-//! `--max-batch 1` executes every request alone.
+//! `--max-batch 1` executes every request alone. The server runs one
+//! executor per thread of `FOURQ_THREADS` (else the host's parallelism,
+//! capped at 8); each runs whole flushes on its own thread.
 //!
 //! Binds (port `0` = ephemeral), prints the resolved address on the
 //! first stdout line as `listening on <addr>`, then serves until killed.
@@ -20,7 +22,8 @@ use fourq_serve::ServerConfig;
 fn usage() -> ! {
     eprintln!(
         "usage: serve [--addr HOST:PORT] [--window-us N] [--max-batch N]\n\
-         \x20            [--queue-cap N] [--workers N] [--threads N] [--tenant-root N]"
+         \x20            [--queue-cap N] [--tenant-root N]\n\
+         executors: FOURQ_THREADS, else the host's parallelism (capped at 8)"
     );
     std::process::exit(2);
 }
@@ -41,8 +44,6 @@ fn main() {
             "--window-us" => cfg.window_us = parse(&val("--window-us")),
             "--max-batch" => cfg.max_batch = parse(&val("--max-batch")),
             "--queue-cap" => cfg.queue_cap = parse(&val("--queue-cap")),
-            "--workers" => cfg.exec_workers = parse(&val("--workers")),
-            "--threads" => cfg.threads = parse(&val("--threads")),
             "--tenant-root" => cfg.tenant_root = parse(&val("--tenant-root")),
             "--help" | "-h" => usage(),
             other => {
@@ -63,16 +64,11 @@ fn main() {
     use std::io::Write;
     let _ = std::io::stdout().flush();
     eprintln!(
-        "window_us={} max_batch={} queue_cap={} workers={} threads={}",
+        "window_us={} max_batch={} queue_cap={} executors={}",
         cfg.window_us,
         cfg.max_batch,
         cfg.queue_cap,
-        cfg.exec_workers,
-        if cfg.threads == 0 {
-            fourq_pool::resolved_threads()
-        } else {
-            cfg.threads
-        }
+        fourq_pool::resolved_threads()
     );
     // Serve until the process is killed.
     loop {

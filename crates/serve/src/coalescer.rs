@@ -12,7 +12,7 @@
 //! * `window_us == 0` — **work-conserving** (the default): an idle
 //!   executor takes everything queued, up to `max_batch`, as soon as the
 //!   queue is non-empty. Nothing waits while an executor is free, and a
-//!   flush holds what arrived while the previous flush ran, so flush
+//!   flush holds what arrived while every executor was busy, so flush
 //!   size follows load: one request on an idle server, large batches
 //!   under a backlog.
 //! * `window_us > 0` — **linger**: the first request opens a window; the
@@ -20,9 +20,11 @@
 //!   `max_batch` requests are waiting. This trades a bounded wait for
 //!   larger flushes at low load.
 //! * `max_batch == 1` — strict flush-of-one: every request executes
-//!   alone, in arrival order. The no-coalesce baseline: a Schnorr-verify
-//!   flush of one costs at least 2× per signature what a flush of 64
-//!   does, counted in `F_p²` products by a `fourq-curve` unit test.
+//!   alone. Executors take requests in arrival order, but with more than
+//!   one executor consecutive requests may run concurrently and finish
+//!   out of order. The no-coalesce baseline: a Schnorr-verify flush of
+//!   one costs at least 2× per signature what a flush of 64 does,
+//!   counted in `F_p²` products by a `fourq-curve` unit test.
 //! * `queue_cap` — requests beyond this bound are rejected at enqueue
 //!   with an explicit `Busy` signal (the caller answers the client
 //!   without blocking); the queue never grows past it.

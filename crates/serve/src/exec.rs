@@ -22,7 +22,7 @@
 //! its served verdict can depend on which requests shared the flush
 //! (ROADMAP item 3 plans the fix). The differential suite pins the
 //! subgroup case across flush-of-one, the default and a 500 µs window,
-//! and across thread budgets.
+//! and across executor counts.
 
 use crate::proto::{encode_response, Request, Response, Status};
 use crate::tenant::TenantDirectory;
@@ -116,7 +116,7 @@ pub fn execute_flush(
     for (tenant, group) in ecdsa_sign {
         run_ecdsa_sign(fq, tenants, tenant, &group, &mut out);
     }
-    run_ecdh(fq, tenants, &ecdh, &mut out);
+    run_ecdh(tenants, &ecdh, &mut out);
     for (curve, group) in curve_mul {
         run_curve_mul(eng, curve, &group, &mut out);
     }
@@ -334,26 +334,15 @@ fn run_ecdsa_sign(
     }
 }
 
-fn run_ecdh(
-    eng: &FourQEngine,
-    tenants: &TenantDirectory,
-    group: &[&Pending],
-    out: &mut Vec<Outbound>,
-) {
-    if group.is_empty() {
-        return;
-    }
+fn run_ecdh(tenants: &TenantDirectory, group: &[&Pending], out: &mut Vec<Outbound>) {
     // No batch form exists for the agreement itself (one variable-base
-    // multiplication per peer point), but the window still buys
-    // parallelism: items fan out over the engine's thread budget.
-    let results = fourq_pool::map_items(group, 4, eng.threads(), |_, p| {
+    // multiplication per peer point): the group runs in order on the
+    // executor's thread.
+    for p in group {
         let Request::Ecdh { tenant, peer } = &p.req else {
             unreachable!("grouped by kind");
         };
-        tenants.resolve(*tenant).dh.agree(peer)
-    });
-    for (p, res) in group.iter().zip(results) {
-        match res {
+        match tenants.resolve(*tenant).dh.agree(peer) {
             Ok(secret) => out.push(ok(p, secret.to_vec())),
             Err(_) => out.push(failed(p)),
         }

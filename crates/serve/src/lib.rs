@@ -33,17 +33,22 @@
 //!   [`MultiCurveEngine`](fourq_curve::MultiCurveEngine) answers mixed
 //!   Fourℚ/X25519/P-256 traffic from a single process.
 //! * [`server`] — the reactor: accept/read/frame/write over non-blocking
-//!   sockets on one thread, executor threads draining the coalescer.
-//!   When idle, the reactor blocks on the executors' responses, so a
-//!   finished flush is written at once; sockets are polled every 100 µs.
+//!   sockets on one thread, and one executor per
+//!   [`fourq_pool::resolved_threads`] draining the coalescer, each
+//!   running whole flushes on its own thread, so flushes overlap instead
+//!   of fanning out. When idle, the reactor blocks on the executors'
+//!   responses, so a finished flush is written at once; sockets are
+//!   polled every 100 µs. A connection with more than 64 KiB of unsent
+//!   responses is not read until its client reads them.
 //! * [`client`] — a small blocking client with pipelining, used by the
 //!   `loadgen` binary and the differential tests.
 //!
 //! Every response is a pure function of its request (deterministic
 //! nonces, deterministic tenant keys), so coalescing is observably
 //! transparent: the differential suite asserts bit-identical responses
-//! across flush-of-one, the default and a 500 µs window, at 1 and 4
-//! engine threads, against one-shot library calls.
+//! across flush-of-one, the default and a 500 µs window, against
+//! one-shot library calls, at the executor count `FOURQ_THREADS` sets
+//! (CI runs the suite at 1 and 4).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -9,10 +9,10 @@
 //!            └───────┬─────────────────────────▲──────────────┘
 //!                    │ enqueue (bounded)       │ mpsc responses
 //!            ┌───────▼──────────┐      ┌───────┴────────────┐
-//!            │ Coalescer        │ ───▶ │ executor × W:      │
-//!            │ window_us /      │flush │ execute_flush over │
-//!            │ max_batch /      │      │ MultiCurveEngine   │
-//!            │ queue_cap        │      │ batches (N threads)│
+//!            │ Coalescer        │ ───▶ │ executor × T:      │
+//!            │ window_us /      │flush │ execute_flush on   │
+//!            │ max_batch /      │      │ its own thread     │
+//!            │ queue_cap        │      │ (1-thread engine)  │
 //!            └──────────────────┘      └────────────────────┘
 //! ```
 //!
@@ -20,10 +20,13 @@
 //! and frames request bytes, answers [`OpKind::Stats`](crate::proto::OpKind)
 //! probes inline, enqueues work (answering `Busy` on a full queue
 //! without blocking), and drains executor responses back onto the right
-//! connection. Executors block on the coalescer and run the batch
-//! engine. Because every response is a deterministic function of its
-//! request alone, the reply a client sees is bit-identical no matter how
-//! requests interleave into windows — the property the differential
+//! connection. T = [`fourq_pool::resolved_threads`] executors block on
+//! the coalescer, each running whole flushes on its own thread, so the
+//! server has one level of parallelism: concurrent flushes overlap on
+//! the cores, and no flush fans out inside itself. Because every
+//! response is a deterministic function of its request alone, the reply
+//! a client sees is bit-identical no matter how requests interleave into
+//! flushes or which executor runs them — the property the differential
 //! suite checks end to end.
 
 use crate::coalescer::{CoalesceStats, Coalescer, Enqueue};
@@ -40,12 +43,14 @@ use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Tuning knobs for one server instance. Every field is a first-class
-/// latency/throughput control; see the crate docs for the model.
+/// Tuning knobs for one server instance; see the crate docs for the
+/// model. The executor count is not one of them: it is
+/// [`fourq_pool::resolved_threads`] (`FOURQ_THREADS`, else the host's
+/// parallelism), one executor per thread.
 ///
 /// The default is work-conserving: `window_us = 0`, so a flush leaves as
 /// soon as an executor is free, and batches form from the requests that
-/// queue while the previous flush runs.
+/// queue while the running flushes execute.
 #[derive(Clone, Copy, Debug)]
 pub struct ServerConfig {
     /// Coalescing window in microseconds. `0` (the default) flushes
@@ -56,11 +61,6 @@ pub struct ServerConfig {
     pub max_batch: usize,
     /// Bounded queue depth; requests beyond it are rejected `Busy`.
     pub queue_cap: usize,
-    /// Executor worker threads draining the coalescer.
-    pub exec_workers: usize,
-    /// Worker threads for the batch engine inside a flush
-    /// (`0` = [`fourq_pool::resolved_threads`]).
-    pub threads: usize,
     /// Root seed for tenant key derivation.
     pub tenant_root: u64,
 }
@@ -71,8 +71,6 @@ impl Default for ServerConfig {
             window_us: 0,
             max_batch: 256,
             queue_cap: 8192,
-            exec_workers: 1,
-            threads: 0,
             tenant_root: 0x4007_DA7E,
         }
     }
@@ -83,6 +81,11 @@ impl Default for ServerConfig {
 /// once; socket reads and accepts are polled at this period, since `std`
 /// has no readiness API. Keeps the idle server off the CPU.
 const IDLE_POLL: Duration = Duration::from_micros(100);
+
+/// A connection is not read while more than this many response bytes
+/// wait unsent, so a client that sends and never reads holds the
+/// server's memory for it to about this much (plus one read's answers).
+const OUT_CAP: usize = 64 * 1024;
 
 struct Conn {
     stream: TcpStream,
@@ -157,18 +160,13 @@ pub fn spawn_on(bind: &str, cfg: ServerConfig) -> std::io::Result<ServerHandle> 
     listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
 
-    let threads = if cfg.threads == 0 {
-        fourq_pool::resolved_threads()
-    } else {
-        cfg.threads
-    };
-    let engine = Arc::new(MultiCurveEngine::shared().with_threads(threads));
+    let engine = Arc::new(MultiCurveEngine::shared().with_threads(1));
     let tenants = Arc::new(TenantDirectory::new(cfg.tenant_root));
     let coalescer = Arc::new(Coalescer::new(cfg.window_us, cfg.max_batch, cfg.queue_cap));
     let stop = Arc::new(AtomicBool::new(false));
     let (resp_tx, resp_rx) = mpsc::channel::<(u64, Vec<u8>)>();
 
-    let executors: Vec<_> = (0..cfg.exec_workers.max(1))
+    let executors: Vec<_> = (0..fourq_pool::resolved_threads())
         .map(|w| {
             let coalescer = Arc::clone(&coalescer);
             let engine = Arc::clone(&engine);
@@ -261,46 +259,21 @@ fn reactor_loop(
             };
             let mut drop_conn = false;
 
-            if !conn.eof {
-                loop {
-                    match conn.stream.read(&mut buf) {
-                        Ok(0) => {
-                            conn.eof = true;
-                            break;
-                        }
-                        Ok(n) => {
-                            progressed = true;
-                            conn.reader.push(&buf[..n]);
-                        }
-                        Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                        Err(_) => {
-                            drop_conn = true;
-                            break;
-                        }
+            // Read and dispatch one buffer at a time while at most
+            // OUT_CAP bytes wait unsent: a client that does not read its
+            // answers stops being read.
+            while !conn.eof && conn.out.len() <= OUT_CAP {
+                match conn.stream.read(&mut buf) {
+                    Ok(0) => conn.eof = true,
+                    Ok(n) => {
+                        progressed = true;
+                        conn.reader.push(&buf[..n]);
+                        dispatch_frames(&coalescer, conn, token(slot, conn.generation));
                     }
-                }
-            }
-
-            // Extract complete frames and dispatch them.
-            if !drop_conn {
-                loop {
-                    match conn.reader.next_frame() {
-                        Ok(Some(frame)) => {
-                            progressed = true;
-                            dispatch(&coalescer, conn, token(slot, conn.generation), &frame);
-                        }
-                        Ok(None) => break,
-                        Err(_) => {
-                            // Framing lost (oversized prefix): answer
-                            // Malformed if we still can, then drop.
-                            conn.out.extend_from_slice(&encode_response(&Response {
-                                id: 0,
-                                status: Status::Malformed,
-                                payload: Vec::new(),
-                            }));
-                            conn.eof = true;
-                            break;
-                        }
+                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                    Err(_) => {
+                        drop_conn = true;
+                        break;
                     }
                 }
             }
@@ -352,6 +325,27 @@ fn deliver(conns: &mut [Option<Conn>], (tok, bytes): (u64, Vec<u8>)) {
         if conn.generation == generation {
             conn.out.extend_from_slice(&bytes);
             conn.inflight = conn.inflight.saturating_sub(1);
+        }
+    }
+}
+
+/// Dispatches every complete frame the connection has buffered.
+fn dispatch_frames(coalescer: &Coalescer<Pending>, conn: &mut Conn, tok: u64) {
+    loop {
+        match conn.reader.next_frame() {
+            Ok(Some(frame)) => dispatch(coalescer, conn, tok, &frame),
+            Ok(None) => return,
+            Err(_) => {
+                // Framing lost (oversized prefix): answer Malformed if we
+                // still can, then drop.
+                conn.out.extend_from_slice(&encode_response(&Response {
+                    id: 0,
+                    status: Status::Malformed,
+                    payload: Vec::new(),
+                }));
+                conn.eof = true;
+                return;
+            }
         }
     }
 }

@@ -1,15 +1,15 @@
 //! Differential tests: served responses are bit-identical to one-shot
-//! library calls, across engine thread counts and coalescing windows.
+//! library calls, across executor counts and coalescing windows.
 //!
 //! The serving stack promises that batching is *observably transparent*:
 //! whether a request executes alone (`max_batch = 1`) or lands in the
-//! middle of a coalesced flush, and whatever the engine's thread budget,
-//! the response bytes are the same. These tests drive a fixed workload
-//! of all seven op kinds — including mixed-curve `CurveMul` traffic over
-//! Fourℚ, X25519 and P-256 — through real TCP connections under every
-//! configuration in `{1, 4} threads × {flush-of-one, the work-conserving
-//! default, a 500 µs window}` and compare against locally computed
-//! expectations.
+//! middle of a coalesced flush, and whichever executor runs it, the
+//! response bytes are the same. These tests drive a fixed workload of
+//! all seven op kinds — including mixed-curve `CurveMul` traffic over
+//! Fourℚ, X25519 and P-256 — through real TCP connections under
+//! flush-of-one, the work-conserving default and a 500 µs window, and
+//! compare against locally computed expectations. The server runs one
+//! executor per `FOURQ_THREADS` thread; CI runs the suite at 1 and 4.
 
 use fourq_curve::{params::ORDER, AffinePoint, CurveId, FourQEngine, MultiCurveEngine};
 use fourq_fp::Scalar;
@@ -202,16 +202,14 @@ fn served_responses_match_one_shot_across_threads_and_windows() {
         window_us: 500,
         ..ServerConfig::default()
     };
-    for threads in [1usize, 4] {
-        for cfg in [flush_of_one, ServerConfig::default(), lingering] {
-            let cfg = ServerConfig { threads, ..cfg };
-            let got = serve_workload(cfg);
-            assert_eq!(
-                got, want,
-                "served responses diverge at threads={threads} window_us={} max_batch={}",
-                cfg.window_us, cfg.max_batch
-            );
-        }
+    let executors = fourq_pool::resolved_threads();
+    for cfg in [flush_of_one, ServerConfig::default(), lingering] {
+        let got = serve_workload(cfg);
+        assert_eq!(
+            got, want,
+            "served responses diverge at executors={executors} window_us={} max_batch={}",
+            cfg.window_us, cfg.max_batch
+        );
     }
 }
 

@@ -315,3 +315,82 @@ fn shutdown_on_the_default_config_returns() {
         .expect("shutdown returns");
     closer.join().expect("shutdown thread");
 }
+
+#[cfg(target_os = "linux")]
+#[test]
+fn a_client_that_never_reads_cannot_grow_the_server() {
+    // One client writes 1 M `Stats` frames (14 bytes each, 46-byte
+    // answers) and never reads. The server stops reading it once its
+    // unsent answers pass the output cap, so the client's writes stall
+    // and the server's peak resident set stays small; uncapped, the
+    // answers pile up to ~46 MB. The `serve` binary runs as a child
+    // process so its peak (`VmHWM`) is its own.
+    use std::io::{BufRead, BufReader, ErrorKind, Write};
+    use std::process::{Command, Stdio};
+    use std::time::Instant;
+
+    struct Kill(std::process::Child);
+    impl Drop for Kill {
+        fn drop(&mut self) {
+            let _ = self.0.kill();
+            let _ = self.0.wait();
+        }
+    }
+    let mut serve = Kill(
+        Command::new(env!("CARGO_BIN_EXE_serve"))
+            .stdout(Stdio::piped())
+            .stderr(Stdio::null())
+            .spawn()
+            .expect("start serve"),
+    );
+    let mut line = String::new();
+    BufReader::new(serve.0.stdout.take().expect("serve stdout"))
+        .read_line(&mut line)
+        .expect("read the address line");
+    let addr: std::net::SocketAddr = line
+        .trim()
+        .strip_prefix("listening on ")
+        .and_then(|a| a.parse().ok())
+        .expect("address line");
+
+    let mut stream = std::net::TcpStream::connect(addr).expect("connect");
+    stream.set_nonblocking(true).expect("non-blocking");
+    let burst = encode_request(0, &Request::Stats).repeat(1024);
+    let total = burst.len() / 1024 * 1_000_000;
+    let (mut sent, mut progress) = (0, Instant::now());
+    while sent < total && progress.elapsed() < Duration::from_secs(1) {
+        let at = sent % burst.len();
+        match stream.write(&burst[at..burst.len().min(at + total - sent)]) {
+            Ok(n) => {
+                sent += n;
+                progress = Instant::now();
+            }
+            Err(e) if e.kind() == ErrorKind::WouldBlock => {
+                std::thread::sleep(Duration::from_millis(5));
+            }
+            Err(e) => panic!("write: {e}"),
+        }
+    }
+    // Without the cap the server is still reading what the kernel
+    // buffered for it; let it, so a missing cap shows in full.
+    std::thread::sleep(Duration::from_millis(500));
+
+    let status = std::fs::read_to_string(format!("/proc/{}/status", serve.0.id()))
+        .expect("read the server's /proc status");
+    let hwm_kb: u64 = status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))
+        .and_then(|v| v.trim().trim_end_matches("kB").trim().parse().ok())
+        .expect("VmHWM line");
+    assert!(
+        hwm_kb < 16 * 1024,
+        "server peak RSS {hwm_kb} kB after {sent} of {total} bytes from a client that never reads"
+    );
+    // The stalled connection does not stall the reactor.
+    let probe = std::net::TcpStream::connect(addr).expect("connect a second client");
+    probe
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("read timeout");
+    let stats = Client::from_stream(probe).stats();
+    assert!(stats.is_ok(), "second connection: {stats:?}");
+}

@@ -113,9 +113,13 @@ step "serve-smoke: server binary + loadgen over loopback TCP"
 # window) on an ephemeral loopback port, drives 2000 mixed requests
 # through `loadgen`, and requires zero errors plus a mean flush size
 # above 1 (batches formed from the requests queued behind each flush).
+# The server runs one executor per FOURQ_THREADS thread, else one per
+# hardware thread: FOURQ_THREADS=2 makes two executors run overlapping
+# flushes over real TCP even on a 1-thread host. loadgen reads the same
+# variable for the `threads` field of its record.
 # The resulting BENCH_serve.json is the serve-layer perf artifact.
 serve_log="$(mktemp)"
-cargo run --release -q -p fourq-serve --bin serve > "$serve_log" 2>/dev/null &
+FOURQ_THREADS=2 cargo run --release -q -p fourq-serve --bin serve > "$serve_log" 2>/dev/null &
 serve_pid=$!
 trap 'kill "$serve_pid" 2>/dev/null || true' EXIT
 for _ in $(seq 50); do
@@ -124,7 +128,7 @@ for _ in $(seq 50); do
     sleep 0.1
 done
 [[ -n "$serve_addr" ]] || { echo "serve did not report an address"; exit 1; }
-cargo run --release -q -p fourq-serve --bin loadgen -- \
+FOURQ_THREADS=2 cargo run --release -q -p fourq-serve --bin loadgen -- \
     --addr "$serve_addr" --requests 2000 --mixed \
     --assert-zero-errors --assert-coalesced --out BENCH_serve.json
 kill "$serve_pid" 2>/dev/null || true
