@@ -253,15 +253,16 @@ pub fn batch_sig(report: &mut BenchReport, opts: &BenchOptions) {
     report.push(run("batch_sig", "schnorr_verify_single", opts, || {
         schnorr::verify(&kps[0].public, black_box(&msgs[0]), &sigs[0])
     }));
-    // These routes go through the shared engine internally, so they run
-    // at its resolved thread budget — record it honestly.
-    let shared_threads = FourQEngine::shared().threads() as u32;
+    // The batches run on the shared engine, at its resolved thread
+    // budget — record it honestly.
+    let eng = FourQEngine::shared();
+    let shared_threads = eng.threads() as u32;
     let mut rec = per_item(
         run(
             "batch_sig",
             "schnorr_batch_verify_n64_per_sig",
             opts,
-            || schnorr::verify_batch(black_box(&items)),
+            || schnorr::verify_batch_with(eng, black_box(&items)),
         ),
         BATCH_N,
     );
@@ -269,7 +270,7 @@ pub fn batch_sig(report: &mut BenchReport, opts: &BenchOptions) {
     report.push(rec);
     let mut rec = per_item(
         run("batch_sig", "schnorr_sign_batch_n64_per_sig", opts, || {
-            kps[0].sign_batch(black_box(&refs))
+            kps[0].sign_batch_with(eng, black_box(&refs))
         }),
         BATCH_N,
     );
@@ -277,7 +278,7 @@ pub fn batch_sig(report: &mut BenchReport, opts: &BenchOptions) {
     report.push(rec);
     let mut rec = per_item(
         run("batch_sig", "ecdsa_sign_batch_n64_per_sig", opts, || {
-            ekp.sign_batch(black_box(&refs))
+            ekp.sign_batch_with(eng, black_box(&refs))
         }),
         BATCH_N,
     );

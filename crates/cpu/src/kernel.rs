@@ -215,7 +215,7 @@ struct Step {
 /// allocation, control ROM and fingerprint for one machine shape.
 ///
 /// Built by [`shared_kernel`]; executed any number of times by
-/// [`CompiledKernel::execute`] / [`CompiledKernel::execute_batch`].
+/// [`CompiledKernel::execute`].
 #[derive(Clone, Debug)]
 pub struct CompiledKernel {
     /// The curve whose scalar multiplication this kernel computes.
@@ -680,40 +680,6 @@ impl CompiledKernel {
         }
     }
 
-    /// Executes a batch of scalars against one base, fanning the replay
-    /// over the process-wide thread pool (`FOURQ_THREADS` respected).
-    ///
-    /// Results are bit-identical at every thread count: each replay is an
-    /// independent pure function of `(base, scalar)` and the order of the
-    /// returned vector matches `scalars`.
-    ///
-    /// # Errors
-    ///
-    /// The first [`PipelineError`] any replay produced.
-    pub fn execute_batch(
-        &self,
-        base: &AffinePoint,
-        scalars: &[Scalar],
-    ) -> Result<Vec<AffinePoint>, PipelineError> {
-        self.execute_batch_with(base, scalars, fourq_pool::resolved_threads())
-    }
-
-    /// As [`CompiledKernel::execute_batch`] with an explicit thread count.
-    ///
-    /// # Errors
-    ///
-    /// See [`CompiledKernel::execute_batch`].
-    pub fn execute_batch_with(
-        &self,
-        base: &AffinePoint,
-        scalars: &[Scalar],
-        threads: usize,
-    ) -> Result<Vec<AffinePoint>, PipelineError> {
-        fourq_pool::map_items(scalars, 4, threads, |_, k| self.execute(base, k))
-            .into_iter()
-            .collect()
-    }
-
     /// Replays the precompiled program through the physical register file
     /// under a fresh digit stream, returning the named outputs.
     ///
@@ -884,24 +850,6 @@ mod tests {
         let want = g.mul(&Scalar::from_u64(0));
         assert_eq!((z.x, z.y), (want.x, want.y));
         assert!(z.is_identity());
-    }
-
-    #[test]
-    fn execute_batch_matches_execute() {
-        let kernel = kernel_for(CurveId::FourQ);
-        let g = AffinePoint::generator();
-        let scalars: Vec<Scalar> = (1..=6u64).map(|i| Scalar::from_u64(i * 977)).collect();
-        let serial: Vec<AffinePoint> = scalars
-            .iter()
-            .map(|k| kernel.execute(&g, k).unwrap())
-            .collect();
-        for threads in [1, 3] {
-            let batch = kernel.execute_batch_with(&g, &scalars, threads).unwrap();
-            assert_eq!(batch.len(), serial.len());
-            for (a, b) in batch.iter().zip(&serial) {
-                assert_eq!((a.x, a.y), (b.x, b.y));
-            }
-        }
     }
 
     #[test]

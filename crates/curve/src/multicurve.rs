@@ -150,8 +150,7 @@ impl MultiCurveEngine {
         ENGINE.get_or_init(|| MultiCurveEngine::from_fourq(FourQEngine::shared().clone()))
     }
 
-    /// A copy pinned to exactly `n` worker threads (Fourℚ batch paths and
-    /// the `curve_mul` batch helper).
+    /// A copy whose Fourℚ engine is pinned to exactly `n` worker threads.
     pub fn with_threads(&self, n: usize) -> MultiCurveEngine {
         MultiCurveEngine {
             fourq: self.fourq.with_threads(n),
@@ -234,20 +233,6 @@ impl MultiCurveEngine {
             }
         }
     }
-
-    /// Batch [`MultiCurveEngine::curve_mul`] over same-curve items,
-    /// spread across the engine's worker threads. Outputs land at their
-    /// input index; per-item failures do not poison the batch.
-    // ct: secret(items)
-    pub fn batch_curve_mul(
-        &self,
-        curve: CurveId,
-        items: &[([u8; 32], Vec<u8>)],
-    ) -> Vec<Result<Vec<u8>, CurveMulError>> {
-        fourq_pool::map_items(items, 4, self.fourq.threads(), |_, (k, p)| {
-            self.curve_mul(curve, k, p)
-        })
-    }
 }
 
 impl Default for MultiCurveEngine {
@@ -328,26 +313,5 @@ mod tests {
             eng.curve_mul(CurveId::X25519, &k, &[0u8; 64]),
             Err(CurveMulError::BadPointLen { .. })
         ));
-    }
-
-    #[test]
-    fn batch_matches_one_shot() {
-        let eng = MultiCurveEngine::shared();
-        let items: Vec<([u8; 32], Vec<u8>)> = (0u8..6)
-            .map(|i| {
-                let mut k = [0u8; 32];
-                k[0] = i + 1;
-                let mut base = [0u8; 32];
-                base[0] = 9;
-                (k, base.to_vec())
-            })
-            .collect();
-        let batch = eng.batch_curve_mul(CurveId::X25519, &items);
-        for ((k, p), r) in items.iter().zip(&batch) {
-            assert_eq!(
-                r.as_ref().unwrap(),
-                &eng.curve_mul(CurveId::X25519, k, p).unwrap()
-            );
-        }
     }
 }

@@ -33,40 +33,17 @@
 //! only non-empty batches (or `None` at shutdown), so downstream batch
 //! ops are never invoked with `n = 0` — see the size-0 regression tests.
 
+use crate::proto::WireStats;
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
-
-/// Aggregate coalescing counters, readable while the server runs.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CoalesceStats {
-    /// Non-empty flushes handed to executors.
-    pub flushes: u64,
-    /// Total requests across all flushes.
-    pub items: u64,
-    /// Largest flush so far.
-    pub max_flush: u64,
-    /// Requests rejected because the queue was at capacity.
-    pub busy_rejects: u64,
-}
-
-impl CoalesceStats {
-    /// Mean flush size (0 before the first flush).
-    pub fn mean_flush(&self) -> f64 {
-        if self.flushes == 0 {
-            0.0
-        } else {
-            self.items as f64 / self.flushes as f64
-        }
-    }
-}
 
 struct State<T> {
     queue: VecDeque<T>,
     /// Arrival instant of the oldest queued request (the open window's
     /// start), `None` when the queue is empty.
     window_open: Option<Instant>,
-    stats: CoalesceStats,
+    stats: WireStats,
     closed: bool,
 }
 
@@ -102,7 +79,7 @@ impl<T> Coalescer<T> {
             state: Mutex::new(State {
                 queue: VecDeque::new(),
                 window_open: None,
-                stats: CoalesceStats::default(),
+                stats: WireStats::default(),
                 closed: false,
             }),
             cv: Condvar::new(),
@@ -196,14 +173,9 @@ impl<T> Coalescer<T> {
         self.cv.notify_all();
     }
 
-    /// Snapshot of the counters.
-    pub fn stats(&self) -> CoalesceStats {
+    /// Snapshot of the counters, as the `Stats` op carries them.
+    pub fn stats(&self) -> WireStats {
         self.state.lock().expect("coalescer lock").stats
-    }
-
-    /// Current queue depth (for observability; racy by nature).
-    pub fn depth(&self) -> usize {
-        self.state.lock().expect("coalescer lock").queue.len()
     }
 }
 
@@ -233,7 +205,6 @@ mod tests {
             assert_eq!(c.enqueue(i), Enqueue::Accepted);
         }
         assert_eq!(c.next_flush(), Some(vec![0, 1, 2, 3, 4]));
-        assert_eq!(c.depth(), 0);
 
         // Past max_batch the queue leaves in max_batch-sized flushes,
         // each ready at once: no deadline is waited out.

@@ -5,9 +5,9 @@
 //! each group through the matching batch API —
 //! [`FourQEngine::batch_scalar_mul`],
 //! [`FourQEngine::batch_fixed_base_mul`], `sign_batch_with`,
-//! `verify_batch_with`, [`MultiCurveEngine::batch_curve_mul`] — and
-//! emits one encoded response frame per request, tagged with the
-//! connection token it came from.
+//! `verify_batch_with` — or, for ECDH and `CurveMul`, which have no
+//! batch form, item by item, and emits one encoded response frame per
+//! request, tagged with the connection token it came from.
 //!
 //! **Bit-identical to one-shot calls.** Every batch path in the
 //! workspace guarantees results identical to its batch-of-1 form at any
@@ -129,24 +129,13 @@ fn run_curve_mul(
     group: &[&Pending],
     out: &mut Vec<Outbound>,
 ) {
-    if group.is_empty() {
-        return;
-    }
-    // No decode-first pass needed: `batch_curve_mul` reports per-item
-    // failures (bad length, off-curve point) without poisoning the
-    // batch, exactly matching the one-shot `curve_mul` result.
-    let items: Vec<([u8; 32], Vec<u8>)> = group
-        .iter()
-        .map(|p| {
-            let Request::CurveMul { scalar, point, .. } = &p.req else {
-                unreachable!("grouped by kind");
-            };
-            (*scalar, point.clone())
-        })
-        .collect();
-    let results = eng.batch_curve_mul(curve, &items);
-    for (p, r) in group.iter().zip(results) {
-        match r {
+    // `curve_mul` reports a bad length or an off-curve point per item,
+    // and the group runs in order on the executor's thread.
+    for p in group {
+        let Request::CurveMul { scalar, point, .. } = &p.req else {
+            unreachable!("grouped by kind");
+        };
+        match eng.curve_mul(curve, scalar, point) {
             Ok(bytes) => out.push(ok(p, bytes)),
             Err(_) => out.push(failed(p)),
         }

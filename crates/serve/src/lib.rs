@@ -28,8 +28,8 @@
 //!   public so tests reconstruct public keys independently.
 //! * [`exec`] — maps one coalesced flush onto the engine's batch calls
 //!   (`batch_scalar_mul`, `sign_batch_with`, RLC `verify_batch_with`
-//!   with per-item fallback, per-curve `batch_curve_mul`, …); empty
-//!   flushes are a no-op by construction. One
+//!   with per-item fallback, …) and runs ECDH and `CurveMul` item by
+//!   item; empty flushes are a no-op by construction. One
 //!   [`MultiCurveEngine`](fourq_curve::MultiCurveEngine) answers mixed
 //!   Fourℚ/X25519/P-256 traffic from a single process.
 //! * [`server`] — the reactor: accept/read/frame/write over non-blocking
@@ -61,7 +61,7 @@ pub mod server;
 pub mod tenant;
 
 pub use client::Client;
-pub use coalescer::{CoalesceStats, Coalescer, Enqueue};
+pub use coalescer::{Coalescer, Enqueue};
 pub use proto::{OpKind, Request, Response, Status};
 pub use server::{spawn, spawn_on, ServerConfig, ServerHandle};
 pub use tenant::{TenantDirectory, TenantKeys};

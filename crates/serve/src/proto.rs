@@ -475,8 +475,10 @@ pub fn decode_response(payload: &[u8]) -> Result<Response, ProtoError> {
     })
 }
 
-/// Coalescer statistics as carried by a [`OpKind::Stats`] response:
-/// four little-endian `u64`s.
+/// The coalescer's counters, as
+/// [`Coalescer::stats`](crate::coalescer::Coalescer::stats) counts them
+/// and a [`OpKind::Stats`] response carries them: four little-endian
+/// `u64`s.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WireStats {
     /// Number of non-empty flushes executed.

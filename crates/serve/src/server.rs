@@ -29,7 +29,7 @@
 //! flushes or which executor runs them — the property the differential
 //! suite checks end to end.
 
-use crate::coalescer::{CoalesceStats, Coalescer, Enqueue};
+use crate::coalescer::{Coalescer, Enqueue};
 use crate::exec::{execute_flush, Pending};
 use crate::proto::{
     decode_request, encode_response, FrameReader, ProtoError, Request, Response, Status, WireStats,
@@ -123,7 +123,7 @@ impl ServerHandle {
     }
 
     /// Live coalescing counters.
-    pub fn stats(&self) -> CoalesceStats {
+    pub fn stats(&self) -> WireStats {
         self.coalescer.stats()
     }
 
@@ -360,14 +360,7 @@ fn dispatch(coalescer: &Coalescer<Pending>, conn: &mut Conn, tok: u64, frame: &[
     };
     match decode_request(frame) {
         Ok((id, Request::Stats)) => {
-            let s = coalescer.stats();
-            let wire = WireStats {
-                flushes: s.flushes,
-                items: s.items,
-                max_flush: s.max_flush,
-                busy_rejects: s.busy_rejects,
-            };
-            reply_now(conn, id, Status::Ok, wire.encode());
+            reply_now(conn, id, Status::Ok, coalescer.stats().encode());
         }
         Ok((id, req)) => match coalescer.enqueue(Pending { conn: tok, id, req }) {
             Enqueue::Accepted => conn.inflight += 1,

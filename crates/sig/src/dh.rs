@@ -54,34 +54,32 @@ impl EphemeralSecret {
     /// randomness; the scalar is the SHA-512 of the seed reduced mod `N`,
     /// forced nonzero).
     pub fn from_seed(seed: &[u8; 32]) -> EphemeralSecret {
-        let mut out = Self::batch_from_seeds(std::slice::from_ref(seed));
-        // ct: allow(R5) reason="batch_from_seeds returns exactly one pair per seed"
+        let mut out =
+            Self::batch_from_seeds_with(FourQEngine::shared(), std::slice::from_ref(seed));
+        // ct: allow(R5) reason="batch_from_seeds_with returns exactly one pair per seed"
         out.pop().expect("batch of one")
     }
 
-    /// Derives many key pairs at once — the server-side session-setup
-    /// workload. All `[d_i]G` share the generator's cached table and one batch
-    /// normalisation inversion; results match per-seed
-    /// [`EphemeralSecret::from_seed`] exactly.
-    pub fn batch_from_seeds(seeds: &[[u8; 32]]) -> Vec<EphemeralSecret> {
-        Self::batch_from_seeds_with(FourQEngine::shared(), seeds)
-    }
-
-    /// [`EphemeralSecret::batch_from_seeds`] on an explicit engine, so
-    /// callers (and the differential tests) can pin the thread budget via
-    /// [`fourq_curve::FourQEngine::with_threads`]. Each secret depends
-    /// only on its seed, so outputs are bit-identical at every thread
-    /// count.
+    /// Derives many key pairs at once on `eng` — the server-side
+    /// session-setup workload. All `[d_i]G` share the generator's cached
+    /// table and one batch normalisation inversion, and only they can fan
+    /// out; the hashing runs on the calling thread. Each secret depends
+    /// only on its seed, so results match per-seed
+    /// [`EphemeralSecret::from_seed`] exactly at every thread count
+    /// ([`fourq_curve::FourQEngine::with_threads`]).
     // ct: secret — derived scalars are secret key material
     pub fn batch_from_seeds_with(eng: &FourQEngine, seeds: &[[u8; 32]]) -> Vec<EphemeralSecret> {
-        let secrets = fourq_pool::map_items(seeds, 32, eng.threads(), |_, seed| {
-            let h = Sha512::digest(seed);
-            let mut wide = [0u8; 64];
-            wide.copy_from_slice(&h);
-            let secret = Scalar::from_wide_bytes(&wide);
-            // zero is astronomically unlikely; select, don't branch
-            Scalar::ct_select(&secret, &Scalar::ONE, secret.ct_is_zero())
-        });
+        let secrets: Vec<Scalar> = seeds
+            .iter()
+            .map(|seed| {
+                let h = Sha512::digest(seed);
+                let mut wide = [0u8; 64];
+                wide.copy_from_slice(&h);
+                let secret = Scalar::from_wide_bytes(&wide);
+                // zero is astronomically unlikely; select, don't branch
+                Scalar::ct_select(&secret, &Scalar::ONE, secret.ct_is_zero())
+            })
+            .collect();
         let publics = eng.batch_fixed_base_mul(&secrets);
         secrets
             .into_iter()
@@ -139,11 +137,11 @@ mod tests {
     #[test]
     fn batch_keygen_matches_one_shot() {
         let seeds: Vec<[u8; 32]> = (0u8..6).map(|i| [i + 50; 32]).collect();
-        let batch = EphemeralSecret::batch_from_seeds(&seeds);
+        let batch = EphemeralSecret::batch_from_seeds_with(FourQEngine::shared(), &seeds);
         for (seed, pair) in seeds.iter().zip(&batch) {
             assert_eq!(pair.public, EphemeralSecret::from_seed(seed).public);
         }
-        assert!(EphemeralSecret::batch_from_seeds(&[]).is_empty());
+        assert!(EphemeralSecret::batch_from_seeds_with(FourQEngine::shared(), &[]).is_empty());
     }
 
     #[test]

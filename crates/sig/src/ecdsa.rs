@@ -114,37 +114,27 @@ impl KeyPair {
     /// `r = 0` or `s = 0` (probability ≈ 2⁻²⁴⁶·¹⁰⁰ — unreachable; the
     /// retry loop mirrors the "go back to step 2" arrows of the paper).
     pub fn sign(&self, msg: &[u8]) -> Result<Signature, SignError> {
-        let mut out = self.sign_batch(&[msg])?;
-        // ct: allow(R5) reason="sign_batch returns exactly one signature per message"
+        let mut out = self.sign_batch_with(FourQEngine::shared(), &[msg])?;
+        // ct: allow(R5) reason="sign_batch_with returns exactly one signature per message"
         Ok(out.pop().expect("batch of one"))
     }
 
-    /// Signs many messages, batching the per-signature work: each round
-    /// runs every pending `[k]G` on the generator's cached table with one
-    /// batch normalisation, and every nonce inversion through
-    /// [`Scalar::batch_invert`] — one Fermat ladder per round instead of
-    /// one per signature.
+    /// Signs many messages on `eng`, batching the per-signature work:
+    /// each round runs every pending `[k]G` on the generator's cached
+    /// table with one batch normalisation, and every nonce inversion
+    /// through [`Scalar::batch_invert`] — one Fermat ladder per round
+    /// instead of one per signature.
     ///
     /// Produces bit-identical signatures to per-message [`KeyPair::sign`]
-    /// (same nonce derivation, same retry counter sequence per message).
+    /// (same nonce derivation, same retry counter sequence per message)
+    /// at every thread count of `eng` ([`FourQEngine::with_threads`]).
+    /// Only the fixed-base multiplications can fan out; the hashing runs
+    /// on the calling thread.
     ///
     /// # Errors
     ///
     /// [`SignError::BadNonce`] if any message exhausts its 100 nonce
     /// retries (probability ≈ 2⁻²⁴⁶ per retry — unreachable).
-    pub fn sign_batch(&self, msgs: &[&[u8]]) -> Result<Vec<Signature>, SignError> {
-        self.sign_batch_with(FourQEngine::shared(), msgs)
-    }
-
-    /// [`KeyPair::sign_batch`] on an explicit engine, so callers (and the
-    /// differential tests) can pin the thread budget via
-    /// [`FourQEngine::with_threads`]. Each message keeps its own retry
-    /// counter sequence and nonces depend only on `(msg, counter)`, so
-    /// signatures are bit-identical at every thread count.
-    ///
-    /// # Errors
-    ///
-    /// [`SignError::BadNonce`] as for [`KeyPair::sign_batch`].
     // ct: secret(self) — nonces and the secret scalar; messages are public
     pub fn sign_batch_with(
         &self,
@@ -162,13 +152,12 @@ impl KeyPair {
             if pending.is_empty() {
                 break;
             }
-            // Step 2: deterministic nonces for every pending message,
-            // derived over the pool in fixed index chunks (HMAC-SHA-256
-            // per item; the nonce for (msg, counter) is independent of
-            // thread count).
-            let ks = fourq_pool::map_items(&pending, 32, eng.threads(), |_, &i| {
-                self.nonce(msgs[i], counter)
-            });
+            // Step 2: deterministic nonces for every pending message
+            // (HMAC-SHA-256 over (msg, counter)).
+            let ks: Vec<Scalar> = pending
+                .iter()
+                .map(|&i| self.nonce(msgs[i], counter))
+                .collect();
             // Step 3: (x₁, y₁) = [k]G, one shared normalisation inversion.
             // A zero nonce maps to the identity point, whose r = 0 routes
             // the item into the retry set below, matching the one-shot
@@ -285,12 +274,15 @@ mod tests {
         let k1 = kp(0x5eed);
         let msgs: Vec<Vec<u8>> = (0..7).map(|i| format!("update {i}").into_bytes()).collect();
         let refs: Vec<&[u8]> = msgs.iter().map(|m| m.as_slice()).collect();
-        let batch = k1.sign_batch(&refs).unwrap();
+        let batch = k1.sign_batch_with(FourQEngine::shared(), &refs).unwrap();
         for (m, s) in refs.iter().zip(&batch) {
             assert_eq!(*s, k1.sign(m).unwrap());
             assert!(verify(&k1.public, m, s));
         }
-        assert!(k1.sign_batch(&[]).unwrap().is_empty());
+        assert!(k1
+            .sign_batch_with(FourQEngine::shared(), &[])
+            .unwrap()
+            .is_empty());
     }
 
     #[test]

@@ -78,14 +78,4 @@ fn main() {
         "step 3 — cache hit: same kernel instance, amortisation {:.0}x per reuse",
         (compile_time.as_secs_f64() + execute_time.as_secs_f64()) / execute_time.as_secs_f64()
     );
-
-    // Batch execution fans the replay over the worker pool with
-    // bit-identical results per lane.
-    let batch: Vec<Scalar> = (1..=8).map(Scalar::from_u64).collect();
-    let outs = kernel.execute_batch(&g, &batch).expect("batch executes");
-    assert_eq!(outs.len(), batch.len());
-    println!(
-        "bonus  — execute_batch over {} scalars on the pool  ✓",
-        outs.len()
-    );
 }

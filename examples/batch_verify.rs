@@ -4,10 +4,12 @@
 //!
 //! Run with: `cargo run --release --example batch_verify`
 
-use fourq::sig::schnorr::{verify, verify_batch, KeyPair, PublicKey, Signature};
+use fourq::curve::FourQEngine;
+use fourq::sig::schnorr::{verify, verify_batch_with, KeyPair, PublicKey, Signature};
 use std::time::Instant;
 
 fn main() {
+    let eng = FourQEngine::shared();
     let n = 32;
     let keypairs: Vec<KeyPair> = (0..n)
         .map(|i| KeyPair::from_seed(&[i as u8 + 1; 32]))
@@ -32,7 +34,7 @@ fn main() {
     let t_individual = t0.elapsed();
 
     let t0 = Instant::now();
-    let ok_batch = verify_batch(&items);
+    let ok_batch = verify_batch_with(eng, &items);
     let t_batch = t0.elapsed();
 
     assert!(ok_individual && ok_batch);
@@ -56,7 +58,7 @@ fn main() {
         .zip(&bad)
         .map(|((kp, m), s)| (&kp.public, m.as_slice(), s))
         .collect();
-    assert!(!verify_batch(&poisoned));
+    assert!(!verify_batch_with(eng, &poisoned));
     let culprit = poisoned
         .iter()
         .position(|(pk, m, s)| !verify(pk, m, s))

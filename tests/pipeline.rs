@@ -130,24 +130,6 @@ fn compiled_kernel_execute_equals_software() {
 }
 
 #[test]
-fn compiled_kernel_batch_is_thread_count_invariant() {
-    let machine = MachineConfig::paper();
-    let kernel = kernel_on(&machine);
-    let g = AffinePoint::generator();
-    let ks: Vec<Scalar> = (1u64..=9)
-        .map(|i| Scalar::from_u64(i.wrapping_mul(0x9e37_79b9_7f4a_7c15)))
-        .collect();
-    fourq_testkit::diff_check!(|threads| {
-        kernel
-            .execute_batch_with(&g, &ks, threads)
-            .expect("kernel executes")
-            .into_iter()
-            .map(|p| (p.x, p.y))
-            .collect::<Vec<_>>()
-    });
-}
-
-#[test]
 fn shared_kernel_is_compiled_once_per_config() {
     let machine = MachineConfig::paper();
     for curve in CurveId::ALL {

@@ -117,7 +117,9 @@ step "serve-smoke: server binary + loadgen over loopback TCP"
 # hardware thread: FOURQ_THREADS=2 makes two executors run overlapping
 # flushes over real TCP even on a 1-thread host. loadgen reads the same
 # variable for the `threads` field of its record.
-# The resulting BENCH_serve.json is the serve-layer perf artifact.
+# The record goes to target/ci/BENCH_serve.json, the serve-layer perf
+# artifact; the committed BENCH_serve.json changes only through an
+# explicit `--out BENCH_serve.json`.
 serve_log="$(mktemp)"
 FOURQ_THREADS=2 cargo run --release -q -p fourq-serve --bin serve > "$serve_log" 2>/dev/null &
 serve_pid=$!
@@ -130,9 +132,10 @@ done
 [[ -n "$serve_addr" ]] || { echo "serve did not report an address"; exit 1; }
 FOURQ_THREADS=2 cargo run --release -q -p fourq-serve --bin loadgen -- \
     --addr "$serve_addr" --requests 2000 --mixed \
-    --assert-zero-errors --assert-coalesced --out BENCH_serve.json
+    --assert-zero-errors --assert-coalesced --out target/ci/BENCH_serve.json
 kill "$serve_pid" 2>/dev/null || true
 trap - EXIT
 rm -f "$serve_log"
+test -s target/ci/BENCH_serve.json
 
 step "OK"
